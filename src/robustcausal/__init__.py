@@ -5,176 +5,42 @@ entropy (or lag-specific Granger causality), judges each candidate link
 against shuffled surrogates, and then filters the full-sample graph with a
 subsample-ensemble consistency vote: only links that keep reappearing
 across many shorter windows of the record survive.
+
+The public surface is each submodule's ``__all__``, re-exported here.
 """
 
 __version__ = "0.1.0"
 
-from .ensemble import (
-    EnsembleConfig,
-    EnsembleResult,
-    LinkFrequencyTable,
-    RobustGraph,
-    analyze_ensemble,
-    draw_subsamples,
-    link_frequencies,
-    robust_graph,
+from . import (
+    ensemble,
+    errors,
+    estimators,
+    evaluation,
+    granger,
+    graph,
+    significance,
+    synthetic,
+    timeseries,
 )
-from .errors import (
-    CsvFormatError,
-    DegenerateBins,
-    DuplicateName,
-    EmptyHistogram,
-    InvalidConfig,
-    LagTooLarge,
-    LengthMismatch,
-    NonFinite,
-    RobustCausalError,
-    SingularDesign,
-    TooManyWindows,
-    TooShort,
-    UnknownFormat,
-    VariableMismatch,
-    WindowTooLong,
-    ZeroVariance,
-)
-from .estimators import (
-    BinningSpec,
-    JointHistogram,
-    mutual_information,
-    scott_bin_width,
-    shannon_entropy,
-    system_bin_count,
-    transfer_entropy,
-    variable_bin_count,
-)
-from .evaluation import (
-    BinSensitivityReport,
-    ConfusionCounts,
-    ErrorRateCurve,
-    ErrorRatePoint,
-    TruthScore,
-    bin_sensitivity_scan,
-    ensemble_error_binomial,
-    ensemble_miss_binomial,
-    jaccard_links,
-    monte_carlo_rates,
-    score_against_truth,
-)
-from .granger import GrangerConfig, GrangerResult, granger_test
-from .graph import (
-    CandidateResult,
-    CausalLink,
-    LaggedCausalGraph,
-    build_graph,
-    diff_graphs,
-    evaluate_candidates,
-    export_graph,
-    import_graph,
-)
-from .significance import (
-    SignificanceResult,
-    SurrogateConfig,
-    TeLinkResult,
-    mi_significance,
-    shuffle_surrogate,
-    te_link_test,
-)
-from .synthetic import SYSTEM_KINDS, GroundTruth, SystemSpec, TrueLink, generate
-from .timeseries import (
-    Dataset,
-    PreprocessSpec,
-    TimeSeries,
-    apply_preprocess,
-    deseasonalize,
-    detrend_linear,
-    read_dataset_csv,
-    validate_dataset,
-    write_dataset_csv,
-)
+from .ensemble import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .evaluation import *  # noqa: F401,F403
+from .granger import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .significance import *  # noqa: F401,F403
+from .synthetic import *  # noqa: F401,F403
+from .timeseries import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # containers and preprocessing
-    "TimeSeries",
-    "Dataset",
-    "PreprocessSpec",
-    "validate_dataset",
-    "detrend_linear",
-    "deseasonalize",
-    "apply_preprocess",
-    "read_dataset_csv",
-    "write_dataset_csv",
-    # binned estimators
-    "BinningSpec",
-    "JointHistogram",
-    "scott_bin_width",
-    "variable_bin_count",
-    "system_bin_count",
-    "shannon_entropy",
-    "mutual_information",
-    "transfer_entropy",
-    # surrogate significance
-    "SurrogateConfig",
-    "SignificanceResult",
-    "TeLinkResult",
-    "shuffle_surrogate",
-    "mi_significance",
-    "te_link_test",
-    # Granger causality
-    "GrangerConfig",
-    "GrangerResult",
-    "granger_test",
-    # causal graphs
-    "CausalLink",
-    "LaggedCausalGraph",
-    "CandidateResult",
-    "evaluate_candidates",
-    "build_graph",
-    "export_graph",
-    "import_graph",
-    "diff_graphs",
-    # ensemble consistency
-    "EnsembleConfig",
-    "LinkFrequencyTable",
-    "RobustGraph",
-    "EnsembleResult",
-    "draw_subsamples",
-    "link_frequencies",
-    "robust_graph",
-    "analyze_ensemble",
-    # synthetic benchmarks
-    "SystemSpec",
-    "GroundTruth",
-    "TrueLink",
-    "generate",
-    "SYSTEM_KINDS",
-    # evaluation
-    "ConfusionCounts",
-    "TruthScore",
-    "score_against_truth",
-    "ensemble_error_binomial",
-    "ensemble_miss_binomial",
-    "ErrorRatePoint",
-    "ErrorRateCurve",
-    "monte_carlo_rates",
-    "jaccard_links",
-    "BinSensitivityReport",
-    "bin_sensitivity_scan",
-    # errors
-    "RobustCausalError",
-    "LengthMismatch",
-    "NonFinite",
-    "DuplicateName",
-    "TooShort",
-    "CsvFormatError",
-    "ZeroVariance",
-    "DegenerateBins",
-    "EmptyHistogram",
-    "LagTooLarge",
-    "SingularDesign",
-    "UnknownFormat",
-    "VariableMismatch",
-    "WindowTooLong",
-    "TooManyWindows",
-    "InvalidConfig",
+    *timeseries.__all__,
+    *estimators.__all__,
+    *significance.__all__,
+    *granger.__all__,
+    *graph.__all__,
+    *ensemble.__all__,
+    *synthetic.__all__,
+    *evaluation.__all__,
+    *errors.__all__,
 ]

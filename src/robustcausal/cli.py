@@ -159,6 +159,18 @@ def _write_manifest(path: Path, command: str, config: dict, seed) -> None:
     _write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _system_spec(ns, config: dict, kind: str, seed) -> SystemSpec:
+    """The benchmark system the flags and config describe."""
+    return SystemSpec(
+        kind=kind,
+        length=int(_setting(ns, config, "length", 1000)),
+        rng_seed=_require_seed(seed),
+        burn_in=int(_setting(ns, config, "burn_in", 100)),
+        signal=_setting(ns, config, "signal", None),
+        noise=_setting(ns, config, "noise", None),
+    )
+
+
 def _load_input(ns, config: dict, seed: int | None):
     """Dataset from --input CSV or an inline-generated --system."""
     input_path = _setting(ns, config, "input", None)
@@ -167,14 +179,7 @@ def _load_input(ns, config: dict, seed: int | None):
         raise UsageError("exactly one of --input or --system is required")
     if input_path is not None:
         return read_dataset_csv(input_path), None, {"input": str(input_path)}
-    spec = SystemSpec(
-        kind=system,
-        length=int(_setting(ns, config, "length", 1000)),
-        rng_seed=_require_seed(seed),
-        burn_in=int(_setting(ns, config, "burn_in", 100)),
-        signal=_setting(ns, config, "signal", None),
-        noise=_setting(ns, config, "noise", None),
-    )
+    spec = _system_spec(ns, config, system, seed)
     d, truth = generate(spec)
     described = {
         "system": spec.kind,
@@ -208,14 +213,7 @@ def cmd_generate(ns) -> int:
     kind = _setting(ns, config, "system", None)
     if kind is None:
         raise UsageError("--system is required")
-    spec = SystemSpec(
-        kind=kind,
-        length=int(_setting(ns, config, "length", 1000)),
-        rng_seed=seed,
-        burn_in=int(_setting(ns, config, "burn_in", 100)),
-        signal=_setting(ns, config, "signal", None),
-        noise=_setting(ns, config, "noise", None),
-    )
+    spec = _system_spec(ns, config, kind, seed)
     d, truth = generate(spec)
 
     out_raw = _setting(ns, config, "out", None)
@@ -287,7 +285,6 @@ def cmd_analyze(ns) -> int:
         gc_lagwise = gc_lagwise != "cumulative"
     granger = (
         GrangerConfig(
-            order=int(_setting(ns, config, "gc_order", max_lag)),
             alpha=float(_setting(ns, config, "gc_alpha", 0.05)),
             lagwise=bool(gc_lagwise),
         )
@@ -310,9 +307,7 @@ def cmd_analyze(ns) -> int:
             te_surrogate_test="on" if surrogate.te_surrogate_test else "off",
         )
     if granger is not None:
-        effective.update(
-            gc_order=granger.order, gc_alpha=granger.alpha, gc_lagwise=granger.lagwise
-        )
+        effective.update(gc_alpha=granger.alpha, gc_lagwise=granger.lagwise)
 
     if n_subsamples is None:
         graph = build_graph(d, max_lag, method, surrogate=surrogate, granger=granger, bins=bins)
@@ -333,6 +328,7 @@ def cmd_analyze(ns) -> int:
         threshold=float(_setting(ns, config, "threshold", 0.9)),
     )
     workers = _worker_count(_setting(ns, config, "workers", None))
+    reuse_parent_bins = bool(_setting(ns, config, "reuse_parent_bins", False))
     result = analyze_ensemble(
         d,
         ens_cfg,
@@ -341,7 +337,7 @@ def cmd_analyze(ns) -> int:
         surrogate=surrogate,
         granger=granger,
         bins=bins,
-        reuse_parent_bins=bool(_setting(ns, config, "reuse_parent_bins", False)),
+        reuse_parent_bins=reuse_parent_bins,
         workers=workers,
     )
     effective.update(
@@ -349,7 +345,7 @@ def cmd_analyze(ns) -> int:
         subsample_length=ens_cfg.subsample_length,
         mode=ens_cfg.mode,
         threshold=ens_cfg.threshold,
-        reuse_parent_bins=bool(_setting(ns, config, "reuse_parent_bins", False)),
+        reuse_parent_bins=reuse_parent_bins,
     )
     _write(out / "graph.json", export_graph(result.full_graph, "json"))
     _write(out / "graph.dot", export_graph(result.full_graph, "dot"))
@@ -374,14 +370,16 @@ def cmd_evaluate(ns) -> int:
     ratios = _parse_ratio_list(_setting(ns, config, "ratios", "0.1,0.25,0.5,0.75,1.0"))
     if not lengths or not ratios:
         raise UsageError("--lengths and --ratios must be nonempty")
+    n_surrogates = int(_setting(ns, config, "n_surrogates", 100))
+    confidence = float(_setting(ns, config, "confidence", 0.95))
     curve = monte_carlo_rates(
         kind=kind,
         lengths=lengths,
         ratios=ratios,
         n_trials=trials,
         rng_seed=seed,
-        n_surrogates=int(_setting(ns, config, "n_surrogates", 100)),
-        confidence=float(_setting(ns, config, "confidence", 0.95)),
+        n_surrogates=n_surrogates,
+        confidence=confidence,
     )
     out = Path(_setting(ns, config, "out", "evaluation"))
     if out.suffix.lower() == ".csv":
@@ -396,8 +394,8 @@ def cmd_evaluate(ns) -> int:
         "lengths": lengths,
         "ratios": ratios,
         "trials": trials,
-        "n_surrogates": int(_setting(ns, config, "n_surrogates", 100)),
-        "confidence": float(_setting(ns, config, "confidence", 0.95)),
+        "n_surrogates": n_surrogates,
+        "confidence": confidence,
         "out": str(csv_path),
     }
     _write_manifest(manifest_path, "evaluate", effective, seed)
@@ -497,7 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_test_flags(a)
     a.add_argument("--te-surrogate-test", dest="te_surrogate_test", choices=("on", "off"),
                    help="surrogate-test the TE after the MI gate (default off)")
-    a.add_argument("--gc-order", dest="gc_order", type=int)
     a.add_argument("--gc-alpha", dest="gc_alpha", type=float)
     a.add_argument("--gc-mode", dest="gc_lagwise", choices=("lagwise", "cumulative"))
     a.add_argument("--subsamples", dest="n_subsamples", type=int,

@@ -23,15 +23,16 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidConfig, TooManyWindows, VariableMismatch, WindowTooLong
 from .estimators import BinningSpec
 from .granger import GrangerConfig
-from .graph import CausalLink, LaggedCausalGraph, LinkKey, build_graph
-from .significance import SurrogateConfig, _name_key, _te_link_from_codes
-from .timeseries import Dataset, validate_dataset
+from .graph import CausalLink, LaggedCausalGraph, LinkKey, build_graph, candidate_keys
+from .significance import SurrogateConfig
+from .timeseries import Dataset, _derived_seed, _rng, validate_dataset
 
 __all__ = [
     "EnsembleConfig",
@@ -90,10 +91,10 @@ def draw_subsamples(d: Dataset, cfg: EnsembleConfig) -> list[Dataset]:
     if q >= l:
         raise WindowTooLong(f"subsample length {q} does not fit in sample length {l}")
     if cfg.mode == "random-continuous":
-        starts = []
-        for j in range(cfg.n_subsamples):
-            rng = np.random.default_rng([int(cfg.rng_seed) & 0xFFFFFFFF, j])
-            starts.append(int(rng.integers(0, l - q, endpoint=True)))
+        starts = [
+            int(_rng(cfg.rng_seed, j).integers(0, l - q, endpoint=True))
+            for j in range(cfg.n_subsamples)
+        ]
     elif cfg.mode == "fixed-overlap":
         starts = [0, (l - q) // 2, l - q]
     else:
@@ -127,13 +128,7 @@ class LinkFrequencyTable:
 
     def candidate_keys(self) -> list[LinkKey]:
         """All (source, target, lag) candidates of the underlying search."""
-        return [
-            (s, t, lag)
-            for s in self.variables
-            for t in self.variables
-            if s != t
-            for lag in range(1, self.max_lag + 1)
-        ]
+        return candidate_keys(self.variables, self.max_lag)
 
     def to_csv(self) -> str:
         """CSV with one row per candidate link: source,target,lag,count,fraction."""
@@ -208,45 +203,24 @@ class EnsembleResult:
     robust: RobustGraph
 
 
-def _derived_seed(seed: int, index: int) -> int:
-    """Scalar surrogate seed for subsample ``index``, independent per index."""
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x5B5B, index])
-    return int(ss.generate_state(1, np.uint32)[0])
-
-
-def _subsample_graph(args) -> LaggedCausalGraph:
-    window, max_lag, method, surrogate, granger, bins, parent_spec = args
-    if parent_spec is not None:
-        return _graph_with_spec(window, max_lag, method, surrogate, granger, parent_spec)
-    return build_graph(
-        window, max_lag, method, surrogate=surrogate, granger=granger, bins=bins
-    )
-
-
-def _graph_with_spec(
+def _subsample_graph(
     window: Dataset,
+    surrogate: SurrogateConfig | None,
+    *,
     max_lag: int,
     method: str,
-    surrogate: SurrogateConfig,
     granger: GrangerConfig | None,
-    spec: BinningSpec,
+    bins: int | None,
+    spec: BinningSpec | None,
 ) -> LaggedCausalGraph:
-    """TE graph for one window using an externally supplied binning spec."""
-    validate_dataset(window)
-    codes = {s.name: spec.digitize(s) for s in window.series}
-    keys = {s.name: _name_key(s.name) for s in window.series}
-    links = []
-    for src in window.names:
-        for tgt in window.names:
-            if src == tgt:
-                continue
-            for lag in range(1, max_lag + 1):
-                res = _te_link_from_codes(
-                    codes[src], codes[tgt], lag, spec.bin_count, surrogate, keys[src], keys[tgt]
-                )
-                if res.link:
-                    links.append(CausalLink(src, tgt, lag, res.te, True))
-    return LaggedCausalGraph(tuple(window.names), tuple(links), max_lag, method)
+    """One window's graph, built exactly as the full-sample graph is.
+
+    A named module-level function: the pool pickles it by reference, and
+    ``benchmarks/layer_trace.py`` times window graphs through it.
+    """
+    return build_graph(
+        window, max_lag, method, surrogate=surrogate, granger=granger, bins=bins, spec=spec
+    )
 
 
 def analyze_ensemble(
@@ -269,26 +243,30 @@ def analyze_ensemble(
     sample is reused for every window instead of re-derived per window.
     """
     validate_dataset(d)
-    full_graph = build_graph(
-        d, max_lag, method, surrogate=surrogate, granger=granger, bins=bins
-    )
     parent_spec = None
     if method == "te" and reuse_parent_bins:
         parent_spec = BinningSpec.from_dataset(d, bin_count=bins, allow_constant=True)
+    full_graph = build_graph(
+        d, max_lag, method, surrogate=surrogate, granger=granger, bins=bins, spec=parent_spec
+    )
 
     windows = draw_subsamples(d, cfg)
-    tasks = []
-    for j, window in enumerate(windows):
-        sub_surrogate = surrogate
-        if surrogate is not None:
-            sub_surrogate = replace(surrogate, rng_seed=_derived_seed(surrogate.rng_seed, j))
-        tasks.append((window, max_lag, method, sub_surrogate, granger, bins, parent_spec))
-
+    # Window j's surrogates are seeded from (seed, 0x5B5B, j); the salt is
+    # part of the stream definition, so changing it changes every vote.
+    surrogates = [
+        None
+        if surrogate is None
+        else replace(surrogate, rng_seed=_derived_seed(surrogate.rng_seed, 0x5B5B, j))
+        for j in range(len(windows))
+    ]
+    window_graph = partial(
+        _subsample_graph, max_lag=max_lag, method=method, granger=granger, bins=bins, spec=parent_spec
+    )
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            graphs = list(pool.map(_subsample_graph, tasks))
+            graphs = list(pool.map(window_graph, windows, surrogates))
     else:
-        graphs = [_subsample_graph(task) for task in tasks]
+        graphs = list(map(window_graph, windows, surrogates))
 
     freq = link_frequencies(graphs)
     robust = robust_graph(freq, cfg.threshold)

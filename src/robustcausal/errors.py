@@ -5,6 +5,25 @@ so callers (and the CLI) can catch computation failures with a single
 except clause and map them to a nonzero exit code.
 """
 
+__all__ = [
+    "RobustCausalError",
+    "LengthMismatch",
+    "NonFinite",
+    "DuplicateName",
+    "TooShort",
+    "CsvFormatError",
+    "ZeroVariance",
+    "DegenerateBins",
+    "EmptyHistogram",
+    "LagTooLarge",
+    "SingularDesign",
+    "UnknownFormat",
+    "VariableMismatch",
+    "WindowTooLong",
+    "TooManyWindows",
+    "InvalidConfig",
+]
+
 
 class RobustCausalError(Exception):
     """Base class for all errors raised by this package."""

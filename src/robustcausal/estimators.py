@@ -41,11 +41,9 @@ from .timeseries import Dataset, TimeSeries
 
 __all__ = [
     "BinningSpec",
-    "JointHistogram",
     "scott_bin_width",
     "variable_bin_count",
     "system_bin_count",
-    "shannon_entropy",
     "mutual_information",
     "transfer_entropy",
 ]
@@ -167,43 +165,6 @@ class BinningSpec:
         return np.clip(idx, 0, self.bin_count - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class JointHistogram:
-    """Dense joint counts over 1 to 3 discretized variables."""
-
-    dims: tuple[str, ...]
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != len(self.dims) or not 1 <= counts.ndim <= 3:
-            raise InvalidConfig(
-                f"counts must have one axis per dim (1..3), got shape {counts.shape} "
-                f"for dims {self.dims}"
-            )
-        if np.any(counts < 0):
-            raise InvalidConfig("histogram counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @classmethod
-    def from_series(cls, series: list[TimeSeries], spec: BinningSpec) -> "JointHistogram":
-        """Joint histogram of aligned samples of up to three series."""
-        if not 1 <= len(series) <= 3:
-            raise InvalidConfig("a joint histogram covers 1 to 3 series")
-        n = len(series[0])
-        for s in series[1:]:
-            if len(s) != n:
-                raise LengthMismatch("joint histogram inputs must share a length")
-        codes = [spec.digitize(s) for s in series]
-        m = spec.bin_count
-        counts = _joint_counts(codes, m).reshape((m,) * len(series))
-        return cls(tuple(s.name for s in series), counts)
-
-
 def _joint_counts(codes: list[np.ndarray], m: int) -> np.ndarray:
     """Flat joint counts (length m**k) of k aligned code arrays."""
     combined = codes[0]
@@ -230,11 +191,6 @@ def _entropy_bits_rows(rows: np.ndarray) -> np.ndarray:
     mask = rows > 0
     terms[mask] = p[mask] * np.log2(p[mask])
     return -terms.sum(axis=1)
-
-
-def shannon_entropy(h: JointHistogram) -> float:
-    """Shannon entropy in bits, ``-sum(p * log2(p))`` over nonempty bins."""
-    return _entropy_bits(h.counts)
 
 
 def mutual_information(x: TimeSeries, y: TimeSeries, spec: BinningSpec) -> float:

@@ -32,15 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .ensemble import RobustGraph
 from .errors import InvalidConfig, VariableMismatch
 from .estimators import BinningSpec
-from .graph import LaggedCausalGraph, LinkKey, build_graph
+from .graph import LaggedCausalGraph, LinkKey, build_graph, candidate_keys
 from .significance import SurrogateConfig, te_link_test
 from .synthetic import GroundTruth, SystemSpec, generate
-from .timeseries import Dataset
+from .timeseries import Dataset, _derived_seed
 
 __all__ = [
     "ConfusionCounts",
@@ -101,13 +99,12 @@ class TruthScore:
 def score_against_truth(
     inferred: LaggedCausalGraph | RobustGraph,
     truth: GroundTruth,
-    lag_range: range,
     exclude_indirect: bool = True,
 ) -> TruthScore:
     """Classify every candidate link of the graph against ground truth.
 
-    Candidates are all ordered variable pairs at every lag in
-    ``lag_range``. With ``exclude_indirect`` (the default) a detected link
+    Candidates are all ordered variable pairs at every lag 1..max_lag of
+    the graph. With ``exclude_indirect`` (the default) a detected link
     that matches a documented indirect pathway is reported separately
     instead of being counted as a false positive.
     """
@@ -125,21 +122,16 @@ def score_against_truth(
     tp, fp, fn = [], [], []
     indirect_detected = []
     tn = 0
-    for s in graph.variables:
-        for t in graph.variables:
-            if s == t:
-                continue
-            for lag in lag_range:
-                key = (s, t, lag)
-                detected = key in inferred_keys
-                if key in true_keys:
-                    (tp if detected else fn).append(key)
-                elif detected and key in indirect_keys:
-                    indirect_detected.append(key)
-                elif detected:
-                    fp.append(key)
-                else:
-                    tn += 1
+    for key in candidate_keys(graph.variables, graph.max_lag):
+        detected = key in inferred_keys
+        if key in true_keys:
+            (tp if detected else fn).append(key)
+        elif detected and key in indirect_keys:
+            indirect_detected.append(key)
+        elif detected:
+            fp.append(key)
+        else:
+            tn += 1
     counts = ConfusionCounts(tp=len(tp), fp=len(fp), tn=tn, fn=len(fn))
     return TruthScore(
         counts=counts,
@@ -243,9 +235,8 @@ def monte_carlo_rates(
             misses = 0
             false_alarms = 0
             for trial in range(n_trials):
-                base = [int(rng_seed) & 0xFFFFFFFF, li, ri, trial]
-                data_seed = int(np.random.SeedSequence(base + [0]).generate_state(1, np.uint32)[0])
-                test_seed = int(np.random.SeedSequence(base + [1]).generate_state(1, np.uint32)[0])
+                data_seed = _derived_seed(rng_seed, li, ri, trial, 0)
+                test_seed = _derived_seed(rng_seed, li, ri, trial, 1)
                 d, _ = generate(
                     SystemSpec(
                         kind=kind,

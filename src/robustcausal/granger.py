@@ -35,17 +35,14 @@ _COND_LIMIT = 1e10
 class GrangerConfig:
     """Settings for Granger link tests.
 
-    ``order`` caps the lag a test may use; ``lagwise`` picks the
-    single-lag source term (the default) over the cumulative form.
+    ``lagwise`` picks the single-lag source term (the default) over the
+    cumulative form.
     """
 
-    order: int = 4
     alpha: float = 0.05
     lagwise: bool = True
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InvalidConfig(f"order must be >= 1, got {self.order}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfig(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -83,8 +80,6 @@ def granger_test(x: TimeSeries, y: TimeSeries, lag: int, cfg: GrangerConfig) -> 
         )
     if lag < 1:
         raise InvalidConfig(f"lag must be >= 1, got {lag}")
-    if lag > cfg.order:
-        raise InvalidConfig(f"lag {lag} exceeds configured order {cfg.order}")
     xv = x.values
     yv = y.values
     if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):

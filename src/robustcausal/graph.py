@@ -1,5 +1,5 @@
-"""Lagged causal graphs: candidate evaluation, construction, diffing,
-and deterministic serialization (JSON, DOT, CSV).
+"""Lagged causal graphs: candidate evaluation, construction, and
+deterministic serialization (JSON, DOT, CSV).
 
 A graph over k variables with maximum lag L is built by testing every
 ordered pair at every lag 1..L, exactly k*(k-1)*L candidate links; only
@@ -25,7 +25,6 @@ __all__ = [
     "build_graph",
     "export_graph",
     "import_graph",
-    "diff_graphs",
 ]
 
 LinkKey = tuple[str, str, int]
@@ -101,6 +100,18 @@ class CandidateResult:
     significant: bool
 
 
+def candidate_keys(variables: tuple[str, ...], max_lag: int) -> list[LinkKey]:
+    """Every (source, target, lag) candidate of a search: each ordered pair
+    of distinct variables at each lag 1..max_lag, in the given order."""
+    return [
+        (s, t, lag)
+        for s in variables
+        for t in variables
+        if s != t
+        for lag in range(1, max_lag + 1)
+    ]
+
+
 def evaluate_candidates(
     d: Dataset,
     max_lag: int = 4,
@@ -109,13 +120,16 @@ def evaluate_candidates(
     surrogate: SurrogateConfig | None = None,
     granger: GrangerConfig | None = None,
     bins: int | None = None,
+    spec: BinningSpec | None = None,
 ) -> list[CandidateResult]:
     """Test every ordered pair at every lag 1..max_lag and record the outcome.
 
     With ``method="te"`` each candidate runs the gated surrogate TE link
     test (strength = TE in bits); with ``method="gc"`` the lagwise or
-    cumulative Granger F-test (strength = F statistic). ``bins`` forces a
-    bin count for the TE path instead of the Scott's-rule derivation.
+    cumulative Granger F-test (strength = F statistic). The TE path bins
+    with ``spec`` when one is given (a subsample window reusing the full
+    sample's discretization), else derives a spec from ``d``: Scott's rule,
+    or the count ``bins`` forces.
     """
     validate_dataset(d)
     if max_lag < 1:
@@ -127,44 +141,31 @@ def evaluate_candidates(
     if method not in ("te", "gc"):
         raise InvalidConfig(f"method must be 'te' or 'gc', got {method!r}")
 
-    results: list[CandidateResult] = []
     if method == "te":
         if surrogate is None:
             raise InvalidConfig("TE graph construction needs a SurrogateConfig")
-        spec = BinningSpec.from_dataset(d, bin_count=bins, allow_constant=True)
+        if spec is None:
+            spec = BinningSpec.from_dataset(d, bin_count=bins, allow_constant=True)
         codes = {s.name: spec.digitize(s) for s in d.series}
-        keys = {s.name: _name_key(s.name) for s in d.series}
-        for src in d.series:
-            for tgt in d.series:
-                if src.name == tgt.name:
-                    continue
-                for lag in range(1, max_lag + 1):
-                    res = _te_link_from_codes(
-                        codes[src.name],
-                        codes[tgt.name],
-                        lag,
-                        spec.bin_count,
-                        surrogate,
-                        keys[src.name],
-                        keys[tgt.name],
-                    )
-                    results.append(
-                        CandidateResult(src.name, tgt.name, lag, res.te, res.link)
-                    )
+        keys = {name: _name_key(name) for name in d.names}
+
+        def test(src: str, tgt: str, lag: int) -> tuple[float, bool]:
+            res = _te_link_from_codes(
+                codes[src], codes[tgt], lag, spec.bin_count, surrogate, keys[src], keys[tgt]
+            )
+            return res.te, res.link
+
     else:
-        cfg = granger if granger is not None else GrangerConfig(order=max_lag)
-        if cfg.order < max_lag:
-            cfg = GrangerConfig(order=max_lag, alpha=cfg.alpha, lagwise=cfg.lagwise)
-        for src in d.series:
-            for tgt in d.series:
-                if src.name == tgt.name:
-                    continue
-                for lag in range(1, max_lag + 1):
-                    res = granger_test(src, tgt, lag, cfg)
-                    results.append(
-                        CandidateResult(src.name, tgt.name, lag, res.f_statistic, res.link)
-                    )
-    return results
+        cfg = granger if granger is not None else GrangerConfig()
+
+        def test(src: str, tgt: str, lag: int) -> tuple[float, bool]:
+            res = granger_test(d.get(src), d.get(tgt), lag, cfg)
+            return res.f_statistic, res.link
+
+    return [
+        CandidateResult(src, tgt, lag, *test(src, tgt, lag))
+        for src, tgt, lag in candidate_keys(d.names, max_lag)
+    ]
 
 
 def build_graph(
@@ -175,10 +176,11 @@ def build_graph(
     surrogate: SurrogateConfig | None = None,
     granger: GrangerConfig | None = None,
     bins: int | None = None,
+    spec: BinningSpec | None = None,
 ) -> LaggedCausalGraph:
     """Build the graph of significant links among all candidates."""
     candidates = evaluate_candidates(
-        d, max_lag, method, surrogate=surrogate, granger=granger, bins=bins
+        d, max_lag, method, surrogate=surrogate, granger=granger, bins=bins, spec=spec
     )
     links = tuple(
         CausalLink(c.source, c.target, c.lag, c.strength, True)
@@ -261,15 +263,3 @@ def import_graph(text: str) -> LaggedCausalGraph:
         )
     except (KeyError, TypeError) as exc:
         raise UnknownFormat(f"graph JSON is missing fields: {exc}") from None
-
-
-def diff_graphs(
-    a: LaggedCausalGraph, b: LaggedCausalGraph
-) -> tuple[frozenset[LinkKey], frozenset[LinkKey], frozenset[LinkKey]]:
-    """Link keys present only in ``a``, only in ``b``, and in both."""
-    if set(a.variables) != set(b.variables):
-        raise VariableMismatch(
-            f"graphs cover different variables: {a.variables} vs {b.variables}"
-        )
-    ka, kb = a.link_keys(), b.link_keys()
-    return ka - kb, kb - ka, ka & kb

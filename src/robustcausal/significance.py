@@ -39,14 +39,12 @@ from scipy import stats
 
 from .errors import InvalidConfig, LagTooLarge, LengthMismatch
 from .estimators import BinningSpec, _entropy_bits, _entropy_bits_rows, _joint_counts, _te_from_codes
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, _rng
 
 __all__ = [
     "SurrogateConfig",
     "SignificanceResult",
     "TeLinkResult",
-    "shuffle_surrogate",
-    "mi_significance",
     "te_link_test",
 ]
 
@@ -103,19 +101,9 @@ class TeLinkResult:
     te_test: SignificanceResult | None
 
 
-def shuffle_surrogate(s: TimeSeries, rng: np.random.Generator) -> TimeSeries:
-    """A uniform random permutation of the series values (same name)."""
-    return TimeSeries(s.name, rng.permutation(s.values))
-
-
 def _name_key(name: str) -> int:
     """Stable 32-bit identity of a variable name for seed derivation."""
     return zlib.crc32(name.encode("utf-8"))
-
-
-def _stream(*parts: int) -> np.random.Generator:
-    """Deterministic generator from a tuple of integer seed parts."""
-    return np.random.default_rng([int(p) & 0xFFFFFFFF for p in parts])
 
 
 @lru_cache(maxsize=64)
@@ -226,7 +214,7 @@ def _te_link_from_codes(
     shared by the MI gate and the TE test.
     """
     keep = cx.size - lag
-    rng = _stream(cfg.rng_seed, key_x, key_y, lag)
+    rng = _rng(cfg.rng_seed, key_x, key_y, lag)
     rows = _shuffled_source_rows(cx, cfg.n_surrogates, rng)[:, :keep]
     mi_res = _mi_stage(cx[:keep], cy[lag:], m, cfg.confidence, rows)
     if not mi_res.significant:
@@ -235,23 +223,6 @@ def _te_link_from_codes(
         return TeLinkResult(True, _te_from_codes(cx, cy, lag, m), mi_res, None)
     te_res = _te_stage(cx, cy, lag, m, cfg.confidence, rows)
     return TeLinkResult(te_res.significant, te_res.observed, mi_res, te_res)
-
-
-def mi_significance(
-    x: TimeSeries, y: TimeSeries, spec: BinningSpec, cfg: SurrogateConfig
-) -> SignificanceResult:
-    """Surrogate significance of the mutual information between two series.
-
-    The first argument is treated as the source and is the one shuffled.
-    """
-    if len(x) != len(y):
-        raise LengthMismatch(
-            f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
-        )
-    rng = _stream(cfg.rng_seed, _name_key(x.name), _name_key(y.name), 0)
-    cx = spec.digitize(x)
-    rows = _shuffled_source_rows(cx, cfg.n_surrogates, rng)
-    return _mi_stage(cx, spec.digitize(y), spec.bin_count, cfg.confidence, rows)
 
 
 def te_link_test(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NonFinite
-from .timeseries import Dataset, TimeSeries
+from .timeseries import Dataset, TimeSeries, _rng
 
 __all__ = ["SystemSpec", "GroundTruth", "TrueLink", "generate", "SYSTEM_KINDS"]
 
@@ -144,11 +144,6 @@ class SystemSpec:
                 raise InvalidConfig(f"noise coefficient must be > 0, got {eps}")
 
 
-def _variable_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent noise stream for one variable of one simulation."""
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, index])
-
-
 # Magnitude beyond which the quadratic recursion has irreversibly left the
 # stationary regime (stationary values stay below ~30; noise is O(1)).
 _DIVERGENCE_LIMIT = 1e8
@@ -198,14 +193,14 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
     """Simulate the configured system and return (dataset, ground truth)."""
     if spec.kind == "A":
         series = tuple(
-            TimeSeries(name, _variable_stream(spec.rng_seed, i).standard_normal(spec.length))
+            TimeSeries(name, _rng(spec.rng_seed, i).standard_normal(spec.length))
             for i, name in enumerate(_COUPLED_NAMES)
         )
         return Dataset(series, "synthetic"), GroundTruth(true_links=())
 
     if spec.kind in ("B", "C"):
         eta = [
-            _variable_stream(spec.rng_seed, i).standard_normal(spec.length)
+            _rng(spec.rng_seed, i).standard_normal(spec.length)
             for i in range(4)
         ]
         x, y, z, w = _simulate_coupled(spec.length, *eta, squared_z=spec.kind == "C")
@@ -229,8 +224,8 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
     # bivariate kinds: X is i.i.d., Y responds at lag 1, no recursion.
     m = float(spec.signal)
     eps = 1.0 if spec.noise is None else float(spec.noise)
-    x_full = _variable_stream(spec.rng_seed, 0).standard_normal(spec.length + 1)
-    eta = _variable_stream(spec.rng_seed, 1).standard_normal(spec.length)
+    x_full = _rng(spec.rng_seed, 0).standard_normal(spec.length + 1)
+    eta = _rng(spec.rng_seed, 1).standard_normal(spec.length)
     driver = x_full[:-1]
     if spec.kind == "bivariate-nonlinear":
         driver = driver * driver

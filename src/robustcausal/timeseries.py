@@ -35,6 +35,18 @@ __all__ = [
 ]
 
 
+def _rng(*parts: int) -> np.random.Generator:
+    """The package's one way to seed randomness: a generator keyed by a
+    tuple of integer parts, each masked to 32 bits."""
+    return np.random.default_rng([int(p) & 0xFFFFFFFF for p in parts])
+
+
+def _derived_seed(*parts: int) -> int:
+    """Scalar 32-bit seed derived from integer parts, each masked to 32 bits."""
+    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
+    return int(ss.generate_state(1, np.uint32)[0])
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A named, uniformly sampled sequence of float values."""

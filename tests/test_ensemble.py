@@ -83,6 +83,14 @@ def test_random_windows_reproducible_and_in_range():
         np.testing.assert_array_equal(w.get("A").values, parent[start : start + 80])
 
 
+def test_random_windows_do_not_depend_on_the_window_count():
+    d = _dataset(2, l=300)
+    few = draw_subsamples(d, EnsembleConfig(5, 80, rng_seed=9))
+    many = draw_subsamples(d, EnsembleConfig(20, 80, rng_seed=9))
+    for a, b in zip(few, many[:5], strict=True):
+        np.testing.assert_array_equal(a.get("A").values, b.get("A").values)
+
+
 def test_window_too_long_rejected():
     d = _dataset(3, l=100)
     with pytest.raises(WindowTooLong):

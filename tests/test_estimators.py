@@ -13,10 +13,11 @@ from robustcausal.errors import (
 )
 from robustcausal.estimators import (
     BinningSpec,
-    JointHistogram,
+    _entropy_bits,
+    _entropy_bits_rows,
+    _joint_counts,
     mutual_information,
     scott_bin_width,
-    shannon_entropy,
     system_bin_count,
     transfer_entropy,
     variable_bin_count,
@@ -122,33 +123,27 @@ def test_binning_spec_constant_variable():
 def test_joint_histogram_counts_and_total():
     d = Dataset((_series("a", [0.0, 0.0, 2.0, 2.0]), _series("b", [0.0, 2.0, 0.0, 2.0])))
     spec = BinningSpec.from_dataset(d, bin_count=2)
-    h = JointHistogram.from_series([d.get("a"), d.get("b")], spec)
-    assert h.dims == ("a", "b")
-    assert h.total == 4
-    np.testing.assert_array_equal(h.counts, [[1, 1], [1, 1]])
+    codes = [spec.digitize(d.get("a")), spec.digitize(d.get("b"))]
+    counts = _joint_counts(codes, 2)
+    assert counts.sum() == 4
+    np.testing.assert_array_equal(counts.reshape(2, 2), [[1, 1], [1, 1]])
 
 
-def test_joint_histogram_rejects_length_mismatch():
-    spec = BinningSpec.from_dataset(Dataset((_series("a", [0.0, 1.0]),)), bin_count=2)
-    with pytest.raises(LengthMismatch):
-        JointHistogram.from_series(
-            [_series("a", [0.0, 1.0]), _series("a", [0.0, 1.0, 0.0])], spec
-        )
-
-
-def test_shannon_entropy_oracle_values():
-    assert shannon_entropy(JointHistogram(("x",), np.array([8, 8]))) == pytest.approx(1.0)
-    assert shannon_entropy(JointHistogram(("x",), np.array([16, 0]))) == 0.0
+def test_entropy_bits_oracle_values():
     # 3/4 vs 1/4 split: 2 - 0.75 * log2(3) bits
     expected = 2.0 - 0.75 * math.log2(3.0)
-    assert shannon_entropy(JointHistogram(("x",), np.array([12, 4]))) == pytest.approx(
-        expected, rel=1e-12
-    )
+    assert _entropy_bits(np.array([8, 8])) == pytest.approx(1.0)
+    assert _entropy_bits(np.array([16, 0])) == 0.0
+    assert _entropy_bits(np.array([12, 4])) == pytest.approx(expected, rel=1e-12)
+    rows = _entropy_bits_rows(np.array([[8, 8], [16, 0], [12, 4]]))
+    assert rows[0] == pytest.approx(1.0)
+    assert rows[1] == 0.0
+    assert rows[2] == pytest.approx(expected, rel=1e-12)
 
 
-def test_shannon_entropy_empty_histogram():
+def test_entropy_bits_empty_histogram():
     with pytest.raises(EmptyHistogram):
-        shannon_entropy(JointHistogram(("x",), np.zeros(4)))
+        _entropy_bits(np.zeros(4))
 
 
 def test_mi_perfect_dependence_three_symbols():

@@ -85,13 +85,12 @@ def test_score_partitions_candidate_space():
             CausalLink("Z", "X", 1, 0.1),   # false positive
         ]
     )
-    lag_range = range(1, 5)
-    score = score_against_truth(g, truth, lag_range)
+    score = score_against_truth(g, truth)
     assert score.counts.tp == 1
     assert score.counts.fp == 1
     assert score.counts.fn == 1
     assert len(score.indirect_detected) == 1
-    n_candidates = 3 * 2 * len(lag_range)
+    n_candidates = 3 * 2 * g.max_lag
     assert score.counts.total + len(score.indirect_detected) == n_candidates
     assert set(score.true_positives) == {("X", "Y", 1)}
     assert set(score.false_negatives) == {("Y", "Z", 2)}
@@ -104,7 +103,7 @@ def test_score_can_fold_indirect_into_false_positives():
         indirect_links=(("X", "Z", 3),),
     )
     g = _graph([CausalLink("X", "Z", 3, 0.2)])
-    strict = score_against_truth(g, truth, range(1, 5), exclude_indirect=False)
+    strict = score_against_truth(g, truth, exclude_indirect=False)
     assert strict.counts.fp == 1
     assert strict.indirect_detected == ()
 

@@ -11,12 +11,12 @@ from robustcausal.graph import (
     CausalLink,
     LaggedCausalGraph,
     build_graph,
-    diff_graphs,
+    candidate_keys,
     evaluate_candidates,
     export_graph,
     import_graph,
 )
-from robustcausal.granger import GrangerConfig
+from robustcausal.ensemble import EnsembleConfig, analyze_ensemble
 from robustcausal.significance import SurrogateConfig
 from robustcausal.timeseries import Dataset, TimeSeries
 
@@ -35,9 +35,17 @@ def _graph(links, variables=("X", "Y", "Z"), max_lag=4, method="te"):
 
 
 def test_candidate_count_is_pairs_times_lags():
+    # TE and GC, the full graph and the frequency table walk one key list.
     d = _noise_dataset(0)
-    results = evaluate_candidates(d, max_lag=3, method="gc", granger=GrangerConfig(order=3))
-    assert len(results) == 3 * 2 * 3
+    keys = candidate_keys(d.names, 3)
+    assert len(keys) == 3 * 2 * 3
+    settings = dict(max_lag=3, surrogate=SurrogateConfig(rng_seed=3, n_surrogates=20))
+    for method in ("te", "gc"):
+        results = evaluate_candidates(d, method=method, **settings)
+        assert [(c.source, c.target, c.lag) for c in results] == keys
+        ens = analyze_ensemble(d, EnsembleConfig(3, 60, rng_seed=1), method=method, **settings)
+        rows = [row.split(",")[:3] for row in ens.frequencies.to_csv().splitlines()[1:]]
+        assert [(s, t, int(lag)) for s, t, lag in rows] == keys
 
 
 def test_build_graph_contains_planted_link():
@@ -138,22 +146,6 @@ def test_unknown_format_rejected():
         import_graph("this is not json")
     with pytest.raises(UnknownFormat):
         import_graph('{"variables": ["X"]}')
-
-
-def test_diff_graphs_partitions_links():
-    a = _graph([CausalLink("X", "Y", 1, 0.5), CausalLink("Y", "Z", 2, 0.5)])
-    b = _graph([CausalLink("Y", "Z", 2, 0.6), CausalLink("Z", "X", 1, 0.1)])
-    only_a, only_b, both = diff_graphs(a, b)
-    assert only_a == {("X", "Y", 1)}
-    assert only_b == {("Z", "X", 1)}
-    assert both == {("Y", "Z", 2)}
-
-
-def test_diff_graphs_rejects_mismatched_variables():
-    a = _graph([], variables=("X", "Y", "Z"))
-    b = LaggedCausalGraph(("X", "Y"), (), 4, "te")
-    with pytest.raises(VariableMismatch):
-        diff_graphs(a, b)
 
 
 def test_links_are_stored_sorted():

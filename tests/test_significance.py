@@ -6,8 +6,7 @@ from robustcausal.estimators import BinningSpec, mutual_information, transfer_en
 from robustcausal.significance import (
     SurrogateConfig,
     _decide,
-    mi_significance,
-    shuffle_surrogate,
+    _shuffled_source_rows,
     te_link_test,
 )
 from robustcausal.timeseries import Dataset, TimeSeries
@@ -32,40 +31,39 @@ def _independent_pair(seed, l=300):
 
 
 def test_shuffle_is_a_permutation():
-    rng = np.random.default_rng(0)
-    s = _series("x", np.random.default_rng(1).normal(size=50))
-    out = shuffle_surrogate(s, rng)
-    assert out.name == "x"
-    assert len(out) == 50
-    np.testing.assert_allclose(np.sort(out.values), np.sort(s.values))
-    assert not np.array_equal(out.values, s.values)
+    codes = np.random.default_rng(1).permutation(50)
+    rows = _shuffled_source_rows(codes, 20, np.random.default_rng(0))
+    assert rows.shape == (20, 50)
+    for row in rows:
+        np.testing.assert_array_equal(np.sort(row), np.arange(50))
+        assert not np.array_equal(row, codes)
+    assert len({row.tobytes() for row in rows}) == 20
 
 
 def test_shuffle_deterministic_per_stream():
-    s = _series("x", np.arange(30.0))
-    a = shuffle_surrogate(s, np.random.default_rng(42))
-    b = shuffle_surrogate(s, np.random.default_rng(42))
-    np.testing.assert_array_equal(a.values, b.values)
+    codes = np.arange(30)
+    a = _shuffled_source_rows(codes, 5, np.random.default_rng(42))
+    b = _shuffled_source_rows(codes, 5, np.random.default_rng(42))
+    np.testing.assert_array_equal(a, b)
 
 
-def test_mi_significance_detects_strong_dependence():
-    x, y = _coupled_pair(0, lag=1)
-    # lag-0 dependence: test y against itself shifted is indirect; couple at
-    # lag 0 instead by reusing x against x plus noise
-    z = _series("z", x.values + 0.1 * np.random.default_rng(2).normal(size=len(x)))
-    spec = BinningSpec.from_dataset(Dataset((x, z)))
-    res = mi_significance(x, z, spec, SurrogateConfig(rng_seed=0))
+def test_mi_gate_detects_strong_dependence():
+    x, y = _coupled_pair(0, lag=2)
+    spec = BinningSpec.from_dataset(Dataset((x, y)))
+    res = te_link_test(x, y, 2, spec, SurrogateConfig(rng_seed=0)).mi_test
     assert res.significant
     assert res.statistic > 10.0
-    assert res.observed == pytest.approx(mutual_information(x, z, spec), rel=1e-12)
+    # the gate's MI is that of the lag-aligned pair (x[t - 2], y[t])
+    aligned = mutual_information(_series("x", x.values[:-2]), _series("y", y.values[2:]), spec)
+    assert res.observed == pytest.approx(aligned, rel=1e-12)
 
 
-def test_mi_significance_null_calibration():
+def test_mi_gate_null_calibration():
     hits = 0
     for trial in range(100):
         x, y = _independent_pair(1000 + trial)
         spec = BinningSpec.from_dataset(Dataset((x, y)))
-        res = mi_significance(x, y, spec, SurrogateConfig(rng_seed=trial))
+        res = te_link_test(x, y, 1, spec, SurrogateConfig(rng_seed=trial)).mi_test
         hits += res.significant
     # one-sided test at 95%: expect ~5 hits in 100, allow generous noise
     assert hits <= 15
@@ -134,9 +132,7 @@ def test_results_bit_reproducible():
     a = te_link_test(x, y, 3, spec, cfg)
     b = te_link_test(x, y, 3, spec, cfg)
     assert a == b
-    ma = mi_significance(x, y, spec, cfg)
-    mb = mi_significance(x, y, spec, cfg)
-    assert ma == mb
+    assert a.mi_test == b.mi_test
 
 
 def test_decide_degenerate_spread_rules():

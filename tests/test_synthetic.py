@@ -7,9 +7,9 @@ from robustcausal.synthetic import (
     SystemSpec,
     TrueLink,
     _simulate_coupled,
-    _variable_stream,
     generate,
 )
+from robustcausal.timeseries import _rng
 
 
 def _ols(target, columns):
@@ -105,7 +105,7 @@ def test_bivariate_pair_is_exact():
     assert truth.link_keys() == {("X", "Y", 1)}
     x = d.get("X").values
     y = d.get("Y").values
-    eta = _variable_stream(11, 1).standard_normal(400)
+    eta = _rng(11, 1).standard_normal(400)
     np.testing.assert_allclose(y[1:], 0.8 * x[:-1] + 0.3 * eta[1:], atol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_bivariate_nonlinear_squares_the_driver():
     d, _ = generate(spec)
     x = d.get("X").values
     y = d.get("Y").values
-    eta = _variable_stream(12, 1).standard_normal(300)
+    eta = _rng(12, 1).standard_normal(300)
     np.testing.assert_allclose(y[1:], 0.5 * x[:-1] ** 2 + 0.2 * eta[1:], atol=1e-12)
 
 
