@@ -14,10 +14,14 @@ sensitivity
     Rebuild the TE graph across a window of bin counts and report link-set
     stability.
 
-Settings come from flags or a single JSON config file (``--config``);
-flags override config values. Every run writes a ``manifest.json``
-recording the effective config, the seed, and library versions; two runs
-with identical manifests produce byte-identical outputs.
+Each setting is one row of ``SETTINGS`` (flag, parser, default, help),
+keyed by its config key, which is also its key in the manifest's
+``config``; ``--help`` shows both. A value comes from the flag, else the
+JSON file given as ``--config``, else the default; JSON ``null`` is unset.
+Unknown config keys and bad values are usage errors. Every run writes a
+``manifest.json`` (effective config, seed, library versions, no
+timestamps); its ``config`` plus ``seed``, given as ``--config``, replays
+the run byte for byte.
 
 Exit codes: 0 success, 1 computation error, 2 usage error. The environment
 variable ``ROBUST_CAUSAL_THREADS`` caps worker parallelism.
@@ -31,6 +35,7 @@ import os
 import platform
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -38,7 +43,7 @@ import scipy
 from . import __version__
 from .ensemble import EnsembleConfig, analyze_ensemble
 from .errors import RobustCausalError
-from .estimators import BinningSpec, system_bin_count
+from .estimators import BinningSpec
 from .evaluation import bin_sensitivity_scan, monte_carlo_rates
 from .granger import GrangerConfig
 from .graph import build_graph, export_graph
@@ -53,17 +58,125 @@ class UsageError(Exception):
     """Bad invocation; maps to exit code 2."""
 
 
-def _versions() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "robustcausal": __version__,
-    }
+def _int(raw) -> int:
+    """An integer from a flag string or a JSON number; 3.9 is not 3."""
+    if isinstance(raw, (bool, float)):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    return int(raw)
 
 
-def _load_config(ns) -> dict:
-    path = getattr(ns, "config", None)
+def _count(raw) -> int:
+    value = _int(raw)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _bool(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError(f"expected true or false, got {raw!r}")
+    return raw
+
+
+def _auto_or_int(raw):
+    return "auto" if raw == "auto" else _int(raw)
+
+
+def _choice(*words, **named) -> Callable:
+    """Parser for a flag that takes one of some words, which it carries as
+    ``choices`` for argparse. ``named`` maps a word to the value the
+    manifest records; a config file may give either."""
+    table = dict(zip(words, words), **named)
+    lookup = {**table, **{value: value for value in table.values()}}
+
+    def parse(raw):
+        if raw not in lookup:
+            raise ValueError(f"expected one of {', '.join(table)}, got {raw!r}")
+        return lookup[raw]
+
+    parse.choices = table
+    return parse
+
+
+def _list(raw, item) -> list:
+    """Items from "a,b,c" or a JSON list; at least one."""
+    parts = raw if isinstance(raw, list) else str(raw).split(",")
+    values = [item(part) for part in parts if part != ""]
+    if not values:
+        raise ValueError("expected at least one value")
+    return values
+
+
+def _ratios(raw) -> list:
+    """Ratios as "a,b,c", a JSON list, or a range "lo..hi" (5 points) / "lo..hi:n"."""
+    if not (isinstance(raw, str) and ".." in raw):
+        return _list(raw, float)
+    span, _, count = raw.partition(":")
+    lo, hi = map(float, span.split(".."))
+    n = int(count or 5)
+    if n < 2 or hi <= lo:
+        raise ValueError(f"a range lo..hi[:n] needs hi > lo and n >= 2, got {raw!r}")
+    return [float(v) for v in np.linspace(lo, hi, n)]
+
+
+class Setting(NamedTuple):
+    flag: str
+    parse: Callable  # flag string or JSON value -> the value the manifest records
+    default: object
+    help: str
+
+
+# Keyed by config key, which is also the argparse dest and the manifest key.
+SETTINGS = {
+    "input": Setting("--input", str, None, "CSV file with a header of variable names"),
+    "system": Setting("--system", _choice(*SYSTEM_KINDS), None,
+                      "benchmark system to simulate (analyze, sensitivity: instead of --input)"),
+    "length": Setting("--length", _int, 1000, "generated sample length"),
+    "burn_in": Setting("--burn-in", _int, 100, "transient steps to drop"),
+    "signal": Setting("--m", float, None, "bivariate signal coefficient"),
+    "noise": Setting("--eps", float, None, "bivariate noise coefficient (unset means 1)"),
+    "detrend": Setting("--detrend", _bool, False, "remove a linear trend per variable"),
+    "deseasonalize_period": Setting("--deseasonalize", _int, None,
+                                    "remove the mean cycle of this period per variable"),
+    "max_lag": Setting("--max-lag", _int, 4, "largest lag to test"),
+    "method": Setting("--method", _choice("te", "gc"), "te", "estimator"),
+    "bins": Setting("--bins", _auto_or_int, "auto", "'auto' (Scott's rule) or a fixed bin count"),
+    "n_surrogates": Setting("--surrogates", _int, 100, "surrogate realizations per test"),
+    "confidence": Setting("--confidence", float, 0.95, "surrogate test confidence"),
+    "te_surrogate_test": Setting("--te-surrogate-test", _choice("on", "off"), "off",
+                                 "surrogate-test the TE after the MI gate"),
+    "gc_alpha": Setting("--gc-alpha", float, 0.05, "Granger F-test level"),
+    "gc_lagwise": Setting("--gc-mode", _choice(lagwise=True, cumulative=False), "lagwise",
+                          "test each lag alone or all lags up to it"),
+    "n_subsamples": Setting("--subsamples", _int, None,
+                            "enable the ensemble check with this many windows"),
+    "subsample_length": Setting("--sub-length", _int, None, "window length for the ensemble check"),
+    "mode": Setting("--mode", _choice("random-continuous", "fixed-overlap", "nonoverlapping"),
+                    "random-continuous", "how windows are drawn"),
+    "threshold": Setting("--threshold", float, 0.9, "consistency vote fraction"),
+    "reuse_parent_bins": Setting("--reuse-parent-bins", _bool, False,
+                                 "reuse the full-sample discretization for every window"),
+    "workers": Setting("--workers", _count, 1, f"parallel workers (capped by ${THREAD_ENV})"),
+    "kind": Setting("--kind", _choice(linear="bivariate-linear", nonlinear="bivariate-nonlinear"),
+                    "linear", "bivariate system"),
+    "lengths": Setting("--lengths", lambda raw: _list(raw, _int), "100,1000",
+                       "comma-separated sample lengths"),
+    "ratios": Setting("--ratios", _ratios, "0.1,0.25,0.5,0.75,1.0",
+                      "signal-to-noise ratios: 'a,b,c' or 'lo..hi[:n]'"),
+    "trials": Setting("--trials", _count, 1000, "trials per grid point"),
+    "center": Setting("--center", _auto_or_int, "auto",
+                      "'auto' (the graph's Scott's-rule count) or a center bin count"),
+    "radius": Setting("--radius", _int, 2, "half-width of the bin-count window"),
+    "seed": Setting("--seed", _int, None, "RNG seed (required when the run draws random numbers)"),
+    "out": Setting("--out", str, None, "output directory, or a .csv path for generate and evaluate"),
+    "truth": Setting("--truth", str, None, "ground-truth JSON path (default next to the CSV)"),
+}
+
+SOURCE_KEYS = ("input", "system", "length", "burn_in", "signal", "noise",
+               "detrend", "deseasonalize_period")
+
+
+def _load_config(path) -> dict:
     if not path:
         return {}
     try:
@@ -76,71 +189,48 @@ def _load_config(ns) -> dict:
     return data
 
 
-def _setting(ns, config: dict, key: str, default):
-    """Effective value of one setting: flag beats config beats default."""
-    flag = getattr(ns, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def _require_seed(value) -> int:
-    if value is None:
-        raise UsageError("--seed is required (this command draws random numbers)")
-    return int(value)
-
-
-def _parse_bins(raw) -> int | None:
-    if raw is None or raw == "auto":
-        return None
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"--bins expects 'auto' or an integer, got {raw!r}") from None
-    return value
-
-
-def _parse_int_list(raw: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in str(raw).split(",") if part != ""]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {raw!r}") from None
-
-
-def _parse_ratio_list(raw: str) -> list[float]:
-    """Ratios as "a,b,c", or a range "lo..hi" (5 points) / "lo..hi:n"."""
-    text = str(raw)
-    if ".." in text:
-        span, _, count = text.partition(":")
-        lo_text, _, hi_text = span.partition("..")
+def _resolve(ns) -> dict:
+    """Final value of each setting of ``ns.subcommand``: flag beats config
+    beats default, each passed through its row's parser."""
+    command = COMMANDS[ns.subcommand]
+    config = _load_config(ns.config)
+    for key in config:
+        if key not in command.keys:
+            flags = {SETTINGS[name].flag: name for name in command.keys}
+            flag = "--" + key.replace("_", "-")
+            hint = f"; {flag} sets {flags[flag]!r}" if flag in flags else ""
+            raise UsageError(f"{ns.subcommand} takes no config key {key!r}{hint}")
+    values = {}
+    for key in command.keys:
+        row = SETTINGS[key]
+        raw = getattr(ns, key)
+        if raw is None:
+            raw = config.get(key)
+        if raw is None:
+            raw = command.out if key == "out" else row.default
         try:
-            lo, hi = float(lo_text), float(hi_text)
-            n = int(count) if count else 5
-        except ValueError:
-            raise UsageError(f"--ratios range must look like 0.1..2.0[:n], got {raw!r}") from None
-        if n < 2 or hi <= lo:
-            raise UsageError(f"--ratios range needs hi > lo and n >= 2, got {raw!r}")
-        return [float(v) for v in np.linspace(lo, hi, n)]
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise UsageError(f"--ratios expects comma-separated floats, got {raw!r}") from None
+            values[key] = None if raw is None else row.parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{row.flag} (config key {key}): {exc}") from None
+    return values
 
 
-def _worker_count(requested) -> int:
-    cap_raw = os.environ.get(THREAD_ENV)
-    requested = 1 if requested is None else int(requested)
-    if requested < 1:
-        raise UsageError(f"--workers must be >= 1, got {requested}")
-    if cap_raw is None:
-        return requested
+def _pick(s: dict, *keys) -> dict:
+    return {key: s[key] for key in keys}
+
+
+def _require_seed(seed) -> int:
+    if seed is None:
+        raise UsageError("--seed is required (this command draws random numbers)")
+    return seed
+
+
+def _worker_count(requested: int) -> int:
+    cap_raw = os.environ.get(THREAD_ENV, requested)
     try:
-        cap = max(1, int(cap_raw))
+        return min(requested, max(1, int(cap_raw)))
     except ValueError:
         raise UsageError(f"{THREAD_ENV} must be an integer, got {cap_raw!r}") from None
-    return min(requested, cap)
 
 
 def _write(path: Path, text: str) -> None:
@@ -154,275 +244,138 @@ def _write_manifest(path: Path, command: str, config: dict, seed) -> None:
         "command": command,
         "config": config,
         "seed": seed,
-        "versions": _versions(),
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "robustcausal": __version__,
+        },
     }
     _write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _system_spec(ns, config: dict, kind: str, seed) -> SystemSpec:
-    """The benchmark system the flags and config describe."""
-    return SystemSpec(
-        kind=kind,
-        length=int(_setting(ns, config, "length", 1000)),
-        rng_seed=_require_seed(seed),
-        burn_in=int(_setting(ns, config, "burn_in", 100)),
-        signal=_setting(ns, config, "signal", None),
-        noise=_setting(ns, config, "noise", None),
-    )
+def _beside(out: Path, name: str) -> Path:
+    """``out/name``, or ``<stem>_name`` next to ``out`` when it is a .csv file."""
+    return out.with_name(f"{out.stem}_{name}") if out.suffix.lower() == ".csv" else out / name
 
 
-def _load_input(ns, config: dict, seed: int | None):
-    """Dataset from --input CSV or an inline-generated --system."""
-    input_path = _setting(ns, config, "input", None)
-    system = _setting(ns, config, "system", None)
-    if (input_path is None) == (system is None):
+def _system_spec(s: dict, seed) -> SystemSpec:
+    """The benchmark system the settings describe."""
+    return SystemSpec(kind=s["system"], length=s["length"], rng_seed=_require_seed(seed),
+                      burn_in=s["burn_in"], signal=s["signal"], noise=s["noise"])
+
+
+def _load_input(s: dict, seed: int | None):
+    """Preprocessed dataset from --input CSV or an inline-generated --system,
+    and the manifest keys that describe it."""
+    if (s["input"] is None) == (s["system"] is None):
         raise UsageError("exactly one of --input or --system is required")
-    if input_path is not None:
-        return read_dataset_csv(input_path), None, {"input": str(input_path)}
-    spec = _system_spec(ns, config, system, seed)
-    d, truth = generate(spec)
-    described = {
-        "system": spec.kind,
-        "length": spec.length,
-        "burn_in": spec.burn_in,
-    }
-    if spec.signal is not None:
-        described["signal"] = spec.signal
-        described["noise"] = 1.0 if spec.noise is None else spec.noise
-    return d, truth, described
-
-
-def _preprocess(ns, config: dict, d):
-    period = _setting(ns, config, "deseasonalize_period", None)
-    spec = PreprocessSpec(
-        detrend=bool(_setting(ns, config, "detrend", False)),
-        deseasonalize=period is not None,
-        season_period=int(period) if period is not None else 12,
-    )
+    if s["input"] is not None:
+        d, described = read_dataset_csv(s["input"]), {"input": s["input"]}
+    else:
+        d, _ = generate(_system_spec(s, seed))
+        described = _pick(s, "system", "length", "burn_in")
+        if s["signal"] is not None:
+            described.update(signal=s["signal"], noise=1.0 if s["noise"] is None else s["noise"])
+    period = s["deseasonalize_period"]
+    spec = PreprocessSpec(detrend=s["detrend"], deseasonalize=period is not None,
+                          season_period=12 if period is None else period)
     if spec.detrend or spec.deseasonalize:
         d = apply_preprocess(d, spec)
-    return d, {
-        "detrend": spec.detrend,
-        "deseasonalize_period": int(period) if period is not None else None,
-    }
+    return d, {**described, **_pick(s, "detrend", "deseasonalize_period")}
 
 
-def cmd_generate(ns) -> int:
-    config = _load_config(ns)
-    seed = _require_seed(_setting(ns, config, "seed", None))
-    kind = _setting(ns, config, "system", None)
-    if kind is None:
+def cmd_generate(s: dict) -> int:
+    seed = _require_seed(s["seed"])
+    if s["system"] is None:
         raise UsageError("--system is required")
-    spec = _system_spec(ns, config, kind, seed)
-    d, truth = generate(spec)
+    d, truth = generate(_system_spec(s, seed))
 
-    out_raw = _setting(ns, config, "out", None)
-    if out_raw is None:
-        out_raw = f"system_{kind}.csv"
-    out = Path(out_raw)
-    if out.suffix.lower() == ".csv":
-        csv_path = out
-        truth_raw = _setting(ns, config, "truth", None)
-        truth_path = Path(truth_raw) if truth_raw else out.with_name(out.stem + "_truth.json")
-        manifest_path = out.with_name(out.stem + "_manifest.json")
-    else:
-        csv_path = out / "data.csv"
-        truth_path = out / "truth.json"
-        manifest_path = out / "manifest.json"
-
+    out = Path(s["out"] or f"system_{s['system']}.csv")
+    csv_path = out if out.suffix.lower() == ".csv" else out / "data.csv"
+    truth_path = Path(s["truth"]) if s["truth"] and csv_path == out else _beside(out, "truth.json")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(d, csv_path)
     _write(truth_path, truth.to_json())
-    effective = {
-        "system": spec.kind,
-        "length": spec.length,
-        "burn_in": spec.burn_in,
-        "signal": spec.signal,
-        "noise": spec.noise,
-        "out": str(csv_path),
-        "truth": str(truth_path),
-    }
-    _write_manifest(manifest_path, "generate", effective, seed)
+    effective = _pick(s, "system", "length", "burn_in", "signal", "noise")
+    effective.update(out=str(csv_path), truth=str(truth_path))
+    _write_manifest(_beside(out, "manifest.json"), "generate", effective, seed)
     print(f"wrote {csv_path} ({len(d.names)} variables, {d.length} steps)")
     return 0
 
 
-def _surrogate_config(ns, config: dict, seed: int) -> SurrogateConfig:
-    raw_switch = _setting(ns, config, "te_surrogate_test", "off")
-    if isinstance(raw_switch, str):
-        if raw_switch not in ("on", "off"):
-            raise UsageError(f"--te-surrogate-test expects on|off, got {raw_switch!r}")
-        switch = raw_switch == "on"
+def _surrogate_config(s: dict, seed: int) -> SurrogateConfig:
+    return SurrogateConfig(rng_seed=seed, n_surrogates=s["n_surrogates"],
+                           confidence=s["confidence"],
+                           te_surrogate_test=s.get("te_surrogate_test") == "on")
+
+
+def cmd_analyze(s: dict) -> int:
+    ensemble = s["n_subsamples"] is not None
+    seed = _require_seed(s["seed"]) if s["method"] == "te" or ensemble else s["seed"]
+    d, effective = _load_input(s, seed)
+    if s["method"] == "te":
+        surrogate, granger = _surrogate_config(s, seed), None
+        keys = ["n_surrogates", "confidence", "te_surrogate_test"]
     else:
-        switch = bool(raw_switch)
-    return SurrogateConfig(
-        rng_seed=seed,
-        n_surrogates=int(_setting(ns, config, "n_surrogates", 100)),
-        confidence=float(_setting(ns, config, "confidence", 0.95)),
-        te_surrogate_test=switch,
-    )
+        surrogate, granger = None, GrangerConfig(alpha=s["gc_alpha"], lagwise=s["gc_lagwise"])
+        keys = ["gc_alpha", "gc_lagwise"]
+    bins = None if s["bins"] == "auto" else s["bins"]
+    out = Path(s["out"])
 
-
-def cmd_analyze(ns) -> int:
-    config = _load_config(ns)
-    method = _setting(ns, config, "method", "te")
-    if method not in ("te", "gc"):
-        raise UsageError(f"--method expects te or gc, got {method!r}")
-    seed_raw = _setting(ns, config, "seed", None)
-    n_subsamples = _setting(ns, config, "n_subsamples", None)
-
-    needs_seed = method == "te" or n_subsamples is not None
-    seed = _require_seed(seed_raw) if needs_seed else (int(seed_raw) if seed_raw is not None else None)
-
-    d, _, source_desc = _load_input(ns, config, seed)
-    d, prep_desc = _preprocess(ns, config, d)
-
-    max_lag = int(_setting(ns, config, "max_lag", 4))
-    bins = _parse_bins(_setting(ns, config, "bins", None))
-    surrogate = _surrogate_config(ns, config, seed) if method == "te" else None
-    gc_lagwise = _setting(ns, config, "gc_lagwise", True)
-    if isinstance(gc_lagwise, str):
-        gc_lagwise = gc_lagwise != "cumulative"
-    granger = (
-        GrangerConfig(
-            alpha=float(_setting(ns, config, "gc_alpha", 0.05)),
-            lagwise=bool(gc_lagwise),
-        )
-        if method == "gc"
-        else None
-    )
-
-    out = Path(_setting(ns, config, "out", "analysis"))
-    effective = {
-        **source_desc,
-        **prep_desc,
-        "method": method,
-        "max_lag": max_lag,
-        "bins": bins if bins is not None else "auto",
-    }
-    if surrogate is not None:
-        effective.update(
-            n_surrogates=surrogate.n_surrogates,
-            confidence=surrogate.confidence,
-            te_surrogate_test="on" if surrogate.te_surrogate_test else "off",
-        )
-    if granger is not None:
-        effective.update(gc_alpha=granger.alpha, gc_lagwise=granger.lagwise)
-
-    if n_subsamples is None:
-        graph = build_graph(d, max_lag, method, surrogate=surrogate, granger=granger, bins=bins)
-        _write(out / "graph.json", export_graph(graph, "json"))
-        _write(out / "graph.dot", export_graph(graph, "dot"))
-        _write_manifest(out / "manifest.json", "analyze", effective, seed)
-        print(f"graph: {graph.n_links} significant link(s) -> {out}")
-        return 0
-
-    sub_length = _setting(ns, config, "subsample_length", None)
-    if sub_length is None:
-        raise UsageError("--sub-length is required when --subsamples is set")
-    ens_cfg = EnsembleConfig(
-        n_subsamples=int(n_subsamples),
-        subsample_length=int(sub_length),
-        rng_seed=seed,
-        mode=_setting(ns, config, "mode", "random-continuous"),
-        threshold=float(_setting(ns, config, "threshold", 0.9)),
-    )
-    workers = _worker_count(_setting(ns, config, "workers", None))
-    reuse_parent_bins = bool(_setting(ns, config, "reuse_parent_bins", False))
-    result = analyze_ensemble(
-        d,
-        ens_cfg,
-        max_lag=max_lag,
-        method=method,
-        surrogate=surrogate,
-        granger=granger,
-        bins=bins,
-        reuse_parent_bins=reuse_parent_bins,
-        workers=workers,
-    )
-    effective.update(
-        n_subsamples=ens_cfg.n_subsamples,
-        subsample_length=ens_cfg.subsample_length,
-        mode=ens_cfg.mode,
-        threshold=ens_cfg.threshold,
-        reuse_parent_bins=reuse_parent_bins,
-    )
-    _write(out / "graph.json", export_graph(result.full_graph, "json"))
-    _write(out / "graph.dot", export_graph(result.full_graph, "dot"))
-    _write(out / "frequencies.csv", result.frequencies.to_csv())
-    _write(out / "robust_graph.json", export_graph(result.robust.graph, "json"))
+    if ensemble:
+        if s["subsample_length"] is None:
+            raise UsageError("--sub-length is required when --subsamples is set")
+        ens_cfg = EnsembleConfig(n_subsamples=s["n_subsamples"],
+                                 subsample_length=s["subsample_length"], rng_seed=seed,
+                                 mode=s["mode"], threshold=s["threshold"])
+        result = analyze_ensemble(d, ens_cfg, max_lag=s["max_lag"], method=s["method"],
+                                  surrogate=surrogate, granger=granger, bins=bins,
+                                  reuse_parent_bins=s["reuse_parent_bins"],
+                                  workers=_worker_count(s["workers"]))
+        graph, robust = result.full_graph, result.robust.graph
+        _write(out / "frequencies.csv", result.frequencies.to_csv())
+        _write(out / "robust_graph.json", export_graph(robust, "json"))
+        keys += ["n_subsamples", "subsample_length", "mode", "threshold", "reuse_parent_bins"]
+        summary = f"full graph: {graph.n_links} link(s); robust graph: {robust.n_links} link(s)"
+    else:
+        graph = build_graph(d, s["max_lag"], s["method"], surrogate=surrogate, granger=granger,
+                            bins=bins)
+        summary = f"graph: {graph.n_links} significant link(s)"
+    _write(out / "graph.json", export_graph(graph, "json"))
+    _write(out / "graph.dot", export_graph(graph, "dot"))
+    effective.update(_pick(s, "method", "max_lag", "bins", *keys))
     _write_manifest(out / "manifest.json", "analyze", effective, seed)
-    print(
-        f"full graph: {result.full_graph.n_links} link(s); "
-        f"robust graph: {result.robust.graph.n_links} link(s) -> {out}"
-    )
+    print(f"{summary} -> {out}")
     return 0
 
 
-def cmd_evaluate(ns) -> int:
-    config = _load_config(ns)
-    seed = _require_seed(_setting(ns, config, "seed", None))
-    trials = int(_setting(ns, config, "trials", 1000))
-    if trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {trials}")
-    kind = _setting(ns, config, "kind", "linear")
-    lengths = _parse_int_list(_setting(ns, config, "lengths", "100,1000"), "--lengths")
-    ratios = _parse_ratio_list(_setting(ns, config, "ratios", "0.1,0.25,0.5,0.75,1.0"))
-    if not lengths or not ratios:
-        raise UsageError("--lengths and --ratios must be nonempty")
-    n_surrogates = int(_setting(ns, config, "n_surrogates", 100))
-    confidence = float(_setting(ns, config, "confidence", 0.95))
-    curve = monte_carlo_rates(
-        kind=kind,
-        lengths=lengths,
-        ratios=ratios,
-        n_trials=trials,
-        rng_seed=seed,
-        n_surrogates=n_surrogates,
-        confidence=confidence,
-    )
-    out = Path(_setting(ns, config, "out", "evaluation"))
-    if out.suffix.lower() == ".csv":
-        csv_path = out
-        manifest_path = out.with_name(out.stem + "_manifest.json")
-    else:
-        csv_path = out / "error_rates.csv"
-        manifest_path = out / "manifest.json"
+def cmd_evaluate(s: dict) -> int:
+    seed = _require_seed(s["seed"])
+    curve = monte_carlo_rates(kind=s["kind"], lengths=s["lengths"], ratios=s["ratios"],
+                              n_trials=s["trials"], rng_seed=seed,
+                              n_surrogates=s["n_surrogates"], confidence=s["confidence"])
+    out = Path(s["out"])
+    csv_path = out if out.suffix.lower() == ".csv" else out / "error_rates.csv"
     _write(csv_path, curve.to_csv())
-    effective = {
-        "kind": curve.kind,
-        "lengths": lengths,
-        "ratios": ratios,
-        "trials": trials,
-        "n_surrogates": n_surrogates,
-        "confidence": confidence,
-        "out": str(csv_path),
-    }
-    _write_manifest(manifest_path, "evaluate", effective, seed)
-    print(f"wrote {csv_path} ({len(curve.points)} grid points x {trials} trials)")
+    effective = _pick(s, "kind", "lengths", "ratios", "trials", "n_surrogates", "confidence")
+    effective["out"] = str(csv_path)
+    _write_manifest(_beside(out, "manifest.json"), "evaluate", effective, seed)
+    print(f"wrote {csv_path} ({len(curve.points)} grid points x {s['trials']} trials)")
     return 0
 
 
-def cmd_sensitivity(ns) -> int:
-    config = _load_config(ns)
-    seed = _require_seed(_setting(ns, config, "seed", None))
-    d, _, source_desc = _load_input(ns, config, seed)
-    d, prep_desc = _preprocess(ns, config, d)
+def cmd_sensitivity(s: dict) -> int:
+    seed = _require_seed(s["seed"])
+    d, effective = _load_input(s, seed)
+    center = s["center"]
+    if center == "auto":
+        center = BinningSpec.from_dataset(d, allow_constant=True).bin_count
+    surrogate = _surrogate_config(s, seed)
+    report = bin_sensitivity_scan(d, center, s["radius"], max_lag=s["max_lag"],
+                                  surrogate=surrogate)
 
-    center_raw = _setting(ns, config, "center", "auto")
-    if center_raw == "auto":
-        center = system_bin_count(d)
-    else:
-        try:
-            center = int(center_raw)
-        except (TypeError, ValueError):
-            raise UsageError(f"--center expects 'auto' or an integer, got {center_raw!r}") from None
-    radius = int(_setting(ns, config, "radius", 2))
-    max_lag = int(_setting(ns, config, "max_lag", 4))
-    surrogate = _surrogate_config(ns, config, seed)
-    report = bin_sensitivity_scan(d, center, radius, max_lag=max_lag, surrogate=surrogate)
-
-    out = Path(_setting(ns, config, "out", "sensitivity"))
+    out = Path(s["out"])
     for m, graph in sorted(report.graphs.items()):
         _write(out / f"graph_bins_{m}.json", export_graph(graph, "json"))
     summary = {
@@ -432,38 +385,39 @@ def cmd_sensitivity(ns) -> int:
         "stable": report.stable(),
     }
     _write(out / "report.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    effective = {
-        **source_desc,
-        **prep_desc,
-        "center": center,
-        "radius": radius,
-        "max_lag": max_lag,
-        "n_surrogates": surrogate.n_surrogates,
-        "confidence": surrogate.confidence,
-    }
+    effective.update(_pick(s, "radius", "max_lag", "n_surrogates", "confidence"), center=center)
     _write_manifest(out / "manifest.json", "sensitivity", effective, seed)
     flat = ", ".join(f"{m}:{report.jaccard[m]:.2f}" for m in sorted(report.jaccard))
     print(f"bin sensitivity around {center}: {flat} -> {out}")
     return 0
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="CSV file with a header of variable names")
-    p.add_argument("--system", choices=SYSTEM_KINDS, help="generate this benchmark system instead")
-    p.add_argument("--length", type=int, help="generated sample length (default 1000)")
-    p.add_argument("--burn-in", dest="burn_in", type=int, help="transient steps to drop (default 100)")
-    p.add_argument("--m", dest="signal", type=float, help="bivariate signal coefficient")
-    p.add_argument("--eps", dest="noise", type=float, help="bivariate noise coefficient (default 1)")
-    p.add_argument("--detrend", action=argparse.BooleanOptionalAction, default=None,
-                   help="remove a linear trend per variable")
-    p.add_argument("--deseasonalize", dest="deseasonalize_period", type=int, metavar="PERIOD",
-                   help="remove the mean cycle of this period per variable")
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    keys: tuple
+    out: str | None  # default of --out
 
 
-def _add_test_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--surrogates", dest="n_surrogates", type=int,
-                   help="surrogate realizations per test (default 100)")
-    p.add_argument("--confidence", type=float, help="surrogate test confidence (default 0.95)")
+COMMANDS = {
+    "generate": Command(cmd_generate, "simulate a benchmark system to CSV",
+                        ("system", "length", "burn_in", "signal", "noise", "seed", "out", "truth"),
+                        None),
+    "analyze": Command(cmd_analyze, "build the lagged causal graph of a dataset",
+                       SOURCE_KEYS + ("max_lag", "method", "bins", "n_surrogates", "confidence",
+                                      "te_surrogate_test", "gc_alpha", "gc_lagwise",
+                                      "n_subsamples", "subsample_length", "mode", "threshold",
+                                      "reuse_parent_bins", "workers", "seed", "out"),
+                       "analysis"),
+    "evaluate": Command(cmd_evaluate, "Monte Carlo FNR/FPR curves on the bivariate benchmark",
+                        ("kind", "lengths", "ratios", "trials", "n_surrogates", "confidence",
+                         "seed", "out"),
+                        "evaluation"),
+    "sensitivity": Command(cmd_sensitivity, "link-set stability across bin counts",
+                           SOURCE_KEYS + ("center", "radius", "max_lag", "n_surrogates",
+                                          "confidence", "seed", "out"),
+                           "sensitivity"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -473,84 +427,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "testing and a subsample-ensemble consistency check.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    g = sub.add_parser("generate", help="simulate a benchmark system to CSV")
-    g.add_argument("--config", help="JSON config file; flags override its keys")
-    g.add_argument("--system", choices=SYSTEM_KINDS)
-    g.add_argument("--length", type=int)
-    g.add_argument("--burn-in", dest="burn_in", type=int)
-    g.add_argument("--m", dest="signal", type=float)
-    g.add_argument("--eps", dest="noise", type=float)
-    g.add_argument("--seed", type=int, help="RNG seed (required)")
-    g.add_argument("--out", help="output CSV path or directory")
-    g.add_argument("--truth", help="ground-truth JSON path (default next to the CSV)")
-    g.set_defaults(func=cmd_generate)
-
-    a = sub.add_parser("analyze", help="build the lagged causal graph of a dataset")
-    a.add_argument("--config", help="JSON config file; flags override its keys")
-    _add_input_flags(a)
-    a.add_argument("--max-lag", dest="max_lag", type=int, help="largest lag to test (default 4)")
-    a.add_argument("--method", choices=("te", "gc"), help="estimator (default te)")
-    a.add_argument("--bins", help="'auto' (Scott's rule) or a fixed bin count")
-    _add_test_flags(a)
-    a.add_argument("--te-surrogate-test", dest="te_surrogate_test", choices=("on", "off"),
-                   help="surrogate-test the TE after the MI gate (default off)")
-    a.add_argument("--gc-alpha", dest="gc_alpha", type=float)
-    a.add_argument("--gc-mode", dest="gc_lagwise", choices=("lagwise", "cumulative"))
-    a.add_argument("--subsamples", dest="n_subsamples", type=int,
-                   help="enable the ensemble check with this many windows")
-    a.add_argument("--sub-length", dest="subsample_length", type=int,
-                   help="window length for the ensemble check")
-    a.add_argument("--mode", choices=("random-continuous", "fixed-overlap", "nonoverlapping"))
-    a.add_argument("--threshold", type=float, help="consistency vote fraction (default 0.9)")
-    a.add_argument("--reuse-parent-bins", dest="reuse_parent_bins",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="reuse the full-sample discretization for every window")
-    a.add_argument("--workers", type=int, help=f"parallel workers (capped by ${THREAD_ENV})")
-    a.add_argument("--seed", type=int, help="RNG seed (required for te or ensemble runs)")
-    a.add_argument("--out", help="output directory (default ./analysis)")
-    a.set_defaults(func=cmd_analyze)
-
-    e = sub.add_parser("evaluate", help="Monte Carlo FNR/FPR curves on the bivariate benchmark")
-    e.add_argument("--config", help="JSON config file; flags override its keys")
-    e.add_argument("--kind", choices=("linear", "nonlinear"))
-    e.add_argument("--lengths", help="comma-separated sample lengths (default 100,1000)")
-    e.add_argument("--ratios", help="signal-to-noise ratios: 'a,b,c' or 'lo..hi[:n]'")
-    e.add_argument("--trials", type=int, help="trials per grid point (default 1000)")
-    _add_test_flags(e)
-    e.add_argument("--seed", type=int, help="RNG seed (required)")
-    e.add_argument("--out", help="output directory or CSV path (default ./evaluation)")
-    e.set_defaults(func=cmd_evaluate)
-
-    s = sub.add_parser("sensitivity", help="link-set stability across bin counts")
-    s.add_argument("--config", help="JSON config file; flags override its keys")
-    _add_input_flags(s)
-    s.add_argument("--center", help="'auto' (Scott's rule) or a center bin count")
-    s.add_argument("--radius", type=int, help="half-width of the bin-count window (default 2)")
-    s.add_argument("--max-lag", dest="max_lag", type=int)
-    _add_test_flags(s)
-    s.add_argument("--seed", type=int, help="RNG seed (required)")
-    s.add_argument("--out", help="output directory (default ./sensitivity)")
-    s.set_defaults(func=cmd_sensitivity)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        for key in command.keys:
+            row = SETTINGS[key]
+            default = command.out if key == "out" else row.default
+            shown = "" if default is None else f", default {default}"
+            kind = ({"action": argparse.BooleanOptionalAction} if row.parse is _bool
+                    else {"choices": getattr(row.parse, "choices", None)})
+            p.add_argument(row.flag, dest=key, help=f"{row.help} (key {key}{shown})", **kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        return COMMANDS[ns.subcommand].run(_resolve(ns))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RobustCausalError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(payload), file=sys.stderr)
+    except (RobustCausalError, OSError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 
 

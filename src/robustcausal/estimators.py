@@ -43,7 +43,6 @@ __all__ = [
     "BinningSpec",
     "scott_bin_width",
     "variable_bin_count",
-    "system_bin_count",
     "mutual_information",
     "transfer_entropy",
 ]
@@ -82,11 +81,6 @@ def variable_bin_count(s: TimeSeries) -> int:
             f"series {s.name!r}: Scott's rule yields {count} bin(s), need at least 2"
         )
     return count
-
-
-def system_bin_count(d: Dataset) -> int:
-    """Shared bin count for a dataset: the minimum per-variable count."""
-    return min(variable_bin_count(s) for s in d.series)
 
 
 @dataclass(frozen=True, eq=False)

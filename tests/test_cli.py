@@ -1,9 +1,15 @@
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from robustcausal import cli
 from robustcausal.cli import main
+from robustcausal.estimators import BinningSpec
 from robustcausal.graph import import_graph
+from robustcausal.timeseries import Dataset, TimeSeries, read_dataset_csv, write_dataset_csv
 
 
 def _run(*args):
@@ -221,3 +227,198 @@ def test_manifest_has_no_timestamps(tmp_path):
     out = _generate_small(tmp_path)
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"command", "config", "seed", "versions"}
+
+
+def _manifest_config(*args):
+    """Run one command and return the ``config`` of the manifest it wrote."""
+    assert _run(*args) == 0
+    path = Path(args[args.index("--out") + 1])
+    manifest = path.with_name(path.stem + "_manifest.json") if path.suffix else path / "manifest.json"
+    return json.loads(manifest.read_text())["config"]
+
+
+def test_manifest_configs_are_pinned(tmp_path):
+    t = str(tmp_path)
+    system_b = ("--system", "B", "--length", "300", "--max-lag", "2")
+    source_b = {"system": "B", "length": 300, "burn_in": 100, "max_lag": 2,
+                "detrend": False, "deseasonalize_period": None}
+    assert _manifest_config(
+        "generate", "--system", "A", "--length", "120", "--seed", "1",
+        "--out", f"{t}/a.csv",
+    ) == {"system": "A", "length": 120, "burn_in": 100, "signal": None, "noise": None,
+          "out": f"{t}/a.csv", "truth": f"{t}/a_truth.json"}
+    assert _manifest_config(
+        "generate", "--system", "bivariate-linear", "--m", "0.5", "--length", "120",
+        "--seed", "1", "--out", f"{t}/biv",
+    ) == {"system": "bivariate-linear", "length": 120, "burn_in": 100, "signal": 0.5,
+          "noise": None, "out": f"{t}/biv/data.csv", "truth": f"{t}/biv/truth.json"}
+    assert _manifest_config(
+        "analyze", *system_b, "--surrogates", "20", "--subsamples", "3",
+        "--sub-length", "120", "--te-surrogate-test", "on", "--bins", "5",
+        "--reuse-parent-bins", "--seed", "2", "--out", f"{t}/te",
+    ) == {**source_b, "method": "te", "bins": 5, "n_surrogates": 20, "confidence": 0.95,
+          "te_surrogate_test": "on", "n_subsamples": 3, "subsample_length": 120,
+          "mode": "random-continuous", "threshold": 0.9, "reuse_parent_bins": True}
+    assert _manifest_config(
+        "analyze", *system_b, "--method", "gc", "--gc-mode", "cumulative",
+        "--gc-alpha", "0.01", "--seed", "2", "--out", f"{t}/gc",
+    ) == {**source_b, "method": "gc", "bins": "auto", "gc_alpha": 0.01, "gc_lagwise": False}
+    assert _manifest_config(
+        "analyze", "--system", "bivariate-linear", "--m", "0.5", "--length", "200",
+        "--max-lag", "2", "--surrogates", "20", "--seed", "2", "--out", f"{t}/biv_te",
+    ) == {**source_b, "system": "bivariate-linear", "length": 200, "signal": 0.5,
+          "noise": 1.0, "method": "te", "bins": "auto", "n_surrogates": 20,
+          "confidence": 0.95, "te_surrogate_test": "off"}
+    assert _manifest_config(
+        "evaluate", "--lengths", "60", "--ratios", "0.2..0.6:3", "--trials", "2",
+        "--surrogates", "10", "--seed", "3", "--out", f"{t}/x.csv",
+    ) == {"kind": "bivariate-linear", "lengths": [60], "ratios": [0.2, 0.4, 0.6],
+          "trials": 2, "n_surrogates": 10, "confidence": 0.95, "out": f"{t}/x.csv"}
+    assert _manifest_config(
+        "sensitivity", *system_b, "--radius", "1", "--surrogates", "20",
+        "--seed", "4", "--out", f"{t}/sens",
+    ) == {**source_b, "center": 9, "radius": 1, "n_surrogates": 20, "confidence": 0.95}
+
+
+def _write_config(path, config):
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        ("analyze", {"max_lag": "four"}, "max_lag"),
+        ("generate", {"seed": "x"}, "seed"),
+        ("analyze", {"seed": 3.9}, "seed"),
+        ("analyze", {"surrogates": 20}, "n_surrogates"),
+        ("analyze", {"method": "gc", "gc_lagwise": "cumulativ"}, "gc_lagwise"),
+        ("sensitivity", {"te_surrogate_test": "on"}, "te_surrogate_test"),
+        ("analyze", {"method": "gc", "length": None}, None),
+    ],
+    ids=["int-word", "seed-word", "seed-float", "flag-spelling", "gc-mode-typo",
+         "sensitivity-te", "null-is-unset"],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, config, named):
+    out = tmp_path / "o"
+    base = {"system": "A", "length": 200, "max_lag": 2, "seed": 1, "out": str(out)}
+    if command == "generate":
+        base = {"system": "A", "length": 100, "seed": 1, "out": str(tmp_path / "g.csv")}
+    path = _write_config(tmp_path / "run.json", {**base, **config})
+    if named is not None:
+        assert _run(command, "--config", path) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        return
+    # a JSON null runs as if the key were absent
+    absent = {key: value for key, value in {**base, **config}.items() if value is not None}
+    absent["out"] = str(tmp_path / "absent")
+    assert _run(command, "--config", path) == 0
+    assert _run(command, "--config", _write_config(tmp_path / "absent.json", absent)) == 0
+    for name in ("graph.json", "manifest.json"):
+        assert (out / name).read_bytes() == (tmp_path / "absent" / name).read_bytes(), name
+    assert json.loads((out / "manifest.json").read_text())["config"]["length"] == 1000
+
+
+@pytest.mark.parametrize("args", [
+    ("generate", "--system", "B", "--length", "300", "--seed", "3"),
+    ("analyze", "--system", "B", "--length", "400", "--max-lag", "2", "--surrogates", "20",
+     "--subsamples", "4", "--sub-length", "120", "--detrend", "--seed", "5"),
+    ("evaluate", "--lengths", "60", "--ratios", "0.5..1.0:2", "--trials", "2",
+     "--surrogates", "10", "--seed", "3"),
+    ("sensitivity", "--system", "B", "--length", "400", "--radius", "1", "--max-lag", "2",
+     "--surrogates", "20", "--seed", "2"),
+], ids=lambda args: args[0])
+def test_manifest_replays_the_run(tmp_path, args):
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert _run(*args, "--out", str(first)) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    path = _write_config(tmp_path / "replay.json", {**manifest["config"], "seed": manifest["seed"]})
+    assert _run(args[0], "--config", path, "--out", str(replay)) == 0
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(replay) for p in replay.rglob("*") if p.is_file())
+    for name in files:
+        if name.name == "manifest.json":
+            # only the output paths a manifest records may differ
+            a, b = (json.loads((root / name).read_text()) for root in (first, replay))
+            for m in (a, b):
+                m["config"].pop("out", None)
+                m["config"].pop("truth", None)
+            assert a == b
+        else:
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
+
+# One valid, non-default flag value for every setting; a bool flag takes none.
+FLAG_SAMPLES = {
+    "input": "x.csv", "system": "B", "length": "300", "burn_in": "50", "signal": "0.5",
+    "noise": "2.0", "detrend": True, "deseasonalize_period": "12", "max_lag": "3",
+    "method": "gc", "bins": "6", "n_surrogates": "30", "confidence": "0.9",
+    "te_surrogate_test": "on", "gc_alpha": "0.01", "gc_lagwise": "cumulative",
+    "n_subsamples": "5", "subsample_length": "120", "mode": "fixed-overlap",
+    "threshold": "0.8", "reuse_parent_bins": True, "workers": "2", "kind": "nonlinear",
+    "lengths": "60,100", "ratios": "0.2..0.6:3", "trials": "4", "center": "7", "radius": "1",
+    "seed": "9", "out": "o", "truth": "t.json",
+}
+
+
+def _resolved(command, *argv):
+    return cli._resolve(cli._build_parser().parse_args([command, *argv]))
+
+
+def test_flag_and_config_resolve_alike(tmp_path):
+    for command, spec in cli.COMMANDS.items():
+        defaults = _resolved(command)
+        for key in spec.keys:
+            sample = FLAG_SAMPLES[key]
+            flag = cli.SETTINGS[key].flag
+            from_flag = _resolved(command, *([flag] if sample is True else [flag, sample]))[key]
+            assert from_flag != defaults[key], (command, key)
+            for value in (sample, from_flag):
+                path = _write_config(tmp_path / "c.json", {key: value})
+                assert _resolved(command, "--config", path)[key] == from_flag, (command, key)
+
+
+def test_help_offers_the_same_flags(capsys):
+    source = ["--input", "--system", "--length", "--burn-in", "--m", "--eps", "--detrend",
+              "--no-detrend", "--deseasonalize"]
+    expected = {
+        "generate": ["--system", "--length", "--burn-in", "--m", "--eps", "--seed", "--out",
+                     "--truth"],
+        "analyze": source + [
+            "--max-lag", "--method", "--bins", "--surrogates", "--confidence",
+            "--te-surrogate-test", "--gc-alpha", "--gc-mode", "--subsamples", "--sub-length",
+            "--mode", "--threshold", "--reuse-parent-bins", "--no-reuse-parent-bins",
+            "--workers", "--seed", "--out"],
+        "evaluate": ["--kind", "--lengths", "--ratios", "--trials", "--surrogates",
+                     "--confidence", "--seed", "--out"],
+        "sensitivity": source + ["--center", "--radius", "--max-lag", "--surrogates",
+                                 "--confidence", "--seed", "--out"],
+    }
+    for command, flags in expected.items():
+        with pytest.raises(SystemExit):
+            _run(command, "--help")
+        offered = []
+        for line in capsys.readouterr().out.splitlines():
+            match = re.match(r"^  (--\S.*?)(?:  |$)", line)
+            if match:
+                offered += [part.split()[0] for part in match.group(1).split(", ")]
+        assert offered == ["--config", *flags], command
+    assert [len(flags) + 1 for flags in expected.values()] == [9, 27, 9, 17]
+
+
+def test_sensitivity_auto_center_skips_constant_columns(tmp_path):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=400)
+    y = np.concatenate(([0.0], 0.8 * x[:-1])) + rng.normal(size=400)
+    d = Dataset((TimeSeries("X", x), TimeSeries("Y", y), TimeSeries("K", np.full(400, 2.0))))
+    path = tmp_path / "flat.csv"
+    write_dataset_csv(d, path)
+    common = ("--input", str(path), "--max-lag", "2", "--surrogates", "20", "--seed", "1")
+    assert _run("analyze", *common, "--out", str(tmp_path / "a")) == 0
+    assert _run("sensitivity", *common, "--radius", "1", "--center", "6",
+                "--out", str(tmp_path / "s6")) == 0
+    assert _run("sensitivity", *common, "--radius", "1", "--out", str(tmp_path / "s")) == 0
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    expected = BinningSpec.from_dataset(read_dataset_csv(path), allow_constant=True).bin_count
+    assert report["center_bins"] == expected

@@ -18,7 +18,6 @@ from robustcausal.estimators import (
     _joint_counts,
     mutual_information,
     scott_bin_width,
-    system_bin_count,
     transfer_entropy,
     variable_bin_count,
 )
@@ -74,15 +73,15 @@ def test_variable_bin_count_errors():
         variable_bin_count(_series("x", [0.0, 1.0]))
 
 
-def test_system_bin_count_is_minimum():
+def test_binning_spec_bin_count_is_minimum():
     rng = np.random.default_rng(0)
     wide = _series("wide", rng.normal(size=1000))
     narrow = _series("narrow", np.arange(10.0).repeat(100))
     d = Dataset((wide, narrow))
-    assert system_bin_count(d) == min(
+    assert BinningSpec.from_dataset(d).bin_count == min(
         variable_bin_count(wide), variable_bin_count(narrow)
     )
-    assert system_bin_count(d) == variable_bin_count(narrow)
+    assert BinningSpec.from_dataset(d).bin_count == variable_bin_count(narrow)
 
 
 def test_binning_spec_edges_span_observed_range():
