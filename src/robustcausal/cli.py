@@ -277,10 +277,8 @@ def _load_input(s: dict, seed: int | None):
         described = _pick(s, "system", "length", "burn_in")
         if s["signal"] is not None:
             described.update(signal=s["signal"], noise=1.0 if s["noise"] is None else s["noise"])
-    period = s["deseasonalize_period"]
-    spec = PreprocessSpec(detrend=s["detrend"], deseasonalize=period is not None,
-                          season_period=12 if period is None else period)
-    if spec.detrend or spec.deseasonalize:
+    spec = PreprocessSpec(detrend=s["detrend"], season_period=s["deseasonalize_period"])
+    if spec.detrend or spec.season_period is not None:
         d = apply_preprocess(d, spec)
     return d, {**described, **_pick(s, "detrend", "deseasonalize_period")}
 
@@ -297,8 +295,10 @@ def cmd_generate(s: dict) -> int:
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(d, csv_path)
     _write(truth_path, truth.to_json())
-    effective = _pick(s, "system", "length", "burn_in", "signal", "noise")
-    effective.update(out=str(csv_path), truth=str(truth_path))
+    # Record the paths as given, not as derived: a replay with a new --out
+    # then writes every file beside the new output.
+    effective = _pick(s, "system", "length", "burn_in", "signal", "noise", "truth")
+    effective["out"] = str(out)
     _write_manifest(_beside(out, "manifest.json"), "generate", effective, seed)
     print(f"wrote {csv_path} ({len(d.names)} variables, {d.length} steps)")
     return 0
@@ -315,10 +315,10 @@ def cmd_analyze(s: dict) -> int:
     seed = _require_seed(s["seed"]) if s["method"] == "te" or ensemble else s["seed"]
     d, effective = _load_input(s, seed)
     if s["method"] == "te":
-        surrogate, granger = _surrogate_config(s, seed), None
+        test = _surrogate_config(s, seed)
         keys = ["n_surrogates", "confidence", "te_surrogate_test"]
     else:
-        surrogate, granger = None, GrangerConfig(alpha=s["gc_alpha"], lagwise=s["gc_lagwise"])
+        test = GrangerConfig(alpha=s["gc_alpha"], lagwise=s["gc_lagwise"])
         keys = ["gc_alpha", "gc_lagwise"]
     bins = None if s["bins"] == "auto" else s["bins"]
     out = Path(s["out"])
@@ -329,18 +329,16 @@ def cmd_analyze(s: dict) -> int:
         ens_cfg = EnsembleConfig(n_subsamples=s["n_subsamples"],
                                  subsample_length=s["subsample_length"], rng_seed=seed,
                                  mode=s["mode"], threshold=s["threshold"])
-        result = analyze_ensemble(d, ens_cfg, max_lag=s["max_lag"], method=s["method"],
-                                  surrogate=surrogate, granger=granger, bins=bins,
+        result = analyze_ensemble(d, ens_cfg, test, max_lag=s["max_lag"], bins=bins,
                                   reuse_parent_bins=s["reuse_parent_bins"],
                                   workers=_worker_count(s["workers"]))
-        graph, robust = result.full_graph, result.robust.graph
+        graph, robust = result.full_graph, result.robust
         _write(out / "frequencies.csv", result.frequencies.to_csv())
         _write(out / "robust_graph.json", export_graph(robust, "json"))
         keys += ["n_subsamples", "subsample_length", "mode", "threshold", "reuse_parent_bins"]
         summary = f"full graph: {graph.n_links} link(s); robust graph: {robust.n_links} link(s)"
     else:
-        graph = build_graph(d, s["max_lag"], s["method"], surrogate=surrogate, granger=granger,
-                            bins=bins)
+        graph = build_graph(d, test, s["max_lag"], bins=bins)
         summary = f"graph: {graph.n_links} significant link(s)"
     _write(out / "graph.json", export_graph(graph, "json"))
     _write(out / "graph.dot", export_graph(graph, "dot"))
@@ -359,7 +357,7 @@ def cmd_evaluate(s: dict) -> int:
     csv_path = out if out.suffix.lower() == ".csv" else out / "error_rates.csv"
     _write(csv_path, curve.to_csv())
     effective = _pick(s, "kind", "lengths", "ratios", "trials", "n_surrogates", "confidence")
-    effective["out"] = str(csv_path)
+    effective["out"] = str(out)
     _write_manifest(_beside(out, "manifest.json"), "evaluate", effective, seed)
     print(f"wrote {csv_path} ({len(curve.points)} grid points x {s['trials']} trials)")
     return 0

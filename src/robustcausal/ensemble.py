@@ -5,7 +5,8 @@ reappearing when the analysis is repeated on many shorter contiguous
 windows of the same record. The pipeline draws ``n`` windows of length
 ``q``, builds one graph per window, counts how often each (source, target,
 lag) link shows up, and keeps the links whose appearance count reaches
-``ceil(threshold * n)``.
+``ceil(threshold * n)``. The test config picks the method for the full
+sample and every window alike, as in :func:`robustcausal.graph.build_graph`.
 
 Window schemes
 --------------
@@ -37,7 +38,6 @@ from .timeseries import Dataset, _derived_seed, _rng, validate_dataset
 __all__ = [
     "EnsembleConfig",
     "LinkFrequencyTable",
-    "RobustGraph",
     "EnsembleResult",
     "draw_subsamples",
     "link_frequencies",
@@ -170,16 +170,7 @@ def link_frequencies(graphs: list[LaggedCausalGraph]) -> LinkFrequencyTable:
     )
 
 
-@dataclass(frozen=True)
-class RobustGraph:
-    """The consistency-filtered graph plus the frequency evidence behind it."""
-
-    graph: LaggedCausalGraph
-    frequencies: LinkFrequencyTable
-    threshold: float
-
-
-def robust_graph(freq: LinkFrequencyTable, threshold: float = 0.9) -> RobustGraph:
+def robust_graph(freq: LinkFrequencyTable, threshold: float = 0.9) -> LaggedCausalGraph:
     """Keep the links whose appearance count reaches ceil(threshold * n)."""
     if not 0.0 < threshold <= 1.0:
         raise InvalidConfig(f"threshold must be in (0, 1], got {threshold}")
@@ -189,27 +180,25 @@ def robust_graph(freq: LinkFrequencyTable, threshold: float = 0.9) -> RobustGrap
         for (s, t, lag), count in freq.counts.items()
         if count >= required
     )
-    graph = LaggedCausalGraph(freq.variables, links, freq.max_lag, freq.method)
-    return RobustGraph(graph=graph, frequencies=freq, threshold=threshold)
+    return LaggedCausalGraph(freq.variables, links, freq.max_lag, freq.method)
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Everything one ensemble run produces."""
+    """Everything one ensemble run produces: ``robust`` is the full graph's
+    consistency-filtered counterpart, voted from ``frequencies``."""
 
     full_graph: LaggedCausalGraph
     subsample_graphs: tuple[LaggedCausalGraph, ...]
     frequencies: LinkFrequencyTable
-    robust: RobustGraph
+    robust: LaggedCausalGraph
 
 
 def _subsample_graph(
     window: Dataset,
-    surrogate: SurrogateConfig | None,
+    test: SurrogateConfig | GrangerConfig,
     *,
     max_lag: int,
-    method: str,
-    granger: GrangerConfig | None,
     bins: int | None,
     spec: BinningSpec | None,
 ) -> LaggedCausalGraph:
@@ -218,61 +207,52 @@ def _subsample_graph(
     A named module-level function: the pool pickles it by reference, and
     ``benchmarks/layer_trace.py`` times window graphs through it.
     """
-    return build_graph(
-        window, max_lag, method, surrogate=surrogate, granger=granger, bins=bins, spec=spec
-    )
+    return build_graph(window, test, max_lag, bins=bins, spec=spec)
 
 
 def analyze_ensemble(
     d: Dataset,
     cfg: EnsembleConfig,
+    test: SurrogateConfig | GrangerConfig,
     *,
     max_lag: int = 4,
-    method: str = "te",
-    surrogate: SurrogateConfig | None = None,
-    granger: GrangerConfig | None = None,
     bins: int | None = None,
     reuse_parent_bins: bool = False,
     workers: int = 1,
 ) -> EnsembleResult:
     """Full pipeline: full-sample graph, per-window graphs, vote, filter.
 
-    Each window's surrogate streams derive from (surrogate seed, window
-    index), so results are reproducible and independent of ``workers``.
-    With ``reuse_parent_bins`` the TE discretization derived on the full
-    sample is reused for every window instead of re-derived per window.
+    The test config picks the method, as in ``build_graph``. Each window's
+    TE surrogate streams derive from (surrogate seed, window index), so
+    results are reproducible and independent of ``workers``. With
+    ``reuse_parent_bins`` the TE discretization derived on the full sample
+    is reused for every window instead of re-derived per window.
     """
     validate_dataset(d)
+    te = isinstance(test, SurrogateConfig)
     parent_spec = None
-    if method == "te" and reuse_parent_bins:
+    if te and reuse_parent_bins:
         parent_spec = BinningSpec.from_dataset(d, bin_count=bins, allow_constant=True)
-    full_graph = build_graph(
-        d, max_lag, method, surrogate=surrogate, granger=granger, bins=bins, spec=parent_spec
-    )
+    full_graph = build_graph(d, test, max_lag, bins=bins, spec=parent_spec)
 
     windows = draw_subsamples(d, cfg)
     # Window j's surrogates are seeded from (seed, 0x5B5B, j); the salt is
     # part of the stream definition, so changing it changes every vote.
-    surrogates = [
-        None
-        if surrogate is None
-        else replace(surrogate, rng_seed=_derived_seed(surrogate.rng_seed, 0x5B5B, j))
+    tests = [
+        replace(test, rng_seed=_derived_seed(test.rng_seed, 0x5B5B, j)) if te else test
         for j in range(len(windows))
     ]
-    window_graph = partial(
-        _subsample_graph, max_lag=max_lag, method=method, granger=granger, bins=bins, spec=parent_spec
-    )
+    window_graph = partial(_subsample_graph, max_lag=max_lag, bins=bins, spec=parent_spec)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            graphs = list(pool.map(window_graph, windows, surrogates))
+            graphs = list(pool.map(window_graph, windows, tests))
     else:
-        graphs = list(map(window_graph, windows, surrogates))
+        graphs = list(map(window_graph, windows, tests))
 
     freq = link_frequencies(graphs)
-    robust = robust_graph(freq, cfg.threshold)
     return EnsembleResult(
         full_graph=full_graph,
         subsample_graphs=tuple(graphs),
         frequencies=freq,
-        robust=robust,
+        robust=robust_graph(freq, cfg.threshold),
     )

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .ensemble import RobustGraph
 from .errors import InvalidConfig, VariableMismatch
 from .estimators import BinningSpec
 from .graph import LaggedCausalGraph, LinkKey, build_graph, candidate_keys
@@ -97,7 +96,7 @@ class TruthScore:
 
 
 def score_against_truth(
-    inferred: LaggedCausalGraph | RobustGraph,
+    graph: LaggedCausalGraph,
     truth: GroundTruth,
     exclude_indirect: bool = True,
 ) -> TruthScore:
@@ -108,7 +107,6 @@ def score_against_truth(
     that matches a documented indirect pathway is reported separately
     instead of being counted as a false positive.
     """
-    graph = inferred.graph if isinstance(inferred, RobustGraph) else inferred
     known = set(graph.variables)
     for key in list(truth.link_keys()) + list(truth.indirect_keys()):
         if key[0] not in known or key[1] not in known:
@@ -308,7 +306,7 @@ def bin_sensitivity_scan(
         )
     graphs = {}
     for m in range(center_bins - radius, center_bins + radius + 1):
-        graphs[m] = build_graph(d, max_lag, "te", surrogate=surrogate, bins=m)
+        graphs[m] = build_graph(d, surrogate, max_lag, bins=m)
     center = graphs[center_bins]
     similarity = {m: jaccard_links(center, g) for m, g in graphs.items()}
     return BinSensitivityReport(center_bins=center_bins, graphs=graphs, jaccard=similarity)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import stats
@@ -36,8 +37,11 @@ class GrangerConfig:
     """Settings for Granger link tests.
 
     ``lagwise`` picks the single-lag source term (the default) over the
-    cumulative form.
+    cumulative form. A graph built with this config is labelled ``method``
+    "gc".
     """
+
+    method: ClassVar[str] = "gc"
 
     alpha: float = 0.05
     lagwise: bool = True

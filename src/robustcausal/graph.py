@@ -4,6 +4,9 @@ deterministic serialization (JSON, DOT, CSV).
 A graph over k variables with maximum lag L is built by testing every
 ordered pair at every lag 1..L, exactly k*(k-1)*L candidate links; only
 significant candidates become graph links. Self-links are never tested.
+The test config picks the method: a ``SurrogateConfig`` runs binned TE
+against shuffled surrogates, a ``GrangerConfig`` the Granger F-test, and
+the graph is labelled with that config's ``method`` ("te" or "gc").
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .timeseries import Dataset, validate_dataset
 __all__ = [
     "CausalLink",
     "LaggedCausalGraph",
-    "CandidateResult",
     "evaluate_candidates",
     "build_graph",
     "export_graph",
@@ -89,17 +91,6 @@ class LaggedCausalGraph:
         return len(self.links)
 
 
-@dataclass(frozen=True)
-class CandidateResult:
-    """Evaluation record of one candidate link, significant or not."""
-
-    source: str
-    target: str
-    lag: int
-    strength: float
-    significant: bool
-
-
 def candidate_keys(variables: tuple[str, ...], max_lag: int) -> list[LinkKey]:
     """Every (source, target, lag) candidate of a search: each ordered pair
     of distinct variables at each lag 1..max_lag, in the given order."""
@@ -114,22 +105,21 @@ def candidate_keys(variables: tuple[str, ...], max_lag: int) -> list[LinkKey]:
 
 def evaluate_candidates(
     d: Dataset,
+    test: SurrogateConfig | GrangerConfig,
     max_lag: int = 4,
-    method: str = "te",
     *,
-    surrogate: SurrogateConfig | None = None,
-    granger: GrangerConfig | None = None,
     bins: int | None = None,
     spec: BinningSpec | None = None,
-) -> list[CandidateResult]:
-    """Test every ordered pair at every lag 1..max_lag and record the outcome.
+) -> list[CausalLink]:
+    """Test every ordered pair at every lag 1..max_lag and record the outcome
+    as a link whose ``significant`` flag holds the decision.
 
-    With ``method="te"`` each candidate runs the gated surrogate TE link
-    test (strength = TE in bits); with ``method="gc"`` the lagwise or
-    cumulative Granger F-test (strength = F statistic). The TE path bins
-    with ``spec`` when one is given (a subsample window reusing the full
-    sample's discretization), else derives a spec from ``d``: Scott's rule,
-    or the count ``bins`` forces.
+    The test config picks the method: a ``SurrogateConfig`` runs the gated
+    surrogate TE link test on each candidate (strength = TE in bits), a
+    ``GrangerConfig`` the lagwise or cumulative Granger F-test (strength =
+    F statistic). The TE path bins with ``spec`` when one is given (a
+    subsample window reusing the full sample's discretization), else
+    derives a spec from ``d``: Scott's rule, or the count ``bins`` forces.
     """
     validate_dataset(d)
     if max_lag < 1:
@@ -138,56 +128,49 @@ def evaluate_candidates(
         raise LagTooLarge(
             f"max_lag {max_lag} is too large for length {d.length} (must stay below length/4)"
         )
-    if method not in ("te", "gc"):
-        raise InvalidConfig(f"method must be 'te' or 'gc', got {method!r}")
 
-    if method == "te":
-        if surrogate is None:
-            raise InvalidConfig("TE graph construction needs a SurrogateConfig")
+    if isinstance(test, SurrogateConfig):
         if spec is None:
             spec = BinningSpec.from_dataset(d, bin_count=bins, allow_constant=True)
         codes = {s.name: spec.digitize(s) for s in d.series}
         keys = {name: _name_key(name) for name in d.names}
 
-        def test(src: str, tgt: str, lag: int) -> tuple[float, bool]:
+        def decide(src: str, tgt: str, lag: int) -> tuple[float, bool]:
             res = _te_link_from_codes(
-                codes[src], codes[tgt], lag, spec.bin_count, surrogate, keys[src], keys[tgt]
+                codes[src], codes[tgt], lag, spec.bin_count, test, keys[src], keys[tgt]
             )
             return res.te, res.link
 
-    else:
-        cfg = granger if granger is not None else GrangerConfig()
+    elif isinstance(test, GrangerConfig):
 
-        def test(src: str, tgt: str, lag: int) -> tuple[float, bool]:
-            res = granger_test(d.get(src), d.get(tgt), lag, cfg)
+        def decide(src: str, tgt: str, lag: int) -> tuple[float, bool]:
+            res = granger_test(d.get(src), d.get(tgt), lag, test)
             return res.f_statistic, res.link
 
+    else:
+        raise InvalidConfig(
+            f"test must be a SurrogateConfig or a GrangerConfig, got {type(test).__name__}"
+        )
+
     return [
-        CandidateResult(src, tgt, lag, *test(src, tgt, lag))
+        CausalLink(src, tgt, lag, *decide(src, tgt, lag))
         for src, tgt, lag in candidate_keys(d.names, max_lag)
     ]
 
 
 def build_graph(
     d: Dataset,
+    test: SurrogateConfig | GrangerConfig,
     max_lag: int = 4,
-    method: str = "te",
     *,
-    surrogate: SurrogateConfig | None = None,
-    granger: GrangerConfig | None = None,
     bins: int | None = None,
     spec: BinningSpec | None = None,
 ) -> LaggedCausalGraph:
-    """Build the graph of significant links among all candidates."""
-    candidates = evaluate_candidates(
-        d, max_lag, method, surrogate=surrogate, granger=granger, bins=bins, spec=spec
-    )
-    links = tuple(
-        CausalLink(c.source, c.target, c.lag, c.strength, True)
-        for c in candidates
-        if c.significant
-    )
-    return LaggedCausalGraph(tuple(d.names), links, max_lag, method)
+    """Build the graph of significant links among all candidates; the test
+    config picks the method and the graph's label."""
+    candidates = evaluate_candidates(d, test, max_lag, bins=bins, spec=spec)
+    links = tuple(c for c in candidates if c.significant)
+    return LaggedCausalGraph(tuple(d.names), links, max_lag, test.method)
 
 
 def _dot_identifier(name: str) -> str:
@@ -261,5 +244,5 @@ def import_graph(text: str) -> LaggedCausalGraph:
             max_lag=int(payload["max_lag"]),
             method=str(payload["method"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise UnknownFormat(f"graph JSON is missing fields: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UnknownFormat(f"graph JSON is missing or malformed fields: {exc}") from None

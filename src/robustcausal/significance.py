@@ -33,6 +33,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy import stats
@@ -61,7 +62,10 @@ class SurrogateConfig:
     entropy is only computed, not itself surrogate-tested; switching
     ``te_surrogate_test`` on adds a second t-test on the TE statistic,
     which roughly squares the false-positive rate of the combined decision.
+    A graph built with this config is labelled ``method`` "te".
     """
+
+    method: ClassVar[str] = "te"
 
     rng_seed: int
     n_surrogates: int = 100

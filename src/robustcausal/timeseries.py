@@ -176,15 +176,15 @@ def deseasonalize(s: TimeSeries, period: int) -> TimeSeries:
 class PreprocessSpec:
     """Which preprocessing steps to run, applied per variable.
 
-    Detrending runs first, then seasonal-cycle removal.
+    Detrending runs first, then seasonal-cycle removal when a
+    ``season_period`` is set.
     """
 
     detrend: bool = False
-    deseasonalize: bool = False
-    season_period: int = 12
+    season_period: int | None = None
 
     def __post_init__(self):
-        if self.deseasonalize and self.season_period < 2:
+        if self.season_period is not None and self.season_period < 2:
             raise InvalidConfig(
                 f"season_period must be >= 2 when deseasonalizing, got {self.season_period}"
             )
@@ -196,7 +196,7 @@ def apply_preprocess(d: Dataset, spec: PreprocessSpec) -> Dataset:
     for s in d.series:
         if spec.detrend:
             s = detrend_linear(s)
-        if spec.deseasonalize:
+        if spec.season_period is not None:
             s = deseasonalize(s, spec.season_period)
         out.append(s)
     return Dataset(tuple(out), d.sampling_step)

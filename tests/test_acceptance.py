@@ -45,7 +45,7 @@ def system_a_runs():
                 d,
                 EnsembleConfig(100, 200, rng_seed=seed, threshold=0.9),
                 max_lag=4,
-                surrogate=SurrogateConfig(rng_seed=seed),
+                test=SurrogateConfig(rng_seed=seed),
             )
         )
     per_run = (time.time() - t0) / N_NULL_RUNS
@@ -55,7 +55,7 @@ def system_a_runs():
 def test_criterion_01_no_coupling_elimination(system_a_runs, acceptance_report):
     runs, per_run = system_a_runs
     with_links = sum(1 for r in runs if len(r.full_graph.links) >= 1)
-    robust_empty = sum(1 for r in runs if len(r.robust.graph.links) == 0)
+    robust_empty = sum(1 for r in runs if len(r.robust.links) == 0)
     ok = with_links >= 10 and robust_empty >= 19 and per_run < 300.0
     acceptance_report(
         1,
@@ -91,11 +91,11 @@ def test_criterion_03_linear_system_recovery(acceptance_report):
         d,
         EnsembleConfig(100, 200, rng_seed=SYSTEM_B_SEED, threshold=0.9),
         max_lag=4,
-        surrogate=SurrogateConfig(rng_seed=SYSTEM_B_SEED),
+        test=SurrogateConfig(rng_seed=SYSTEM_B_SEED),
     )
     strong = {("Z", "X", 1), ("X", "Y", 3), ("Y", "Z", 2), ("X", "W", 1)}
     allowed = set(truth.link_keys()) | set(truth.indirect_keys())
-    robust = set(res.robust.graph.link_keys())
+    robust = set(res.robust.link_keys())
     weak_fraction = res.frequencies.fraction(("W", "Y", 2))
     outside = (set(res.full_graph.link_keys()) | robust) - allowed
     ok = robust == strong and 0.50 < weak_fraction < 0.90 and not outside
@@ -118,9 +118,9 @@ def test_criterion_04_small_sample_consistency(acceptance_report):
         sample,
         EnsembleConfig(3, 100, rng_seed=SYSTEM_C_SEED, mode="fixed-overlap", threshold=1.0),
         max_lag=4,
-        surrogate=SurrogateConfig(rng_seed=SYSTEM_C_SEED),
+        test=SurrogateConfig(rng_seed=SYSTEM_C_SEED),
     )
-    robust = set(res.robust.graph.link_keys())
+    robust = set(res.robust.link_keys())
     strong = {k for k in truth.link_keys() if k != ("W", "Y", 2)}
     allowed = set(truth.link_keys()) | {("Y", "X", 3)}
     ok = strong <= robust and ("W", "Y", 2) not in robust and robust <= allowed

@@ -246,12 +246,12 @@ def test_manifest_configs_are_pinned(tmp_path):
         "generate", "--system", "A", "--length", "120", "--seed", "1",
         "--out", f"{t}/a.csv",
     ) == {"system": "A", "length": 120, "burn_in": 100, "signal": None, "noise": None,
-          "out": f"{t}/a.csv", "truth": f"{t}/a_truth.json"}
+          "out": f"{t}/a.csv", "truth": None}
     assert _manifest_config(
         "generate", "--system", "bivariate-linear", "--m", "0.5", "--length", "120",
         "--seed", "1", "--out", f"{t}/biv",
     ) == {"system": "bivariate-linear", "length": 120, "burn_in": 100, "signal": 0.5,
-          "noise": None, "out": f"{t}/biv/data.csv", "truth": f"{t}/biv/truth.json"}
+          "noise": None, "out": f"{t}/biv", "truth": None}
     assert _manifest_config(
         "analyze", *system_b, "--surrogates", "20", "--subsamples", "3",
         "--sub-length", "120", "--te-surrogate-test", "on", "--bins", "5",
@@ -347,6 +347,37 @@ def test_manifest_replays_the_run(tmp_path, args):
             assert a == b
         else:
             assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
+
+def test_generate_replay_writes_beside_the_new_csv(tmp_path):
+    # A .csv manifest replayed with a new --out writes a new truth file
+    # beside the new CSV and leaves the first run's files alone.
+    first = tmp_path / "a.csv"
+    assert _run("generate", "--system", "A", "--length", "120", "--seed", "1",
+                "--out", str(first)) == 0
+    manifest = json.loads((tmp_path / "a_manifest.json").read_text())
+    path = _write_config(tmp_path / "gen.json", {**manifest["config"], "seed": manifest["seed"]})
+    before = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+    assert _run("generate", "--config", path, "--out", str(tmp_path / "b.csv")) == 0
+    assert (tmp_path / "b_truth.json").read_bytes() == (tmp_path / "a_truth.json").read_bytes()
+    assert json.loads((tmp_path / "b_manifest.json").read_text())["config"]["truth"] is None
+    for name, mtime in before.items():
+        assert (tmp_path / name).stat().st_mtime_ns == mtime, name
+
+
+def test_evaluate_replay_rewrites_the_same_files(tmp_path):
+    # A directory-output manifest replayed without --out writes where the
+    # first run wrote.
+    out = tmp_path / "k"
+    assert _run("evaluate", "--lengths", "60", "--ratios", "0.5", "--trials", "2",
+                "--surrogates", "10", "--seed", "3", "--out", str(out)) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(written["manifest.json"])
+    path = _write_config(tmp_path / "eval.json", {**manifest["config"], "seed": manifest["seed"]})
+    for p in out.iterdir():
+        p.unlink()
+    assert _run("evaluate", "--config", path) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 # One valid, non-default flag value for every setting; a bool flag takes none.

@@ -106,7 +106,7 @@ def test_vote_keeps_exact_threshold_count():
     }
     freq = link_frequencies(_fake_graphs(appearances, 100))
     robust = robust_graph(freq, threshold=0.9)
-    assert robust.graph.link_keys() == {("U", "V", 1), ("U", "V", 2)}
+    assert robust.link_keys() == {("U", "V", 1), ("U", "V", 2)}
     assert freq.fraction(("V", "U", 1)) == pytest.approx(0.89)
 
 
@@ -114,7 +114,7 @@ def test_vote_all_three_at_unit_threshold():
     appearances = {("U", "V", 1): {0, 1, 2}, ("V", "U", 2): {0, 2}}
     freq = link_frequencies(_fake_graphs(appearances, 3))
     robust = robust_graph(freq, threshold=1.0)
-    assert robust.graph.link_keys() == {("U", "V", 1)}
+    assert robust.link_keys() == {("U", "V", 1)}
 
 
 def test_robust_strength_is_mean_over_appearances():
@@ -122,7 +122,7 @@ def test_robust_strength_is_mean_over_appearances():
     strengths = {key: {0: 0.2, 2: 0.6}}
     freq = link_frequencies(_fake_graphs({key: {0, 2}}, 3, strengths))
     robust = robust_graph(freq, threshold=0.5)
-    (link,) = robust.graph.links
+    (link,) = robust.links
     assert link.strength == pytest.approx(0.4)
 
 
@@ -138,12 +138,12 @@ def test_analyze_ensemble_deterministic_and_worker_independent():
     d = _dataset(4, names=("A", "B", "C"), l=400)
     cfg = EnsembleConfig(8, 120, rng_seed=3)
     sur = SurrogateConfig(rng_seed=17, n_surrogates=40)
-    res1 = analyze_ensemble(d, cfg, max_lag=2, surrogate=sur, workers=1)
-    res2 = analyze_ensemble(d, cfg, max_lag=2, surrogate=sur, workers=4)
+    res1 = analyze_ensemble(d, cfg, sur, max_lag=2, workers=1)
+    res2 = analyze_ensemble(d, cfg, sur, max_lag=2, workers=4)
     assert res1.full_graph.link_keys() == res2.full_graph.link_keys()
     assert res1.frequencies.counts == res2.frequencies.counts
-    assert res1.robust.graph.link_keys() == res2.robust.graph.link_keys()
-    res3 = analyze_ensemble(d, cfg, max_lag=2, surrogate=sur, workers=1)
+    assert res1.robust.link_keys() == res2.robust.link_keys()
+    res3 = analyze_ensemble(d, cfg, sur, max_lag=2, workers=1)
     assert res3.frequencies.counts == res1.frequencies.counts
 
 
@@ -151,9 +151,9 @@ def test_analyze_ensemble_reuse_parent_bins_mode_runs():
     d = _dataset(5, names=("A", "B"), l=300)
     cfg = EnsembleConfig(5, 90, rng_seed=2)
     sur = SurrogateConfig(rng_seed=11, n_surrogates=30)
-    res = analyze_ensemble(d, cfg, max_lag=2, surrogate=sur, reuse_parent_bins=True)
+    res = analyze_ensemble(d, cfg, sur, max_lag=2, reuse_parent_bins=True)
     assert len(res.subsample_graphs) == 5
-    again = analyze_ensemble(d, cfg, max_lag=2, surrogate=sur, reuse_parent_bins=True)
+    again = analyze_ensemble(d, cfg, sur, max_lag=2, reuse_parent_bins=True)
     assert res.frequencies.counts == again.frequencies.counts
 
 
@@ -162,13 +162,12 @@ def test_analyze_ensemble_reports_all_parts():
     res = analyze_ensemble(
         d,
         EnsembleConfig(4, 80, rng_seed=0),
+        SurrogateConfig(rng_seed=1, n_surrogates=30),
         max_lag=2,
-        surrogate=SurrogateConfig(rng_seed=1, n_surrogates=30),
     )
     assert res.full_graph.variables == ("A", "B")
     assert len(res.subsample_graphs) == 4
     assert res.frequencies.n_subsamples == 4
-    assert res.robust.threshold == pytest.approx(0.9)
 
 
 def test_ensemble_config_validation():

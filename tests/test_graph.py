@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustcausal.errors import (
     InvalidConfig,
@@ -17,6 +18,7 @@ from robustcausal.graph import (
     import_graph,
 )
 from robustcausal.ensemble import EnsembleConfig, analyze_ensemble
+from robustcausal.granger import GrangerConfig, GrangerResult
 from robustcausal.significance import SurrogateConfig
 from robustcausal.timeseries import Dataset, TimeSeries
 
@@ -39,11 +41,11 @@ def test_candidate_count_is_pairs_times_lags():
     d = _noise_dataset(0)
     keys = candidate_keys(d.names, 3)
     assert len(keys) == 3 * 2 * 3
-    settings = dict(max_lag=3, surrogate=SurrogateConfig(rng_seed=3, n_surrogates=20))
-    for method in ("te", "gc"):
-        results = evaluate_candidates(d, method=method, **settings)
+    for test in (SurrogateConfig(rng_seed=3, n_surrogates=20), GrangerConfig()):
+        results = evaluate_candidates(d, test, max_lag=3)
         assert [(c.source, c.target, c.lag) for c in results] == keys
-        ens = analyze_ensemble(d, EnsembleConfig(3, 60, rng_seed=1), method=method, **settings)
+        ens = analyze_ensemble(d, EnsembleConfig(3, 60, rng_seed=1), test, max_lag=3)
+        assert ens.full_graph.method == ens.robust.method == test.method
         rows = [row.split(",")[:3] for row in ens.frequencies.to_csv().splitlines()[1:]]
         assert [(s, t, int(lag)) for s, t, lag in rows] == keys
 
@@ -56,28 +58,27 @@ def test_build_graph_contains_planted_link():
     y[2:] = x[:-2] + 0.1 * rng.normal(size=598)
     z = rng.normal(size=600)
     d = Dataset((_series("X", x), _series("Y", y), _series("Z", z)))
-    g = build_graph(d, max_lag=3, surrogate=SurrogateConfig(rng_seed=5))
+    g = build_graph(d, SurrogateConfig(rng_seed=5), max_lag=3)
     assert ("X", "Y", 2) in g.link_keys()
     assert g.method == "te"
     assert g.variables == ("X", "Y", "Z")
 
 
-def test_te_graph_requires_surrogate_config():
-    with pytest.raises(InvalidConfig):
-        build_graph(_noise_dataset(2), max_lag=2)
-
-
 def test_max_lag_guard():
     d = _noise_dataset(3, l=40)
     with pytest.raises(LagTooLarge):
-        build_graph(d, max_lag=10, surrogate=SurrogateConfig(rng_seed=0))
+        build_graph(d, SurrogateConfig(rng_seed=0), max_lag=10)
     with pytest.raises(InvalidConfig):
-        build_graph(d, max_lag=0, surrogate=SurrogateConfig(rng_seed=0))
+        build_graph(d, SurrogateConfig(rng_seed=0), max_lag=0)
 
 
-def test_unknown_method_rejected():
-    with pytest.raises(InvalidConfig):
-        build_graph(_noise_dataset(4), method="magic", max_lag=2)
+def test_unknown_test_config_rejected():
+    d = _noise_dataset(4)
+    for test in (None, "te", "gc", GrangerResult(1.0, 0.5, False, 1.0, 1.0, 1, 10)):
+        with pytest.raises(InvalidConfig):
+            build_graph(d, test, max_lag=2)
+        with pytest.raises(InvalidConfig):
+            analyze_ensemble(d, EnsembleConfig(3, 60, rng_seed=1), test, max_lag=2)
 
 
 def test_graph_validation_rules():
@@ -146,6 +147,13 @@ def test_unknown_format_rejected():
         import_graph("this is not json")
     with pytest.raises(UnknownFormat):
         import_graph('{"variables": ["X"]}')
+    text = export_graph(_graph([CausalLink("X", "Y", 1, 0.5)]), "json")
+    malformed = [text.replace('"lag": 1', '"lag": "x"'),
+                 text.replace('"max_lag": 4', '"max_lag": "two"')]
+    for bad in malformed:
+        assert bad != text
+        with pytest.raises(UnknownFormat):
+            import_graph(bad)
 
 
 def test_links_are_stored_sorted():
@@ -158,3 +166,23 @@ def test_links_are_stored_sorted():
     )
     keys = [(l.source, l.target, l.lag) for l in g.links]
     assert keys == sorted(keys)
+
+
+def _coupled_dataset(seed, l=120):
+    """Three variables with X -> Y at lag 1 and Z independent."""
+    rng = np.random.default_rng(seed)
+    x, z = rng.normal(size=l), rng.normal(size=l)
+    y = np.concatenate(([0.0], 0.8 * x[:-1])) + 0.5 * rng.normal(size=l)
+    return Dataset((_series("X", x), _series("Y", y), _series("Z", z)))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(seed=st.integers(0, 2**16), order=st.permutations([0, 1, 2]))
+def test_graph_does_not_depend_on_column_order(seed, order):
+    d = _coupled_dataset(seed)
+    shuffled = Dataset(tuple(d.series[i] for i in order))
+    for test in (SurrogateConfig(rng_seed=seed, n_surrogates=10), GrangerConfig()):
+        g = build_graph(d, test, max_lag=2)
+        assert build_graph(shuffled, test, max_lag=2).links == g.links
+        candidates = evaluate_candidates(d, test, max_lag=2)
+        assert set(g.links) == {c for c in candidates if c.significant}

@@ -32,7 +32,6 @@ PUBLIC = {
     # causal graphs
     "CausalLink",
     "LaggedCausalGraph",
-    "CandidateResult",
     "evaluate_candidates",
     "build_graph",
     "export_graph",
@@ -40,7 +39,6 @@ PUBLIC = {
     # ensemble consistency
     "EnsembleConfig",
     "LinkFrequencyTable",
-    "RobustGraph",
     "EnsembleResult",
     "draw_subsamples",
     "link_frequencies",

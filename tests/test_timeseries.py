@@ -95,7 +95,7 @@ def test_apply_preprocess_order_and_fields():
             _series("b", base[1]),
         )
     )
-    spec = PreprocessSpec(detrend=True, deseasonalize=True, season_period=12)
+    spec = PreprocessSpec(detrend=True, season_period=12)
     out = apply_preprocess(d, spec)
     assert out.names == d.names
     manual = deseasonalize(detrend_linear(d.series[0]), 12)
