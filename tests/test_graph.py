@@ -72,13 +72,23 @@ def test_max_lag_guard():
         build_graph(d, SurrogateConfig(rng_seed=0), max_lag=0)
 
 
-def test_unknown_test_config_rejected():
+def _assert_test_config_rejected(d, test):
+    with pytest.raises(InvalidConfig):
+        build_graph(d, test, max_lag=2)
+    with pytest.raises(InvalidConfig):
+        analyze_ensemble(d, EnsembleConfig(3, 60, rng_seed=1), test, max_lag=2)
+
+
+def test_te_graph_requires_surrogate_config():
+    # A missing test config is rejected, not defaulted.
+    _assert_test_config_rejected(_noise_dataset(2), None)
+
+
+def test_unknown_method_rejected():
+    # Method names and objects that are not test configs pick no method.
     d = _noise_dataset(4)
-    for test in (None, "te", "gc", GrangerResult(1.0, 0.5, False, 1.0, 1.0, 1, 10)):
-        with pytest.raises(InvalidConfig):
-            build_graph(d, test, max_lag=2)
-        with pytest.raises(InvalidConfig):
-            analyze_ensemble(d, EnsembleConfig(3, 60, rng_seed=1), test, max_lag=2)
+    for test in ("te", "gc", "magic", GrangerResult(1.0, 0.5, False, 1.0, 1.0, 1, 10)):
+        _assert_test_config_rejected(d, test)
 
 
 def test_graph_validation_rules():
