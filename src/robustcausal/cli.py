@@ -18,7 +18,9 @@ Each setting is one row of ``SETTINGS`` (flag, parser, default, help),
 keyed by its config key, which is also its key in the manifest's
 ``config``; ``--help`` shows both. A value comes from the flag, else the
 JSON file given as ``--config``, else the default; JSON ``null`` is unset.
-Unknown config keys and bad values are usage errors. Every run writes a
+Unknown config keys and bad values are usage errors, and so are the
+TE-only binning settings (``bins``, ``reuse_parent_bins``) set away from
+their defaults with ``--method gc``. Every run writes a
 ``manifest.json`` (effective config, seed, library versions, no
 timestamps); its ``config`` plus ``seed``, given as ``--config``, replays
 the run byte for byte.
@@ -313,13 +315,17 @@ def _surrogate_config(s: dict, seed: int) -> SurrogateConfig:
 def cmd_analyze(s: dict) -> int:
     ensemble = s["n_subsamples"] is not None
     seed = _require_seed(s["seed"]) if s["method"] == "te" or ensemble else s["seed"]
-    d, effective = _load_input(s, seed)
     if s["method"] == "te":
         test = _surrogate_config(s, seed)
-        keys = ["n_surrogates", "confidence", "te_surrogate_test"]
+        keys = ["bins", "n_surrogates", "confidence", "te_surrogate_test"]
     else:
+        for key in ("bins", "reuse_parent_bins"):  # binning is TE-only
+            if s[key] != SETTINGS[key].default:
+                raise UsageError(f"{SETTINGS[key].flag} (config key {key}) "
+                                 "applies to --method te only")
         test = GrangerConfig(alpha=s["gc_alpha"], lagwise=s["gc_lagwise"])
         keys = ["gc_alpha", "gc_lagwise"]
+    d, effective = _load_input(s, seed)
     bins = None if s["bins"] == "auto" else s["bins"]
     out = Path(s["out"])
 
@@ -335,14 +341,16 @@ def cmd_analyze(s: dict) -> int:
         graph, robust = result.full_graph, result.robust
         _write(out / "frequencies.csv", result.frequencies.to_csv())
         _write(out / "robust_graph.json", export_graph(robust, "json"))
-        keys += ["n_subsamples", "subsample_length", "mode", "threshold", "reuse_parent_bins"]
+        keys += ["n_subsamples", "subsample_length", "mode", "threshold"]
+        if s["method"] == "te":
+            keys.append("reuse_parent_bins")
         summary = f"full graph: {graph.n_links} link(s); robust graph: {robust.n_links} link(s)"
     else:
         graph = build_graph(d, test, s["max_lag"], bins=bins)
         summary = f"graph: {graph.n_links} significant link(s)"
     _write(out / "graph.json", export_graph(graph, "json"))
     _write(out / "graph.dot", export_graph(graph, "dot"))
-    effective.update(_pick(s, "method", "max_lag", "bins", *keys))
+    effective.update(_pick(s, "method", "max_lag", *keys))
     _write_manifest(out / "manifest.json", "analyze", effective, seed)
     print(f"{summary} -> {out}")
     return 0

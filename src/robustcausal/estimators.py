@@ -20,12 +20,25 @@ from joint entropies of the aligned triple ``(x[t - tau], y[t - tau], y[t])``:
 
 which equals the conditional mutual information
 ``I(X_past ; Y_now | Y_past)`` of the empirical joint distribution.
+
+Surrogate batches
+-----------------
+The significance tests take row entropies of many count rows at once
+(``_entropy_bits_rows``), one row per shuffled source. All rows of a batch
+count the same aligned samples, so they share one total N, which the
+caller passes: keeping that equal-total contract is the caller's job. Each
+count n is looked up in ``_plogp_table(N)``, the terms ``p * log2(p)`` at
+``p = n / N`` (0 at n = 0), computed once per N by the same float
+operations as the direct formula, and each row sums its terms in cell
+order. So the result is bit-identical to ``-sum(p * log2(p))`` over the
+nonzero cells, not merely close to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,14 +190,21 @@ def _entropy_bits(counts: np.ndarray) -> float:
     return float(-np.dot(p, np.log2(p)))
 
 
-def _entropy_bits_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise Shannon entropy in bits of a (n, cells) count matrix."""
-    totals = rows.sum(axis=1, keepdims=True).astype(float)
-    p = rows / totals
-    terms = np.zeros_like(p)
-    mask = rows > 0
-    terms[mask] = p[mask] * np.log2(p[mask])
-    return -terms.sum(axis=1)
+@lru_cache(maxsize=64)
+def _plogp_table(total: int) -> np.ndarray:
+    """``p * log2(p)`` at ``p = n / total`` for every count ``n`` in
+    ``0..total``, with 0 at ``n = 0``; read-only, shared between calls."""
+    p = np.arange(1, total + 1) / float(total)
+    table = np.zeros(total + 1)
+    table[1:] = p * np.log2(p)
+    table.flags.writeable = False
+    return table
+
+
+def _entropy_bits_rows(rows: np.ndarray, total: int) -> np.ndarray:
+    """Row-wise Shannon entropy in bits of a (n, cells) count matrix whose
+    rows all sum to ``total``."""
+    return -_plogp_table(total)[rows].sum(axis=1)
 
 
 def mutual_information(x: TimeSeries, y: TimeSeries, spec: BinningSpec) -> float:

@@ -11,7 +11,17 @@ The test statistic is
 
     F = ((RSS_reduced - RSS_full) / k) / (RSS_full / (N - params_full))
 
-with k restrictions, referred to the F(k, N - params_full) distribution.
+with k restrictions, referred to the F(k, N - params_full) distribution;
+the p-value comes from ``scipy.special.fdtrc``, the survival function
+``scipy.stats.f.sf`` wraps, so ``scipy.stats`` is never imported.
+
+The reduced model depends only on the target and the lag, so a caller
+testing several sources against one (target, lag) fits it once with
+``_reduced_rss`` and passes ``rss_reduced`` in; the result is the same
+float as an unshared fit. Each model keeps its own singular-design check:
+the Gram matrix of the reduced design and that of the full design must
+each have a 2-norm condition number (``np.linalg.cond``) of at most
+``_COND_LIMIT``, else ``SingularDesign`` is raised.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import InvalidConfig, LengthMismatch, NonFinite, SingularDesign, TooShort
 from .timeseries import TimeSeries
@@ -76,8 +86,32 @@ def _ols_rss(design: np.ndarray, target: np.ndarray) -> float:
     return float(np.dot(resid, resid))
 
 
-def granger_test(x: TimeSeries, y: TimeSeries, lag: int, cfg: GrangerConfig) -> GrangerResult:
-    """F-test of whether lagged x improves the autoregressive fit of y."""
+def _autoregression(yv: np.ndarray, lag: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Target ``y[lag:]`` and the columns of the reduced design: an
+    intercept and the lags 1..lag of ``y``."""
+    l = yv.size
+    auto_cols = [yv[lag - j : l - j] for j in range(1, lag + 1)]
+    return yv[lag:], [np.ones(l - lag)] + auto_cols
+
+
+def _reduced_rss(yv: np.ndarray, lag: int) -> float:
+    """RSS of the reduced model of ``y`` at ``lag``, shared by every source."""
+    target, cols = _autoregression(yv, lag)
+    return _ols_rss(np.column_stack(cols), target)
+
+
+def granger_test(
+    x: TimeSeries,
+    y: TimeSeries,
+    lag: int,
+    cfg: GrangerConfig,
+    rss_reduced: float | None = None,
+) -> GrangerResult:
+    """F-test of whether lagged x improves the autoregressive fit of y.
+
+    ``rss_reduced`` is the reduced model's RSS from ``_reduced_rss`` on
+    ``y`` at ``lag``; when None the reduced model is fitted here.
+    """
     if len(x) != len(y):
         raise LengthMismatch(
             f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
@@ -92,8 +126,6 @@ def granger_test(x: TimeSeries, y: TimeSeries, lag: int, cfg: GrangerConfig) -> 
     l = yv.size
     p = lag
     n_eff = l - p
-    target = yv[p:]
-    auto_cols = [yv[p - j : l - j] for j in range(1, p + 1)]
     if cfg.lagwise:
         source_cols = [xv[: l - p]]
     else:
@@ -107,11 +139,10 @@ def granger_test(x: TimeSeries, y: TimeSeries, lag: int, cfg: GrangerConfig) -> 
             f"({params_full} parameters, {n_eff} usable samples)"
         )
 
-    ones = np.ones(n_eff)
-    design_reduced = np.column_stack([ones] + auto_cols)
-    design_full = np.column_stack([ones] + auto_cols + source_cols)
-    rss_reduced = _ols_rss(design_reduced, target)
-    rss_full = _ols_rss(design_full, target)
+    target, reduced_cols = _autoregression(yv, p)
+    if rss_reduced is None:
+        rss_reduced = _ols_rss(np.column_stack(reduced_cols), target)
+    rss_full = _ols_rss(np.column_stack(reduced_cols + source_cols), target)
 
     numerator = max(0.0, rss_reduced - rss_full) / k
     denominator = rss_full / df_den
@@ -119,7 +150,7 @@ def granger_test(x: TimeSeries, y: TimeSeries, lag: int, cfg: GrangerConfig) -> 
         f_statistic = math.inf if numerator > 0.0 else 0.0
     else:
         f_statistic = numerator / denominator
-    p_value = float(stats.f.sf(f_statistic, k, df_den)) if math.isfinite(f_statistic) else 0.0
+    p_value = float(special.fdtrc(k, df_den, f_statistic)) if math.isfinite(f_statistic) else 0.0
     return GrangerResult(
         f_statistic=f_statistic,
         p_value=p_value,

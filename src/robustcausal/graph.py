@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidConfig, LagTooLarge, UnknownFormat, VariableMismatch
 from .estimators import BinningSpec
-from .granger import GrangerConfig, granger_test
+from .granger import GrangerConfig, _reduced_rss, granger_test
 from .significance import SurrogateConfig, _name_key, _te_link_from_codes
 from .timeseries import Dataset, validate_dataset
 
@@ -142,9 +142,15 @@ def evaluate_candidates(
             return res.te, res.link
 
     elif isinstance(test, GrangerConfig):
+        # The reduced fit of a (target, lag) is shared by every source; it
+        # is made at that pair's first candidate, where an unshared test
+        # would make it first, so a singular design raises at the same one.
+        reduced: dict[tuple[str, int], float] = {}
 
         def decide(src: str, tgt: str, lag: int) -> tuple[float, bool]:
-            res = granger_test(d.get(src), d.get(tgt), lag, test)
+            if (tgt, lag) not in reduced:
+                reduced[tgt, lag] = _reduced_rss(d.get(tgt).values, lag)
+            res = granger_test(d.get(src), d.get(tgt), lag, test, reduced[tgt, lag])
             return res.f_statistic, res.link
 
     else:

@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import InvalidConfig, LagTooLarge, LengthMismatch
 from .estimators import BinningSpec, _entropy_bits, _entropy_bits_rows, _joint_counts, _te_from_codes
@@ -112,7 +112,9 @@ def _name_key(name: str) -> int:
 
 @lru_cache(maxsize=64)
 def _t_critical(confidence: float, df: int) -> float:
-    return float(stats.t.ppf(confidence, df))
+    """Student-t quantile ``t.ppf(confidence, df)``, by the special
+    function it wraps, so that ``scipy.stats`` is never imported."""
+    return float(special.stdtrit(df, confidence))
 
 
 def _decide(observed: float, surrogates: np.ndarray, confidence: float) -> SignificanceResult:
@@ -157,8 +159,8 @@ def _mi_stage(
     flat = (rows * m + c[None, :]) + offsets
     counts = np.bincount(flat.ravel(), minlength=n_rows * m * m)
     counts = counts.reshape(n_rows, m * m)
-    h_ac_s = _entropy_bits_rows(counts)
-    h_a_s = _entropy_bits_rows(counts.reshape(n_rows, m, m).sum(axis=2))
+    h_ac_s = _entropy_bits_rows(counts, c.size)
+    h_a_s = _entropy_bits_rows(counts.reshape(n_rows, m, m).sum(axis=2), c.size)
     surrogates = np.maximum(0.0, h_a_s + h_c - h_ac_s)
     return _decide(observed, surrogates, confidence)
 
@@ -196,8 +198,10 @@ def _te_stage(
         flat = (part * (m * m) + base[None, :]) + offsets
         counts = np.bincount(flat.ravel(), minlength=n_part * cells)
         counts = counts.reshape(n_part, cells)
-        h_abc_s = _entropy_bits_rows(counts)
-        h_ab_s = _entropy_bits_rows(counts.reshape(n_part, m, m, m).sum(axis=3).reshape(n_part, m * m))
+        h_abc_s = _entropy_bits_rows(counts, keep)
+        h_ab_s = _entropy_bits_rows(
+            counts.reshape(n_part, m, m, m).sum(axis=3).reshape(n_part, m * m), keep
+        )
         surrogates[start : start + n_part] = -h_b + h_ab_s + h_bc - h_abc_s
     np.maximum(surrogates, 0.0, out=surrogates)
     return _decide(observed, surrogates, confidence)

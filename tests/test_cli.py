@@ -262,7 +262,13 @@ def test_manifest_configs_are_pinned(tmp_path):
     assert _manifest_config(
         "analyze", *system_b, "--method", "gc", "--gc-mode", "cumulative",
         "--gc-alpha", "0.01", "--seed", "2", "--out", f"{t}/gc",
-    ) == {**source_b, "method": "gc", "bins": "auto", "gc_alpha": 0.01, "gc_lagwise": False}
+    ) == {**source_b, "method": "gc", "gc_alpha": 0.01, "gc_lagwise": False}
+    # binning is TE-only, so a GC manifest records neither bins key
+    assert _manifest_config(
+        "analyze", *system_b, "--method", "gc", "--subsamples", "3", "--sub-length", "120",
+        "--seed", "2", "--out", f"{t}/gc_ens",
+    ) == {**source_b, "method": "gc", "gc_alpha": 0.05, "gc_lagwise": True, "n_subsamples": 3,
+          "subsample_length": 120, "mode": "random-continuous", "threshold": 0.9}
     assert _manifest_config(
         "analyze", "--system", "bivariate-linear", "--m", "0.5", "--length", "200",
         "--max-lag", "2", "--surrogates", "20", "--seed", "2", "--out", f"{t}/biv_te",
@@ -278,6 +284,27 @@ def test_manifest_configs_are_pinned(tmp_path):
         "sensitivity", *system_b, "--radius", "1", "--surrogates", "20",
         "--seed", "4", "--out", f"{t}/sens",
     ) == {**source_b, "center": 9, "radius": 1, "n_surrogates": 20, "confidence": 0.95}
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (("--bins", "6"), {}, "--bins (config key bins)"),
+    (("--reuse-parent-bins",), {}, "--reuse-parent-bins (config key reuse_parent_bins)"),
+    ((), {"bins": 6}, "--bins (config key bins)"),
+    ((), {"reuse_parent_bins": True}, "--reuse-parent-bins (config key reuse_parent_bins)"),
+    (("--bins", "auto", "--no-reuse-parent-bins"), {}, None),
+], ids=["bins-flag", "reuse-flag", "bins-key", "reuse-key", "defaults"])
+def test_gc_refuses_binning_settings(tmp_path, capsys, flags, config, named):
+    out = tmp_path / "o"
+    path = _write_config(tmp_path / "c.json", config)
+    code = _run("analyze", "--system", "B", "--length", "300", "--max-lag", "2",
+                "--method", "gc", "--subsamples", "3", "--sub-length", "120", "--seed", "2",
+                "--config", path, *flags, "--out", str(out))
+    if named is None:
+        assert code == 0
+        return
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _write_config(path, config):

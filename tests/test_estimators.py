@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustcausal.errors import (
     DegenerateBins,
@@ -134,10 +135,40 @@ def test_entropy_bits_oracle_values():
     assert _entropy_bits(np.array([8, 8])) == pytest.approx(1.0)
     assert _entropy_bits(np.array([16, 0])) == 0.0
     assert _entropy_bits(np.array([12, 4])) == pytest.approx(expected, rel=1e-12)
-    rows = _entropy_bits_rows(np.array([[8, 8], [16, 0], [12, 4]]))
+    rows = _entropy_bits_rows(np.array([[8, 8], [16, 0], [12, 4]]), 16)
     assert rows[0] == pytest.approx(1.0)
     assert rows[1] == 0.0
     assert rows[2] == pytest.approx(expected, rel=1e-12)
+
+
+def _masked_log2_entropy_rows(rows):
+    """Direct row entropies, -sum(p * log2 p) over the nonzero cells: the
+    formula the lookup table replaced, kept as its oracle."""
+    totals = rows.sum(axis=1, keepdims=True).astype(float)
+    p = rows / totals
+    terms = np.zeros_like(p)
+    mask = rows > 0
+    terms[mask] = p[mask] * np.log2(p[mask])
+    return -terms.sum(axis=1)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 12),
+    cells=st.integers(1, 600),
+    total=st.integers(1, 2000),
+    concentration=st.sampled_from([0.05, 0.5, 5.0]),
+)
+def test_entropy_rows_table_is_bit_identical_to_masked_log2(
+    seed, n_rows, cells, total, concentration
+):
+    # equal-total count rows, from one-cell spikes to near-uniform spreads
+    rng = np.random.default_rng(seed)
+    pvals = rng.dirichlet(np.full(cells, concentration))
+    rows = rng.multinomial(total, pvals / pvals.sum(), size=n_rows)
+    got = _entropy_bits_rows(rows, total)
+    assert got.tobytes() == _masked_log2_entropy_rows(rows).tobytes()
 
 
 def test_entropy_bits_empty_histogram():
@@ -245,3 +276,45 @@ def test_te_argument_validation():
         transfer_entropy(x, y, 12, spec)
     with pytest.raises(LengthMismatch):
         transfer_entropy(x, _series("y", np.arange(10.0)), 1, spec)
+
+
+def _coupled_binned_pair(seed, l, m, drive_lag, mix):
+    """x noise and y = mix * x[t - drive_lag] + (1 - mix) * noise, binned in m."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=l)
+    y = (1.0 - mix) * rng.normal(size=l)
+    y[drive_lag:] += mix * x[:-drive_lag]
+    d = Dataset((_series("x", x), _series("y", y)))
+    return d.get("x"), d.get("y"), BinningSpec.from_dataset(d, bin_count=m)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    l=st.integers(20, 400),
+    m=st.integers(2, 10),
+    mix=st.floats(0.0, 1.0),
+)
+def test_mi_is_symmetric_and_nonnegative(seed, l, m, mix):
+    x, y, spec = _coupled_binned_pair(seed, l, m, 1, mix)
+    mi = mutual_information(x, y, spec)
+    assert mi == mutual_information(y, x, spec)
+    assert mi >= 0.0
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    l=st.integers(20, 400),
+    m=st.integers(2, 10),
+    drive_lag=st.integers(1, 3),
+    lag=st.integers(1, 3),
+    mix=st.floats(0.0, 1.0),
+)
+def test_te_is_between_zero_and_min_entropy(seed, l, m, drive_lag, lag, mix):
+    x, y, spec = _coupled_binned_pair(seed, l, m, drive_lag, mix)
+    te = transfer_entropy(x, y, lag, spec)
+    keep = l - lag
+    h_source = _entropy_bits(np.bincount(spec.digitize(x)[:keep]))
+    h_target = _entropy_bits(np.bincount(spec.digitize(y)[lag:]))
+    assert 0.0 <= te <= min(h_source, h_target) + 1e-12

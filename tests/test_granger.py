@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from robustcausal.errors import (
     InvalidConfig,
@@ -8,8 +9,9 @@ from robustcausal.errors import (
     TooShort,
 )
 from robustcausal.granger import GrangerConfig, GrangerResult, granger_test
+from robustcausal.graph import candidate_keys, evaluate_candidates
 from robustcausal.synthetic import SystemSpec, generate
-from robustcausal.timeseries import TimeSeries
+from robustcausal.timeseries import Dataset, TimeSeries
 
 
 def _series(name, values):
@@ -116,3 +118,45 @@ def test_result_reports_consistent_fields():
     assert res.df_den > 0
     assert res.rss_full > 0.0
     assert res.link == (res.p_value < 0.05)
+
+
+def test_p_value_equals_scipy_stats_f_survival():
+    # F from ~0 (gain 0) to huge (gain 1) at residual df from 5 to 494
+    for l in (12, 30, 100, 500):
+        for gain in (0.0, 0.05, 0.2, 1.0):
+            for seed, lag in enumerate((1, 2, 3)):
+                x, y = _driven_pair(seed, l=l, lag=lag, gain=gain)
+                for lagwise in (True, False):
+                    res = granger_test(x, y, lag, GrangerConfig(lagwise=lagwise))
+                    want = float(stats.f.sf(res.f_statistic, res.df_num, res.df_den))
+                    assert res.p_value == want, (l, gain, lag, lagwise)
+
+
+@pytest.mark.parametrize("lagwise", [True, False], ids=["lagwise", "cumulative"])
+def test_shared_reduced_fit_matches_unshared_tests(lagwise):
+    d, _ = generate(SystemSpec(kind="B", length=400, rng_seed=8))
+    cfg = GrangerConfig(lagwise=lagwise)
+    for data in (d, d.window(50, 200)):
+        shared = evaluate_candidates(data, cfg, max_lag=4)
+        assert [(c.source, c.target, c.lag) for c in shared] == candidate_keys(data.names, 4)
+        for c in shared:
+            alone = granger_test(data.get(c.source), data.get(c.target), c.lag, cfg)
+            assert c.strength.hex() == alone.f_statistic.hex(), c
+            assert c.significant == alone.link, c
+
+
+def test_shared_reduced_fit_keeps_singular_design_errors():
+    rng = np.random.default_rng(9)
+    noise, flat = _series("X", rng.normal(size=80)), _series("F", np.full(80, 2.5))
+    # flat target: the shared reduced fit (2 columns) raises at the first
+    # candidate, X -> F at lag 1; flat source: the full fit (3 columns)
+    # raises at F -> X at lag 1
+    cases = ((Dataset((noise, flat)), "X", "F", "(2 columns)"),
+             (Dataset((flat, noise)), "F", "X", "(3 columns)"))
+    for d, src, tgt, columns in cases:
+        with pytest.raises(SingularDesign) as alone:
+            granger_test(d.get(src), d.get(tgt), 1, GrangerConfig())
+        with pytest.raises(SingularDesign) as shared:
+            evaluate_candidates(d, GrangerConfig(), max_lag=2)
+        assert str(shared.value) == str(alone.value)
+        assert columns in str(shared.value)

@@ -1,5 +1,10 @@
 """The package's public surface: exactly these names, each one resolvable."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import robustcausal
 
 PUBLIC = {
@@ -87,3 +92,15 @@ def test_public_names_are_pinned_and_resolve():
     assert set(robustcausal.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(robustcausal, name), name
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    # scipy.stats takes most of the CLI's import time; the package uses the
+    # scipy.special functions it wraps instead.
+    src = str(Path(robustcausal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, robustcausal.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

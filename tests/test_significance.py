@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from robustcausal.errors import InvalidConfig, LagTooLarge, LengthMismatch
 from robustcausal.estimators import BinningSpec, mutual_information, transfer_entropy
@@ -7,6 +8,7 @@ from robustcausal.significance import (
     SurrogateConfig,
     _decide,
     _shuffled_source_rows,
+    _t_critical,
     te_link_test,
 )
 from robustcausal.timeseries import Dataset, TimeSeries
@@ -163,3 +165,12 @@ def test_te_link_argument_validation():
         te_link_test(x, y, 40, spec, cfg)
     with pytest.raises(LengthMismatch):
         te_link_test(x, _series("y", np.arange(39.0)), 1, spec, cfg)
+
+
+def test_t_critical_equals_scipy_stats_quantile():
+    confidences = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
+    dfs = list(range(1, 301)) + [499, 999, 4999, 100_000]
+    for confidence in confidences:
+        for df in dfs:
+            assert _t_critical(confidence, df) == float(stats.t.ppf(confidence, df)), (
+                confidence, df)
