@@ -18,9 +18,9 @@ Each setting is one row of ``SETTINGS`` (flag, parser, default, help),
 keyed by its config key, which is also its key in the manifest's
 ``config``; ``--help`` shows both. A value comes from the flag, else the
 JSON file given as ``--config``, else the default; JSON ``null`` is unset.
-Unknown config keys and bad values are usage errors, and so are the
-TE-only binning settings (``bins``, ``reuse_parent_bins``) set away from
-their defaults with ``--method gc``. Every run writes a
+Unknown config keys and bad values are usage errors, and so is a setting
+of an ``analyze`` part (TE, GC, the ensemble) that the run skips, set away
+from its default. Every run writes a
 ``manifest.json`` (effective config, seed, library versions, no
 timestamps); its ``config`` plus ``seed``, given as ``--config``, replays
 the run byte for byte.
@@ -176,6 +176,23 @@ SETTINGS = {
 
 SOURCE_KEYS = ("input", "system", "length", "burn_in", "signal", "noise",
                "detrend", "deseasonalize_period")
+TE_KEYS = ("bins", "n_surrogates", "confidence", "te_surrogate_test")
+GC_KEYS = ("gc_alpha", "gc_lagwise")
+ENSEMBLE_KEYS = ("n_subsamples", "subsample_length", "mode", "threshold")
+# Each part of an analyze run: the settings only it reads, what a run sets
+# to use it, and whether it does; in order, the analyze keys after "method".
+ANALYZE_PARTS = (
+    (TE_KEYS, "--method te", lambda s: s["method"] == "te"),
+    (GC_KEYS, "--method gc", lambda s: s["method"] == "gc"),
+    (ENSEMBLE_KEYS, "--subsamples", lambda s: s["n_subsamples"] is not None),
+    (("reuse_parent_bins",), "--method te with --subsamples",
+     lambda s: s["method"] == "te" and s["n_subsamples"] is not None),
+    (("workers",), "--subsamples", lambda s: s["n_subsamples"] is not None),
+)
+UNRECORDED_KEYS = ("workers",)  # used, but not in the manifest: it changes no output
+# Settings a run may set for a part it skips: the benchmark harness
+# (benchmarks/harness.py) passes --surrogates to its GC analyses too.
+UNCHECKED_KEYS = ("n_surrogates",)
 
 
 def _load_config(path) -> dict:
@@ -309,24 +326,27 @@ def cmd_generate(s: dict) -> int:
 def _surrogate_config(s: dict, seed: int) -> SurrogateConfig:
     return SurrogateConfig(rng_seed=seed, n_surrogates=s["n_surrogates"],
                            confidence=s["confidence"],
-                           te_surrogate_test=s.get("te_surrogate_test") == "on")
+                           te_surrogate_test=s.get("te_surrogate_test") == "on",
+                           bins=None if s.get("bins", "auto") == "auto" else s["bins"],
+                           reuse_parent_bins=s.get("reuse_parent_bins", False))
 
 
 def cmd_analyze(s: dict) -> int:
+    recorded = ["method", "max_lag"]
+    for keys, needs, used in ANALYZE_PARTS:
+        if used(s):
+            recorded += [key for key in keys if key not in UNRECORDED_KEYS]
+            continue
+        for key in keys:
+            row = SETTINGS[key]
+            default = None if row.default is None else row.parse(row.default)
+            if key not in UNCHECKED_KEYS and s[key] != default:
+                raise UsageError(f"{row.flag} (config key {key}) needs {needs}")
     ensemble = s["n_subsamples"] is not None
     seed = _require_seed(s["seed"]) if s["method"] == "te" or ensemble else s["seed"]
-    if s["method"] == "te":
-        test = _surrogate_config(s, seed)
-        keys = ["bins", "n_surrogates", "confidence", "te_surrogate_test"]
-    else:
-        for key in ("bins", "reuse_parent_bins"):  # binning is TE-only
-            if s[key] != SETTINGS[key].default:
-                raise UsageError(f"{SETTINGS[key].flag} (config key {key}) "
-                                 "applies to --method te only")
-        test = GrangerConfig(alpha=s["gc_alpha"], lagwise=s["gc_lagwise"])
-        keys = ["gc_alpha", "gc_lagwise"]
+    test = (_surrogate_config(s, seed) if s["method"] == "te"
+            else GrangerConfig(alpha=s["gc_alpha"], lagwise=s["gc_lagwise"]))
     d, effective = _load_input(s, seed)
-    bins = None if s["bins"] == "auto" else s["bins"]
     out = Path(s["out"])
 
     if ensemble:
@@ -335,22 +355,18 @@ def cmd_analyze(s: dict) -> int:
         ens_cfg = EnsembleConfig(n_subsamples=s["n_subsamples"],
                                  subsample_length=s["subsample_length"], rng_seed=seed,
                                  mode=s["mode"], threshold=s["threshold"])
-        result = analyze_ensemble(d, ens_cfg, test, max_lag=s["max_lag"], bins=bins,
-                                  reuse_parent_bins=s["reuse_parent_bins"],
+        result = analyze_ensemble(d, ens_cfg, test, max_lag=s["max_lag"],
                                   workers=_worker_count(s["workers"]))
         graph, robust = result.full_graph, result.robust
         _write(out / "frequencies.csv", result.frequencies.to_csv())
         _write(out / "robust_graph.json", export_graph(robust, "json"))
-        keys += ["n_subsamples", "subsample_length", "mode", "threshold"]
-        if s["method"] == "te":
-            keys.append("reuse_parent_bins")
         summary = f"full graph: {graph.n_links} link(s); robust graph: {robust.n_links} link(s)"
     else:
-        graph = build_graph(d, test, s["max_lag"], bins=bins)
+        graph = build_graph(d, test, s["max_lag"])
         summary = f"graph: {graph.n_links} significant link(s)"
     _write(out / "graph.json", export_graph(graph, "json"))
     _write(out / "graph.dot", export_graph(graph, "dot"))
-    effective.update(_pick(s, "method", "max_lag", *keys))
+    effective.update(_pick(s, *recorded))
     _write_manifest(out / "manifest.json", "analyze", effective, seed)
     print(f"{summary} -> {out}")
     return 0
@@ -410,10 +426,9 @@ COMMANDS = {
                         ("system", "length", "burn_in", "signal", "noise", "seed", "out", "truth"),
                         None),
     "analyze": Command(cmd_analyze, "build the lagged causal graph of a dataset",
-                       SOURCE_KEYS + ("max_lag", "method", "bins", "n_surrogates", "confidence",
-                                      "te_surrogate_test", "gc_alpha", "gc_lagwise",
-                                      "n_subsamples", "subsample_length", "mode", "threshold",
-                                      "reuse_parent_bins", "workers", "seed", "out"),
+                       SOURCE_KEYS + ("max_lag", "method",
+                                      *(key for keys, _, _ in ANALYZE_PARTS for key in keys),
+                                      "seed", "out"),
                        "analysis"),
     "evaluate": Command(cmd_evaluate, "Monte Carlo FNR/FPR curves on the bivariate benchmark",
                         ("kind", "lengths", "ratios", "trials", "n_surrogates", "confidence",

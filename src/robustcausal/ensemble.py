@@ -5,8 +5,8 @@ reappearing when the analysis is repeated on many shorter contiguous
 windows of the same record. The pipeline draws ``n`` windows of length
 ``q``, builds one graph per window, counts how often each (source, target,
 lag) link shows up, and keeps the links whose appearance count reaches
-``ceil(threshold * n)``. The test config picks the method for the full
-sample and every window alike, as in :func:`robustcausal.graph.build_graph`.
+``ceil(threshold * n)``. One test config, its binning included, serves the
+full sample and every window, as in :func:`robustcausal.graph.build_graph`.
 
 Window schemes
 --------------
@@ -126,14 +126,10 @@ class LinkFrequencyTable:
     def fraction(self, key: LinkKey) -> float:
         return self.counts.get(key, 0) / self.n_subsamples
 
-    def candidate_keys(self) -> list[LinkKey]:
-        """All (source, target, lag) candidates of the underlying search."""
-        return candidate_keys(self.variables, self.max_lag)
-
     def to_csv(self) -> str:
         """CSV with one row per candidate link: source,target,lag,count,fraction."""
         lines = ["source,target,lag,count,fraction"]
-        for key in sorted(self.candidate_keys()):
+        for key in sorted(candidate_keys(self.variables, self.max_lag)):
             s, t, lag = key
             count = self.counts.get(key, 0)
             lines.append(f"{s},{t},{lag},{count},{count / self.n_subsamples!r}")
@@ -199,7 +195,6 @@ def _subsample_graph(
     test: SurrogateConfig | GrangerConfig,
     *,
     max_lag: int,
-    bins: int | None,
     spec: BinningSpec | None,
 ) -> LaggedCausalGraph:
     """One window's graph, built exactly as the full-sample graph is.
@@ -207,7 +202,7 @@ def _subsample_graph(
     A named module-level function: the pool pickles it by reference, and
     ``benchmarks/layer_trace.py`` times window graphs through it.
     """
-    return build_graph(window, test, max_lag, bins=bins, spec=spec)
+    return build_graph(window, test, max_lag, spec=spec)
 
 
 def analyze_ensemble(
@@ -216,8 +211,6 @@ def analyze_ensemble(
     test: SurrogateConfig | GrangerConfig,
     *,
     max_lag: int = 4,
-    bins: int | None = None,
-    reuse_parent_bins: bool = False,
     workers: int = 1,
 ) -> EnsembleResult:
     """Full pipeline: full-sample graph, per-window graphs, vote, filter.
@@ -225,15 +218,15 @@ def analyze_ensemble(
     The test config picks the method, as in ``build_graph``. Each window's
     TE surrogate streams derive from (surrogate seed, window index), so
     results are reproducible and independent of ``workers``. With
-    ``reuse_parent_bins`` the TE discretization derived on the full sample
-    is reused for every window instead of re-derived per window.
+    ``test.reuse_parent_bins`` the TE discretization derived on the full
+    sample is reused for every window instead of re-derived per window.
     """
     validate_dataset(d)
     te = isinstance(test, SurrogateConfig)
     parent_spec = None
-    if te and reuse_parent_bins:
-        parent_spec = BinningSpec.from_dataset(d, bin_count=bins, allow_constant=True)
-    full_graph = build_graph(d, test, max_lag, bins=bins, spec=parent_spec)
+    if te and test.reuse_parent_bins:
+        parent_spec = BinningSpec.from_dataset(d, bin_count=test.bins, allow_constant=True)
+    full_graph = build_graph(d, test, max_lag, spec=parent_spec)
 
     windows = draw_subsamples(d, cfg)
     # Window j's surrogates are seeded from (seed, 0x5B5B, j); the salt is
@@ -242,7 +235,7 @@ def analyze_ensemble(
         replace(test, rng_seed=_derived_seed(test.rng_seed, 0x5B5B, j)) if te else test
         for j in range(len(windows))
     ]
-    window_graph = partial(_subsample_graph, max_lag=max_lag, bins=bins, spec=parent_spec)
+    window_graph = partial(_subsample_graph, max_lag=max_lag, spec=parent_spec)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             graphs = list(pool.map(window_graph, windows, tests))

@@ -20,16 +20,15 @@ err together is the binomial tail
 
     E(e_s) = sum_{i = k_min}^{n} C(n, i) e_s^i (1 - e_s)^(n - i)
 
-which is what :func:`ensemble_error_binomial` computes. The companion
-:func:`ensemble_miss_binomial` gives the complement reading for a true
-link: the probability that *fewer* than ``k_min`` subsamples detect it
-(detection probability ``1 - e_s``), i.e. that the consistency vote drops
-a real link.
+which is what :func:`ensemble_error_binomial` computes. Read for a true
+link missed with probability ``e_s``, ``1 - E(1 - e_s)`` is the
+probability that *fewer* than ``k_min`` subsamples detect it, i.e. that
+the consistency vote drops a real link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .errors import InvalidConfig, VariableMismatch
@@ -44,7 +43,6 @@ __all__ = [
     "TruthScore",
     "score_against_truth",
     "ensemble_error_binomial",
-    "ensemble_miss_binomial",
     "ErrorRatePoint",
     "ErrorRateCurve",
     "monte_carlo_rates",
@@ -140,32 +138,17 @@ def score_against_truth(
     )
 
 
-def _check_binomial_args(e_s: float, n: int, k_min: int) -> None:
+def ensemble_error_binomial(e_s: float, n: int, k_min: int) -> float:
+    """Probability that at least ``k_min`` of ``n`` independent subsample
+    analyses commit an error of per-subsample probability ``e_s``."""
     if not 0.0 <= e_s <= 1.0:
         raise InvalidConfig(f"per-subsample rate must be in [0, 1], got {e_s}")
     if n < 1:
         raise InvalidConfig(f"n must be >= 1, got {n}")
     if not 1 <= k_min <= n:
         raise InvalidConfig(f"k_min must be in 1..{n}, got {k_min}")
-
-
-def ensemble_error_binomial(e_s: float, n: int, k_min: int) -> float:
-    """Probability that at least ``k_min`` of ``n`` independent subsample
-    analyses commit an error of per-subsample probability ``e_s``."""
-    _check_binomial_args(e_s, n, k_min)
     return float(
         sum(comb(n, i) * e_s**i * (1.0 - e_s) ** (n - i) for i in range(k_min, n + 1))
-    )
-
-
-def ensemble_miss_binomial(e_s: float, n: int, k_min: int) -> float:
-    """Probability that a true link is detected by fewer than ``k_min`` of
-    ``n`` subsamples when each misses it with probability ``e_s``, i.e.
-    that the consistency vote drops the link."""
-    _check_binomial_args(e_s, n, k_min)
-    detect = 1.0 - e_s
-    return float(
-        sum(comb(n, i) * detect**i * e_s ** (n - i) for i in range(0, k_min))
     )
 
 
@@ -296,8 +279,9 @@ def bin_sensitivity_scan(
     max_lag: int = 4,
     surrogate: SurrogateConfig,
 ) -> BinSensitivityReport:
-    """Rebuild the TE graph at bin counts center - radius .. center + radius
-    and report each link set's Jaccard similarity to the center graph."""
+    """Rebuild the TE graph at bin counts center - radius .. center + radius,
+    each with a copy of ``surrogate`` forcing that ``bins``, and report each
+    link set's Jaccard similarity to the center graph."""
     if radius < 0:
         raise InvalidConfig(f"radius must be >= 0, got {radius}")
     if center_bins - radius < 2:
@@ -306,7 +290,7 @@ def bin_sensitivity_scan(
         )
     graphs = {}
     for m in range(center_bins - radius, center_bins + radius + 1):
-        graphs[m] = build_graph(d, surrogate, max_lag, bins=m)
+        graphs[m] = build_graph(d, replace(surrogate, bins=m), max_lag)
     center = graphs[center_bins]
     similarity = {m: jaccard_links(center, g) for m, g in graphs.items()}
     return BinSensitivityReport(center_bins=center_bins, graphs=graphs, jaccard=similarity)

@@ -4,9 +4,10 @@ deterministic serialization (JSON, DOT, CSV).
 A graph over k variables with maximum lag L is built by testing every
 ordered pair at every lag 1..L, exactly k*(k-1)*L candidate links; only
 significant candidates become graph links. Self-links are never tested.
-The test config picks the method: a ``SurrogateConfig`` runs binned TE
-against shuffled surrogates, a ``GrangerConfig`` the Granger F-test, and
-the graph is labelled with that config's ``method`` ("te" or "gc").
+The test config picks the method and holds its settings: a
+``SurrogateConfig`` runs binned TE against shuffled surrogates, a
+``GrangerConfig`` the Granger F-test, and the graph is labelled with that
+config's ``method`` ("te" or "gc").
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def evaluate_candidates(
     test: SurrogateConfig | GrangerConfig,
     max_lag: int = 4,
     *,
-    bins: int | None = None,
     spec: BinningSpec | None = None,
 ) -> list[CausalLink]:
     """Test every ordered pair at every lag 1..max_lag and record the outcome
@@ -119,7 +119,7 @@ def evaluate_candidates(
     ``GrangerConfig`` the lagwise or cumulative Granger F-test (strength =
     F statistic). The TE path bins with ``spec`` when one is given (a
     subsample window reusing the full sample's discretization), else
-    derives a spec from ``d``: Scott's rule, or the count ``bins`` forces.
+    derives a spec from ``d``: Scott's rule, or the count ``test.bins`` forces.
     """
     validate_dataset(d)
     if max_lag < 1:
@@ -131,7 +131,7 @@ def evaluate_candidates(
 
     if isinstance(test, SurrogateConfig):
         if spec is None:
-            spec = BinningSpec.from_dataset(d, bin_count=bins, allow_constant=True)
+            spec = BinningSpec.from_dataset(d, bin_count=test.bins, allow_constant=True)
         codes = {s.name: spec.digitize(s) for s in d.series}
         keys = {name: _name_key(name) for name in d.names}
 
@@ -169,12 +169,11 @@ def build_graph(
     test: SurrogateConfig | GrangerConfig,
     max_lag: int = 4,
     *,
-    bins: int | None = None,
     spec: BinningSpec | None = None,
 ) -> LaggedCausalGraph:
     """Build the graph of significant links among all candidates; the test
     config picks the method and the graph's label."""
-    candidates = evaluate_candidates(d, test, max_lag, bins=bins, spec=spec)
+    candidates = evaluate_candidates(d, test, max_lag, spec=spec)
     links = tuple(c for c in candidates if c.significant)
     return LaggedCausalGraph(tuple(d.names), links, max_lag, test.method)
 

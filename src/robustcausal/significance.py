@@ -63,6 +63,11 @@ class SurrogateConfig:
     ``te_surrogate_test`` on adds a second t-test on the TE statistic,
     which roughly squares the false-positive rate of the combined decision.
     A graph built with this config is labelled ``method`` "te".
+
+    ``bins`` forces the bin count, else Scott's rule derives it per record;
+    with ``reuse_parent_bins`` an ensemble derives it once, on the full
+    record, for every window. A ``spec`` passed explicitly to ``build_graph``
+    wins over ``bins``.
     """
 
     method: ClassVar[str] = "te"
@@ -71,6 +76,8 @@ class SurrogateConfig:
     n_surrogates: int = 100
     confidence: float = 0.95
     te_surrogate_test: bool = False
+    bins: int | None = None
+    reuse_parent_bins: bool = False
 
     def __post_init__(self):
         if self.n_surrogates < 2:

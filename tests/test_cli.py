@@ -286,25 +286,57 @@ def test_manifest_configs_are_pinned(tmp_path):
     ) == {**source_b, "center": 9, "radius": 1, "n_surrogates": 20, "confidence": 0.95}
 
 
+GC_ENSEMBLE = ("--method", "gc", "--subsamples", "3", "--sub-length", "120")
+
+
 @pytest.mark.parametrize("flags, config, named", [
-    (("--bins", "6"), {}, "--bins (config key bins)"),
-    (("--reuse-parent-bins",), {}, "--reuse-parent-bins (config key reuse_parent_bins)"),
-    ((), {"bins": 6}, "--bins (config key bins)"),
-    ((), {"reuse_parent_bins": True}, "--reuse-parent-bins (config key reuse_parent_bins)"),
-    (("--bins", "auto", "--no-reuse-parent-bins"), {}, None),
-], ids=["bins-flag", "reuse-flag", "bins-key", "reuse-key", "defaults"])
+    (GC_ENSEMBLE + ("--bins", "6"), {}, "--bins (config key bins)"),
+    (GC_ENSEMBLE + ("--reuse-parent-bins",), {},
+     "--reuse-parent-bins (config key reuse_parent_bins)"),
+    (GC_ENSEMBLE, {"bins": 6}, "--bins (config key bins)"),
+    (GC_ENSEMBLE, {"reuse_parent_bins": True},
+     "--reuse-parent-bins (config key reuse_parent_bins)"),
+    (GC_ENSEMBLE + ("--bins", "auto", "--no-reuse-parent-bins"), {}, None),
+    (GC_ENSEMBLE + ("--confidence", "0.9"), {},
+     "--confidence (config key confidence) needs --method te"),
+    (GC_ENSEMBLE, {"te_surrogate_test": "on"},
+     "--te-surrogate-test (config key te_surrogate_test) needs --method te"),
+    (("--gc-alpha", "0.01"), {}, "--gc-alpha (config key gc_alpha) needs --method gc"),
+    (("--threshold", "0.5"), {}, "--threshold (config key threshold) needs --subsamples"),
+    ((), {"mode": "nonoverlapping"}, "--mode (config key mode) needs --subsamples"),
+    (("--sub-length", "120"), {},
+     "--sub-length (config key subsample_length) needs --subsamples"),
+    (("--workers", "2"), {}, "--workers (config key workers) needs --subsamples"),
+    (("--reuse-parent-bins",), {},
+     "--reuse-parent-bins (config key reuse_parent_bins) needs --method te with --subsamples"),
+    (("--surrogates", "20", "--gc-mode", "lagwise", "--threshold", "0.9", "--workers", "1"),
+     {"gc_alpha": 0.05}, None),
+], ids=["bins-flag", "reuse-flag", "bins-key", "reuse-key", "defaults", "gc-confidence",
+        "gc-te-surrogate-test", "te-gc-alpha", "single-threshold", "single-mode",
+        "single-sub-length", "single-workers", "single-reuse", "te-defaults"])
 def test_gc_refuses_binning_settings(tmp_path, capsys, flags, config, named):
+    # A setting of a part the run skips (TE or GC, the ensemble) is refused
+    # unless it keeps its default.
     out = tmp_path / "o"
     path = _write_config(tmp_path / "c.json", config)
     code = _run("analyze", "--system", "B", "--length", "300", "--max-lag", "2",
-                "--method", "gc", "--subsamples", "3", "--sub-length", "120", "--seed", "2",
-                "--config", path, *flags, "--out", str(out))
+                "--seed", "2", "--config", path, *flags, "--out", str(out))
     if named is None:
         assert code == 0
         return
     assert code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gc_accepts_surrogates(tmp_path):
+    # benchmarks/harness.py passes --surrogates to its GC analyses.
+    base = ("analyze", "--system", "B", "--length", "300", "--max-lag", "2",
+            "--method", "gc", "--seed", "2")
+    assert _run(*base, "--out", str(tmp_path / "plain")) == 0
+    assert _run(*base, "--surrogates", "7", "--out", str(tmp_path / "s")) == 0
+    plain = {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()} == plain
 
 
 def _write_config(path, config):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robustcausal import graph
 from robustcausal.ensemble import (
     EnsembleConfig,
     analyze_ensemble,
@@ -14,6 +15,7 @@ from robustcausal.errors import (
     VariableMismatch,
     WindowTooLong,
 )
+from robustcausal.estimators import BinningSpec
 from robustcausal.graph import CausalLink, LaggedCausalGraph
 from robustcausal.significance import SurrogateConfig
 from robustcausal.timeseries import Dataset, TimeSeries
@@ -147,14 +149,33 @@ def test_analyze_ensemble_deterministic_and_worker_independent():
     assert res3.frequencies.counts == res1.frequencies.counts
 
 
-def test_analyze_ensemble_reuse_parent_bins_mode_runs():
+def test_analyze_ensemble_reuse_parent_bins_mode_runs(monkeypatch):
     d = _dataset(5, names=("A", "B"), l=300)
     cfg = EnsembleConfig(5, 90, rng_seed=2)
-    sur = SurrogateConfig(rng_seed=11, n_surrogates=30)
-    res = analyze_ensemble(d, cfg, sur, max_lag=2, reuse_parent_bins=True)
-    assert len(res.subsample_graphs) == 5
-    again = analyze_ensemble(d, cfg, sur, max_lag=2, reuse_parent_bins=True)
-    assert res.frequencies.counts == again.frequencies.counts
+    derive = BinningSpec.from_dataset.__func__
+    link_test = graph._te_link_from_codes
+    derived, bin_counts = [], set()
+
+    def counted(cls, *args, **kwargs):
+        derived.append(1)
+        return derive(cls, *args, **kwargs)
+
+    def recorded(cx, cy, lag, n_bins, *args):
+        bin_counts.add(n_bins)
+        return link_test(cx, cy, lag, n_bins, *args)
+
+    monkeypatch.setattr(BinningSpec, "from_dataset", classmethod(counted))
+    monkeypatch.setattr(graph, "_te_link_from_codes", recorded)
+    for reuse, derivations in ((True, 1), (False, 1 + cfg.n_subsamples)):
+        sur = SurrogateConfig(rng_seed=11, n_surrogates=30, bins=5, reuse_parent_bins=reuse)
+        derived.clear()
+        bin_counts.clear()
+        res = analyze_ensemble(d, cfg, sur, max_lag=2)
+        assert len(res.subsample_graphs) == 5
+        assert len(derived) == derivations, reuse
+        assert bin_counts == {5}, reuse
+        again = analyze_ensemble(d, cfg, sur, max_lag=2)
+        assert res.frequencies.counts == again.frequencies.counts
 
 
 def test_analyze_ensemble_reports_all_parts():

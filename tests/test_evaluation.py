@@ -7,7 +7,6 @@ from robustcausal.errors import InvalidConfig
 from robustcausal.evaluation import (
     bin_sensitivity_scan,
     ensemble_error_binomial,
-    ensemble_miss_binomial,
     jaccard_links,
     monte_carlo_rates,
     score_against_truth,
@@ -54,9 +53,11 @@ def test_binomial_error_below_single_subsample_rate():
 
 
 def test_binomial_miss_is_complement():
+    # A true link each window misses with probability e is dropped by the
+    # vote when fewer than k of 10 windows detect it.
     for e in (0.05, 0.2, 0.5, 0.77):
         for k in (1, 5, 9, 10):
-            miss = ensemble_miss_binomial(e, 10, k)
+            miss = sum(math.comb(10, i) * (1 - e) ** i * e ** (10 - i) for i in range(k))
             assert miss == pytest.approx(
                 1.0 - ensemble_error_binomial(1.0 - e, 10, k), rel=1e-9
             )

@@ -60,7 +60,6 @@ PUBLIC = {
     "TruthScore",
     "score_against_truth",
     "ensemble_error_binomial",
-    "ensemble_miss_binomial",
     "ErrorRatePoint",
     "ErrorRateCurve",
     "monte_carlo_rates",
