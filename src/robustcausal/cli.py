@@ -392,7 +392,7 @@ def cmd_sensitivity(s: dict) -> int:
     d, effective = _load_input(s, seed)
     center = s["center"]
     if center == "auto":
-        center = BinningSpec.from_dataset(d, allow_constant=True).bin_count
+        center = BinningSpec.from_dataset(d).bin_count
     surrogate = _surrogate_config(s, seed)
     report = bin_sensitivity_scan(d, center, s["radius"], max_lag=s["max_lag"],
                                   surrogate=surrogate)

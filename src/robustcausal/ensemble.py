@@ -225,7 +225,7 @@ def analyze_ensemble(
     te = isinstance(test, SurrogateConfig)
     parent_spec = None
     if te and test.reuse_parent_bins:
-        parent_spec = BinningSpec.from_dataset(d, bin_count=test.bins, allow_constant=True)
+        parent_spec = BinningSpec.from_dataset(d, bin_count=test.bins)
     full_graph = build_graph(d, test, max_lag, spec=parent_spec)
 
     windows = draw_subsamples(d, cfg)

@@ -7,31 +7,40 @@ All variables of a system are discretized with the *same* number of bins.
 Per variable, Scott's rule gives a bin width ``3.5 * std / l**(1/3)`` and a
 count ``ceil((max - min) / width)``; the system-wide count is the minimum
 over variables. Each variable then gets its own equally spaced edges over
-its observed range, rightmost edge inclusive.
+its observed range, rightmost edge inclusive. A constant variable is left
+out of the minimum, and all its samples share one bin.
 
 Estimators
 ----------
 Entropies are Shannon entropies in bits (log base 2), with empty bins
-contributing zero. Mutual information is ``H(X) + H(Y) - H(X, Y)``.
-Transfer entropy from a source X to a target Y at lag tau is assembled
-from joint entropies of the aligned triple ``(x[t - tau], y[t - tau], y[t])``:
+contributing zero. Every information statistic is one estimator, the
+conditional mutual information of aligned code arrays A, B and C (``_cmi``):
 
-    TE = -H(Y_past) + H(X_past, Y_past) + H(Y_past, Y_now) - H(X_past, Y_past, Y_now)
+    I(A; C | B) = -H(B) + H(A, B) + H(B, C) - H(A, B, C)
 
-which equals the conditional mutual information
-``I(X_past ; Y_now | Y_past)`` of the empirical joint distribution.
+Without a B it is the mutual information ``I(A; C) = H(A) + H(C) - H(A, C)``
+(the lagged-MI gate and ``mutual_information``); transfer entropy from a
+source X to a target Y at lag tau takes ``A = x[t - tau]``, ``B = y[t - tau]``
+and ``C = y[t]``, so ``TE = I(X_past ; Y_now | Y_past)``.
 
 Surrogate batches
 -----------------
-The significance tests take row entropies of many count rows at once
-(``_entropy_bits_rows``), one row per shuffled source. All rows of a batch
-count the same aligned samples, so they share one total N, which the
-caller passes: keeping that equal-total contract is the caller's job. Each
-count n is looked up in ``_plogp_table(N)``, the terms ``p * log2(p)`` at
-``p = n / N`` (0 at n = 0), computed once per N by the same float
-operations as the direct formula, and each row sums its terms in cell
-order. So the result is bit-identical to ``-sum(p * log2(p))`` over the
-nonzero cells, not merely close to it.
+``_cmi`` also evaluates the statistic with each shuffled source in place of
+A, counting all of them in one offset ``bincount`` (in chunks of at most
+``_BATCH_CELL_BUDGET`` cells) and taking row entropies of many count rows
+at once (``_entropy_bits_rows``). All rows of a batch count the same
+aligned samples, so they share one total N. Each count n is looked up in
+``_plogp_table(N)``, the terms ``p * log2(p)`` at ``p = n / N`` (0 at
+n = 0), computed once per N by the same float operations as the direct
+formula, and each row sums its terms in cell order. So the result is
+bit-identical to ``-sum(p * log2(p))`` over the nonzero cells, not merely
+close to it.
+
+The observed value keeps the dot-product form (``_entropy_bits``). The two
+forms can differ in the last bit of the same histogram, so each keeps its
+own: merging them would change observed values and with them the graphs
+already written. ``H(B)`` and ``H(B, C)`` do not depend on A; the observed
+joint gives them to every row.
 """
 
 from __future__ import annotations
@@ -120,19 +129,14 @@ class BinningSpec:
                 )
 
     @classmethod
-    def from_dataset(
-        cls,
-        d: Dataset,
-        bin_count: int | None = None,
-        allow_constant: bool = False,
-    ) -> "BinningSpec":
+    def from_dataset(cls, d: Dataset, bin_count: int | None = None) -> "BinningSpec":
         """Build a spec for a dataset, deriving the count by Scott's rule
         unless ``bin_count`` forces one.
 
-        With ``allow_constant`` a constant variable does not abort the
-        derivation: it is skipped for the count minimum and gets synthetic
-        edges around its single value (all its samples land in one bin, so
-        its entropy is zero). At least one variable must still vary.
+        A constant variable does not abort the derivation: it is skipped for
+        the count minimum and gets synthetic edges around its single value
+        (all its samples land in one bin, so its entropy is zero). Without a
+        forced count at least one variable must still vary.
         """
         if bin_count is None:
             counts = []
@@ -140,8 +144,7 @@ class BinningSpec:
                 try:
                     counts.append(variable_bin_count(s))
                 except ZeroVariance:
-                    if not allow_constant:
-                        raise
+                    pass
             if not counts:
                 raise ZeroVariance("every variable in the dataset is constant")
             m = min(counts)
@@ -154,8 +157,6 @@ class BinningSpec:
             lo = float(s.values.min())
             hi = float(s.values.max())
             if hi == lo:
-                if not allow_constant:
-                    raise ZeroVariance(f"series {s.name!r} has zero variance")
                 lo, hi = lo - 0.5, hi + 0.5
             edges[s.name] = np.linspace(lo, hi, m + 1)
         return cls(m, edges)
@@ -170,6 +171,14 @@ class BinningSpec:
         e = self.edges[s.name]
         idx = np.searchsorted(e, s.values, side="right") - 1
         return np.clip(idx, 0, self.bin_count - 1)
+
+
+# Cap on surrogate-batch histogram cells held at once; larger batches are
+# processed in row chunks to bound memory.
+_BATCH_CELL_BUDGET = 30_000_000
+
+# The row bank of an observed-only ``_cmi`` call.
+_NO_ROWS = np.zeros((0, 0), dtype=np.intp)
 
 
 def _joint_counts(codes: list[np.ndarray], m: int) -> np.ndarray:
@@ -207,6 +216,63 @@ def _entropy_bits_rows(rows: np.ndarray, total: int) -> np.ndarray:
     return -_plogp_table(total)[rows].sum(axis=1)
 
 
+def _check_pair(x: TimeSeries, y: TimeSeries, lag: int | None = None) -> None:
+    """Raise unless ``x`` and ``y`` are equally long and, when a ``lag`` is
+    given, it is at least 1 and leaves aligned samples."""
+    if len(x) != len(y):
+        raise LengthMismatch(
+            f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
+        )
+    if lag is None:
+        return
+    if lag < 1:
+        raise InvalidConfig(f"lag must be >= 1, got {lag}")
+    if lag >= len(y):
+        raise LagTooLarge(f"lag {lag} leaves no aligned samples for length {len(y)}")
+
+
+def _cmi(
+    a: np.ndarray,
+    b: np.ndarray | None,
+    c: np.ndarray,
+    m: int,
+    rows: np.ndarray = _NO_ROWS,
+) -> tuple[float, np.ndarray]:
+    """``I(A; C | B)`` in bits of aligned code arrays, ``I(A; C)`` when ``b``
+    is None, and the same statistic with each row of ``rows`` in place of
+    ``a`` (counted in chunks of at most ``_BATCH_CELL_BUDGET`` cells); both
+    clamped at 0."""
+    if b is None:
+        nb = 1
+        joint = _joint_counts([a, c], m).reshape(m, 1, m)
+        h_b = 0.0
+        base = c
+    else:
+        nb = m
+        joint = _joint_counts([a, b, c], m).reshape(m, m, m)
+        h_b = _entropy_bits(joint.sum(axis=(0, 2)))
+        base = b * m + c
+    h_bc = _entropy_bits(joint.sum(axis=0))
+    h_ab = _entropy_bits(joint.sum(axis=2))
+    observed = max(0.0, -h_b + h_ab + h_bc - _entropy_bits(joint))
+
+    n_rows = rows.shape[0]
+    cells = m * nb * m
+    chunk = max(1, min(n_rows, _BATCH_CELL_BUDGET // cells))
+    surrogates = np.empty(n_rows)
+    for start in range(0, n_rows, chunk):
+        part = rows[start : start + chunk]
+        n_part = part.shape[0]
+        offsets = (np.arange(n_part) * cells)[:, None]
+        flat = (part * (nb * m) + base[None, :]) + offsets
+        counts = np.bincount(flat.ravel(), minlength=n_part * cells).reshape(n_part, cells)
+        h_abc_s = _entropy_bits_rows(counts, c.size)
+        h_ab_s = _entropy_bits_rows(counts.reshape(n_part, m * nb, m).sum(axis=2), c.size)
+        surrogates[start : start + n_part] = -h_b + h_ab_s + h_bc - h_abc_s
+    np.maximum(surrogates, 0.0, out=surrogates)
+    return observed, surrogates
+
+
 def mutual_information(x: TimeSeries, y: TimeSeries, spec: BinningSpec) -> float:
     """Binned mutual information ``H(X) + H(Y) - H(X, Y)`` in bits.
 
@@ -214,17 +280,9 @@ def mutual_information(x: TimeSeries, y: TimeSeries, spec: BinningSpec) -> float
     name-canonical order so both call orders produce bit-identical floats.
     Tiny negative rounding residue is clamped to 0.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(
-            f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
-        )
-    a, b = sorted((x, y), key=lambda s: s.name)
-    m = spec.bin_count
-    joint = _joint_counts([spec.digitize(a), spec.digitize(b)], m).reshape(m, m)
-    h_a = _entropy_bits(joint.sum(axis=1))
-    h_b = _entropy_bits(joint.sum(axis=0))
-    h_ab = _entropy_bits(joint)
-    return max(0.0, h_a + h_b - h_ab)
+    _check_pair(x, y)
+    a, c = sorted((x, y), key=lambda s: s.name)
+    return _cmi(spec.digitize(a), None, spec.digitize(c), spec.bin_count)[0]
 
 
 def _te_from_codes(cx: np.ndarray, cy: np.ndarray, lag: int, m: int) -> float:
@@ -233,15 +291,8 @@ def _te_from_codes(cx: np.ndarray, cy: np.ndarray, lag: int, m: int) -> float:
     Alignment: source past ``cx[: l - lag]``, target past ``cy[: l - lag]``,
     target present ``cy[lag :]``.
     """
-    a = cx[: cx.size - lag]
-    b = cy[: cy.size - lag]
-    c = cy[lag:]
-    joint3 = _joint_counts([a, b, c], m).reshape(m, m, m)
-    h_b = _entropy_bits(joint3.sum(axis=(0, 2)))
-    h_ab = _entropy_bits(joint3.sum(axis=2))
-    h_bc = _entropy_bits(joint3.sum(axis=0))
-    h_abc = _entropy_bits(joint3)
-    return max(0.0, -h_b + h_ab + h_bc - h_abc)
+    keep = cx.size - lag
+    return _cmi(cx[:keep], cy[:keep], cy[lag:], m)[0]
 
 
 def transfer_entropy(x: TimeSeries, y: TimeSeries, lag: int, spec: BinningSpec) -> float:
@@ -253,12 +304,5 @@ def transfer_entropy(x: TimeSeries, y: TimeSeries, lag: int, spec: BinningSpec) 
     distribution, so it is nonnegative up to rounding (clamped to 0) and
     bounded above by ``min(H(X), H(Y))`` over the aligned window.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(
-            f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
-        )
-    if lag < 1:
-        raise InvalidConfig(f"lag must be >= 1, got {lag}")
-    if lag >= len(y):
-        raise LagTooLarge(f"lag {lag} leaves no aligned samples for length {len(y)}")
+    _check_pair(x, y, lag)
     return _te_from_codes(spec.digitize(x), spec.digitize(y), lag, spec.bin_count)

@@ -131,7 +131,7 @@ def evaluate_candidates(
 
     if isinstance(test, SurrogateConfig):
         if spec is None:
-            spec = BinningSpec.from_dataset(d, bin_count=test.bins, allow_constant=True)
+            spec = BinningSpec.from_dataset(d, bin_count=test.bins)
         codes = {s.name: spec.digitize(s) for s in d.series}
         keys = {name: _name_key(name) for name in d.names}
 

@@ -15,7 +15,9 @@ A transfer-entropy link test is gated: TE is only computed if the mutual
 information between the lag-aligned source and target is itself
 significant, and by default the gate alone decides the link. An optional
 second surrogate t-test on the TE statistic can be switched on for a
-stricter decision.
+stricter decision. Both stages are one call of the estimator kernel
+``estimators._cmi`` on the same shuffled sources: the gate is ``I(X_past;
+Y_now)``, the TE stage ``I(X_past; Y_now | Y_past)``.
 
 Determinism
 -----------
@@ -38,8 +40,8 @@ from typing import ClassVar
 import numpy as np
 from scipy import special
 
-from .errors import InvalidConfig, LagTooLarge, LengthMismatch
-from .estimators import BinningSpec, _entropy_bits, _entropy_bits_rows, _joint_counts, _te_from_codes
+from .errors import InvalidConfig
+from .estimators import BinningSpec, _check_pair, _cmi, _te_from_codes
 from .timeseries import TimeSeries, _rng
 
 __all__ = [
@@ -48,11 +50,6 @@ __all__ = [
     "TeLinkResult",
     "te_link_test",
 ]
-
-# Cap on surrogate-batch histogram cells held at once; larger batches are
-# processed in row chunks to bound memory.
-_BATCH_CELL_BUDGET = 30_000_000
-
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -144,34 +141,6 @@ def _shuffled_source_rows(cx: np.ndarray, n_rows: int, rng: np.random.Generator)
     return tiles
 
 
-def _mi_stage(
-    a: np.ndarray,
-    c: np.ndarray,
-    m: int,
-    confidence: float,
-    rows: np.ndarray,
-) -> SignificanceResult:
-    """Surrogate test of the MI between aligned code arrays ``a`` and ``c``.
-
-    ``rows`` holds the pre-shuffled source realizations, already sliced to
-    the aligned window, so the surrogate statistic is computed exactly as
-    the observed one.
-    """
-    joint = _joint_counts([a, c], m).reshape(m, m)
-    h_c = _entropy_bits(joint.sum(axis=0))
-    observed = max(0.0, _entropy_bits(joint.sum(axis=1)) + h_c - _entropy_bits(joint))
-
-    n_rows = rows.shape[0]
-    offsets = (np.arange(n_rows) * (m * m))[:, None]
-    flat = (rows * m + c[None, :]) + offsets
-    counts = np.bincount(flat.ravel(), minlength=n_rows * m * m)
-    counts = counts.reshape(n_rows, m * m)
-    h_ac_s = _entropy_bits_rows(counts, c.size)
-    h_a_s = _entropy_bits_rows(counts.reshape(n_rows, m, m).sum(axis=2), c.size)
-    surrogates = np.maximum(0.0, h_a_s + h_c - h_ac_s)
-    return _decide(observed, surrogates, confidence)
-
-
 def _te_stage(
     cx: np.ndarray,
     cy: np.ndarray,
@@ -182,36 +151,11 @@ def _te_stage(
 ) -> SignificanceResult:
     """Surrogate test of the transfer entropy at ``lag``.
 
-    ``rows`` holds the same shuffled-source realizations the MI stage used,
+    ``rows`` holds the same shuffled-source realizations the MI gate used,
     sliced to the aligned window.
     """
-    observed = _te_from_codes(cx, cy, lag, m)
     keep = cx.size - lag
-    b = cy[:keep]
-    c = cy[lag:]
-    joint_bc = _joint_counts([b, c], m).reshape(m, m)
-    h_b = _entropy_bits(joint_bc.sum(axis=1))
-    h_bc = _entropy_bits(joint_bc)
-    base = b * m + c
-
-    n_rows = rows.shape[0]
-    cells = m * m * m
-    chunk = max(1, min(n_rows, _BATCH_CELL_BUDGET // cells))
-    surrogates = np.empty(n_rows)
-    for start in range(0, n_rows, chunk):
-        part = rows[start : start + chunk]
-        n_part = part.shape[0]
-        offsets = (np.arange(n_part) * cells)[:, None]
-        flat = (part * (m * m) + base[None, :]) + offsets
-        counts = np.bincount(flat.ravel(), minlength=n_part * cells)
-        counts = counts.reshape(n_part, cells)
-        h_abc_s = _entropy_bits_rows(counts, keep)
-        h_ab_s = _entropy_bits_rows(
-            counts.reshape(n_part, m, m, m).sum(axis=3).reshape(n_part, m * m), keep
-        )
-        surrogates[start : start + n_part] = -h_b + h_ab_s + h_bc - h_abc_s
-    np.maximum(surrogates, 0.0, out=surrogates)
-    return _decide(observed, surrogates, confidence)
+    return _decide(*_cmi(cx[:keep], cy[:keep], cy[lag:], m, rows), confidence)
 
 
 def _te_link_from_codes(
@@ -231,7 +175,7 @@ def _te_link_from_codes(
     keep = cx.size - lag
     rng = _rng(cfg.rng_seed, key_x, key_y, lag)
     rows = _shuffled_source_rows(cx, cfg.n_surrogates, rng)[:, :keep]
-    mi_res = _mi_stage(cx[:keep], cy[lag:], m, cfg.confidence, rows)
+    mi_res = _decide(*_cmi(cx[:keep], None, cy[lag:], m, rows), cfg.confidence)
     if not mi_res.significant:
         return TeLinkResult(False, 0.0, mi_res, None)
     if not cfg.te_surrogate_test:
@@ -251,14 +195,7 @@ def te_link_test(
     unless ``cfg.te_surrogate_test`` is on, in which case the same surrogate
     procedure is applied to the TE itself and that test decides.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(
-            f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
-        )
-    if lag < 1:
-        raise InvalidConfig(f"lag must be >= 1, got {lag}")
-    if lag >= len(y):
-        raise LagTooLarge(f"lag {lag} leaves no aligned samples for length {len(y)}")
+    _check_pair(x, y, lag)
     return _te_link_from_codes(
         spec.digitize(x),
         spec.digitize(y),

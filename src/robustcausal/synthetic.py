@@ -196,7 +196,7 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
             TimeSeries(name, _rng(spec.rng_seed, i).standard_normal(spec.length))
             for i, name in enumerate(_COUPLED_NAMES)
         )
-        return Dataset(series, "synthetic"), GroundTruth(true_links=())
+        return Dataset(series), GroundTruth(true_links=())
 
     if spec.kind in ("B", "C"):
         eta = [
@@ -219,7 +219,7 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
             ),
             indirect_links=_INDIRECT_B if spec.kind == "B" else _INDIRECT_C,
         )
-        return Dataset(series, "synthetic"), truth
+        return Dataset(series), truth
 
     # bivariate kinds: X is i.i.d., Y responds at lag 1, no recursion.
     m = float(spec.signal)
@@ -230,9 +230,6 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
     if spec.kind == "bivariate-nonlinear":
         driver = driver * driver
     y = m * driver + eps * eta
-    d = Dataset(
-        (TimeSeries("X", x_full[1:]), TimeSeries("Y", y)),
-        "synthetic",
-    )
+    d = Dataset((TimeSeries("X", x_full[1:]), TimeSeries("Y", y)))
     truth = GroundTruth(true_links=(TrueLink("X", "Y", 1, m),))
     return d, truth

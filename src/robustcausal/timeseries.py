@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     NonFinite,
     TooShort,
+    WindowTooLong,
 )
 
 __all__ = [
@@ -68,14 +69,9 @@ class TimeSeries:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A collection of equally long series on a shared time axis.
-
-    ``sampling_step`` is a free-form label ("month", "day", ...) carried
-    through for provenance; no arithmetic depends on it.
-    """
+    """A collection of equally long series on a shared time axis."""
 
     series: tuple[TimeSeries, ...]
-    sampling_step: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "series", tuple(self.series))
@@ -95,11 +91,16 @@ class Dataset:
         raise KeyError(name)
 
     def window(self, start: int, length: int) -> "Dataset":
-        """Contiguous index window [start, start + length) of every series."""
-        sliced = tuple(
-            TimeSeries(s.name, s.values[start : start + length]) for s in self.series
-        )
-        return Dataset(sliced, self.sampling_step)
+        """Contiguous index window [start, start + length) of every series.
+
+        Raises ``WindowTooLong`` unless the window lies inside the record
+        and holds at least one point.
+        """
+        if start < 0 or length < 1 or start + length > self.length:
+            raise WindowTooLong(
+                f"window [{start}, {start + length}) does not fit in length {self.length}"
+            )
+        return Dataset(TimeSeries(s.name, s.values[start : start + length]) for s in self.series)
 
     def __iter__(self):
         return iter(self.series)
@@ -199,10 +200,10 @@ def apply_preprocess(d: Dataset, spec: PreprocessSpec) -> Dataset:
         if spec.season_period is not None:
             s = deseasonalize(s, spec.season_period)
         out.append(s)
-    return Dataset(tuple(out), d.sampling_step)
+    return Dataset(tuple(out))
 
 
-def read_dataset_csv(path, sampling_step: str = "") -> Dataset:
+def read_dataset_csv(path) -> Dataset:
     """Read a dataset from CSV: header row of names, one time step per row.
 
     Values use '.' as the decimal mark and ',' as the separator. Blank cells
@@ -241,11 +242,21 @@ def read_dataset_csv(path, sampling_step: str = "") -> Dataset:
     if not columns[0]:
         raise CsvFormatError(f"{path}: no data rows")
     series = tuple(TimeSeries(n, np.array(c)) for n, c in zip(names, columns))
-    return validate_dataset(Dataset(series, sampling_step))
+    return validate_dataset(Dataset(series))
 
 
 def write_dataset_csv(d: Dataset, path) -> None:
-    """Write the dataset as CSV (header of names, one time step per row)."""
+    """Write the dataset as CSV (header of names, one time step per row).
+
+    Values are written in their shortest exact form, so ``read_dataset_csv``
+    gives back the same names and the same floats. Raises ``CsvFormatError``
+    for a name the reader would change: an empty one, one with surrounding
+    whitespace, or a first name "t", which the reader takes for a timestamp
+    column.
+    """
+    for i, name in enumerate(d.names):
+        if name == "" or name != name.strip() or (i == 0 and name == "t"):
+            raise CsvFormatError(f"{path}: series name {name!r} would not read back")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(d.names)

@@ -200,7 +200,7 @@ def test_deseasonalized_monthly_style_analysis(tmp_path):
         for name in ("precip", "soilw", "temp", "runoff")
     )
     path = tmp_path / "monthly.csv"
-    write_dataset_csv(Dataset(series, "monthly"), path)
+    write_dataset_csv(Dataset(series), path)
     out = tmp_path / "season"
     rc = _run(
         "analyze", "--input", str(path), "--deseasonalize", "12",
@@ -510,5 +510,5 @@ def test_sensitivity_auto_center_skips_constant_columns(tmp_path):
                 "--out", str(tmp_path / "s6")) == 0
     assert _run("sensitivity", *common, "--radius", "1", "--out", str(tmp_path / "s")) == 0
     report = json.loads((tmp_path / "s" / "report.json").read_text())
-    expected = BinningSpec.from_dataset(read_dataset_csv(path), allow_constant=True).bin_count
+    expected = BinningSpec.from_dataset(read_dataset_csv(path)).bin_count
     assert report["center_bins"] == expected

@@ -14,6 +14,7 @@ from robustcausal.errors import (
 )
 from robustcausal.estimators import (
     BinningSpec,
+    _cmi,
     _entropy_bits,
     _entropy_bits_rows,
     _joint_counts,
@@ -94,8 +95,8 @@ def test_binning_spec_edges_span_observed_range():
 
 
 def test_digitize_rightmost_edge_inclusive():
-    d = Dataset((_series("a", [0.0, 1.0, 2.0, 3.0]),), "")
-    spec = BinningSpec.from_dataset(d, bin_count=3, allow_constant=True)
+    d = Dataset((_series("a", [0.0, 1.0, 2.0, 3.0]),))
+    spec = BinningSpec.from_dataset(d, bin_count=3)
     codes = spec.digitize(d.series[0])
     np.testing.assert_array_equal(codes, [0, 1, 2, 2])
 
@@ -113,11 +114,12 @@ def test_binning_spec_rejects_single_bin():
 
 def test_binning_spec_constant_variable():
     d = Dataset((_series("a", [1.0, 2.0, 3.0]), _series("flat", [4.0, 4.0, 4.0])))
-    with pytest.raises(ZeroVariance):
-        BinningSpec.from_dataset(d, bin_count=2)
-    spec = BinningSpec.from_dataset(d, bin_count=2, allow_constant=True)
+    spec = BinningSpec.from_dataset(d, bin_count=2)
     codes = spec.digitize(d.get("flat"))
     assert np.unique(codes).size == 1
+    flat = Dataset((_series("f", [1.0, 1.0, 1.0]), _series("g", [2.0, 2.0, 2.0])))
+    with pytest.raises(ZeroVariance):
+        BinningSpec.from_dataset(flat)
 
 
 def test_joint_histogram_counts_and_total():
@@ -169,6 +171,66 @@ def test_entropy_rows_table_is_bit_identical_to_masked_log2(
     rows = rng.multinomial(total, pvals / pvals.sum(), size=n_rows)
     got = _entropy_bits_rows(rows, total)
     assert got.tobytes() == _masked_log2_entropy_rows(rows).tobytes()
+
+
+def _mi_stage_oracle(a, c, m, rows):
+    """The MI gate's own formulas before it shared ``_cmi``, kept as its
+    oracle: observed value and per-row values, before the t-test."""
+    joint = _joint_counts([a, c], m).reshape(m, m)
+    h_c = _entropy_bits(joint.sum(axis=0))
+    observed = max(0.0, _entropy_bits(joint.sum(axis=1)) + h_c - _entropy_bits(joint))
+    n_rows = rows.shape[0]
+    offsets = (np.arange(n_rows) * (m * m))[:, None]
+    flat = (rows * m + c[None, :]) + offsets
+    counts = np.bincount(flat.ravel(), minlength=n_rows * m * m).reshape(n_rows, m * m)
+    h_ac_s = _entropy_bits_rows(counts, c.size)
+    h_a_s = _entropy_bits_rows(counts.reshape(n_rows, m, m).sum(axis=2), c.size)
+    return observed, np.maximum(0.0, h_a_s + h_c - h_ac_s)
+
+
+def _te_stage_oracle(a, b, c, m, rows):
+    """The TE stage's own formulas before it shared ``_cmi``, kept as its
+    oracle: observed value and per-row values, before the t-test."""
+    joint3 = _joint_counts([a, b, c], m).reshape(m, m, m)
+    h_b = _entropy_bits(joint3.sum(axis=(0, 2)))
+    h_ab = _entropy_bits(joint3.sum(axis=2))
+    h_bc = _entropy_bits(joint3.sum(axis=0))
+    observed = max(0.0, -h_b + h_ab + h_bc - _entropy_bits(joint3))
+    n_rows = rows.shape[0]
+    cells = m * m * m
+    offsets = (np.arange(n_rows) * cells)[:, None]
+    flat = (rows * (m * m) + (b * m + c)[None, :]) + offsets
+    counts = np.bincount(flat.ravel(), minlength=n_rows * cells).reshape(n_rows, cells)
+    h_abc_s = _entropy_bits_rows(counts, c.size)
+    h_ab_s = _entropy_bits_rows(
+        counts.reshape(n_rows, m, m, m).sum(axis=3).reshape(n_rows, m * m), c.size
+    )
+    return observed, np.maximum(-h_b + h_ab_s + h_bc - h_abc_s, 0.0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    l=st.integers(2, 300),
+    m=st.integers(2, 9),
+    n_rows=st.integers(0, 12),
+    mix=st.floats(0.0, 1.0),
+    conditional=st.booleans(),
+)
+def test_cmi_is_bit_identical_to_the_stage_formulas(seed, l, m, n_rows, mix, conditional):
+    # a drives c with probability mix; b, when given, is c's own shifted past
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, m, l)
+    c = np.where(rng.random(l) < mix, a, rng.integers(0, m, l))
+    b = np.roll(c, 1) if conditional else None
+    rows = rng.permuted(np.tile(a, (n_rows, 1)), axis=1)
+    observed, surrogates = _cmi(a, b, c, m, rows)
+    if conditional:
+        want_observed, want_surrogates = _te_stage_oracle(a, b, c, m, rows)
+    else:
+        want_observed, want_surrogates = _mi_stage_oracle(a, c, m, rows)
+    assert np.float64(observed).tobytes() == np.float64(want_observed).tobytes()
+    assert surrogates.tobytes() == want_surrogates.tobytes()
 
 
 def test_entropy_bits_empty_histogram():

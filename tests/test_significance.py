@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from robustcausal import estimators
 from robustcausal.errors import InvalidConfig, LagTooLarge, LengthMismatch
 from robustcausal.estimators import BinningSpec, mutual_information, transfer_entropy
 from robustcausal.significance import (
@@ -135,6 +136,34 @@ def test_results_bit_reproducible():
     b = te_link_test(x, y, 3, spec, cfg)
     assert a == b
     assert a.mi_test == b.mi_test
+
+
+def _bits(res):
+    floats = (res.observed, res.surrogate_mean, res.surrogate_std, res.statistic)
+    return tuple(np.float64(v).tobytes() for v in floats) + (res.significant,)
+
+
+def test_chunked_row_banks_are_bit_identical(monkeypatch):
+    x, y = _coupled_pair(6, l=200, lag=1)
+    spec = BinningSpec.from_dataset(Dataset((x, y)), bin_count=5)
+    cfg = SurrogateConfig(rng_seed=11, n_surrogates=30, te_surrogate_test=True)
+    whole = te_link_test(x, y, 1, spec, cfg)
+    row_counts = []
+    entropy_rows = estimators._entropy_bits_rows
+
+    def counted(rows, total):
+        row_counts.append(rows.shape[0])
+        return entropy_rows(rows, total)
+
+    # 250 cells: gate chunks of 250 // 5**2 = 10 rows, TE chunks of 250 // 5**3 = 2
+    monkeypatch.setattr(estimators, "_BATCH_CELL_BUDGET", 250)
+    monkeypatch.setattr(estimators, "_entropy_bits_rows", counted)
+    chunked = te_link_test(x, y, 1, spec, cfg)
+    # two row-entropy calls per chunk: 3 gate chunks, then 15 TE chunks
+    assert row_counts == [10] * 6 + [2] * 30
+    assert whole.te_test is not None
+    assert _bits(chunked.mi_test) == _bits(whole.mi_test)
+    assert _bits(chunked.te_test) == _bits(whole.te_test)
 
 
 def test_decide_degenerate_spread_rules():

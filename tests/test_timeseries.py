@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robustcausal.errors import (
     CsvFormatError,
@@ -8,6 +10,7 @@ from robustcausal.errors import (
     LengthMismatch,
     NonFinite,
     TooShort,
+    WindowTooLong,
 )
 from robustcausal.timeseries import (
     Dataset,
@@ -138,6 +141,10 @@ def test_dataset_window_and_get():
     w = d.window(3, 4)
     assert w.length == 4
     np.testing.assert_array_equal(w.get("b").values, [6.0, 8.0, 10.0, 12.0])
+    assert d.window(0, 10).length == 10
+    for start, length in ((7, 5), (-3, 5), (0, 0), (0, 11), (10, 1)):
+        with pytest.raises(WindowTooLong):
+            d.window(start, length)
     with pytest.raises(KeyError):
         d.get("missing")
 
@@ -148,15 +155,48 @@ def test_csv_round_trip(tmp_path):
         (
             _series("temp", rng.normal(size=25)),
             _series("flow", rng.normal(size=25)),
-        ),
-        sampling_step="monthly",
+        )
     )
     path = tmp_path / "data.csv"
     write_dataset_csv(d, path)
-    back = read_dataset_csv(path, sampling_step="monthly")
+    back = read_dataset_csv(path)
     assert back.names == ("temp", "flow")
     for name in back.names:
         np.testing.assert_allclose(back.get(name).values, d.get(name).values, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    names=st.lists(st.one_of(st.just("t"), st.text(max_size=5)), min_size=2, max_size=4, unique=True),
+    length=st.integers(1, 5),
+    data=st.data(),
+)
+def test_csv_round_trip_is_lossless(tmp_path_factory, names, length, data):
+    # whatever the writer accepts reads back with the same names and floats
+    values = data.draw(
+        arrays(np.float64, (len(names), length), elements=st.floats(allow_nan=False, allow_infinity=False))
+    )
+    d = Dataset(tuple(TimeSeries(n, v) for n, v in zip(names, values)))
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    if names[0] == "t" or any(n == "" or n != n.strip() for n in names):
+        with pytest.raises(CsvFormatError):
+            write_dataset_csv(d, path)
+        return
+    write_dataset_csv(d, path)
+    back = read_dataset_csv(path)
+    assert back.names == d.names
+    for a, b in zip(back.series, d.series):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_csv_writer_rejects_names_the_reader_would_change(tmp_path):
+    for names in (("t", "Y", "Z"), ("t", "Y"), (" X", "Y"), ("X", "")):
+        d = Dataset(tuple(_series(n, [1.0, 2.0]) for n in names))
+        with pytest.raises(CsvFormatError):
+            write_dataset_csv(d, tmp_path / "d.csv")
+    d = Dataset((_series("Y", [1.0, 2.0]), _series("t", [3.0, 4.0])))
+    write_dataset_csv(d, tmp_path / "d.csv")
+    assert read_dataset_csv(tmp_path / "d.csv").names == ("Y", "t")
 
 
 def test_csv_reader_rejects_ragged_rows(tmp_path):
