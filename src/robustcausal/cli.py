@@ -310,7 +310,7 @@ def cmd_generate(s: dict) -> int:
 
     out = Path(s["out"] or f"system_{s['system']}.csv")
     csv_path = out if out.suffix.lower() == ".csv" else out / "data.csv"
-    truth_path = Path(s["truth"]) if s["truth"] and csv_path == out else _beside(out, "truth.json")
+    truth_path = Path(s["truth"]) if s["truth"] else _beside(out, "truth.json")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(d, csv_path)
     _write(truth_path, truth.to_json())

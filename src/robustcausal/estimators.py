@@ -177,9 +177,6 @@ class BinningSpec:
 # processed in row chunks to bound memory.
 _BATCH_CELL_BUDGET = 30_000_000
 
-# The row bank of an observed-only ``_cmi`` call.
-_NO_ROWS = np.zeros((0, 0), dtype=np.intp)
-
 
 def _joint_counts(codes: list[np.ndarray], m: int) -> np.ndarray:
     """Flat joint counts (length m**k) of k aligned code arrays."""
@@ -236,26 +233,27 @@ def _cmi(
     b: np.ndarray | None,
     c: np.ndarray,
     m: int,
-    rows: np.ndarray = _NO_ROWS,
-) -> tuple[float, np.ndarray]:
+    rows: np.ndarray | None = None,
+) -> tuple[float, np.ndarray | None]:
     """``I(A; C | B)`` in bits of aligned code arrays, ``I(A; C)`` when ``b``
     is None, and the same statistic with each row of ``rows`` in place of
-    ``a`` (counted in chunks of at most ``_BATCH_CELL_BUDGET`` cells); both
-    clamped at 0."""
+    ``a`` (counted in chunks of at most ``_BATCH_CELL_BUDGET`` cells), or
+    None without ``rows``; all clamped at 0."""
     if b is None:
         nb = 1
         joint = _joint_counts([a, c], m).reshape(m, 1, m)
         h_b = 0.0
-        base = c
     else:
         nb = m
         joint = _joint_counts([a, b, c], m).reshape(m, m, m)
         h_b = _entropy_bits(joint.sum(axis=(0, 2)))
-        base = b * m + c
     h_bc = _entropy_bits(joint.sum(axis=0))
     h_ab = _entropy_bits(joint.sum(axis=2))
     observed = max(0.0, -h_b + h_ab + h_bc - _entropy_bits(joint))
+    if rows is None:
+        return observed, None
 
+    base = c if b is None else b * m + c
     n_rows = rows.shape[0]
     cells = m * nb * m
     chunk = max(1, min(n_rows, _BATCH_CELL_BUDGET // cells))

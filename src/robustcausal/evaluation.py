@@ -1,6 +1,9 @@
 """Evaluation utilities: error-rate Monte Carlo curves, the ensemble
-error budget, scoring inferred graphs against ground truth, and a bin
-sensitivity scan.
+error budget, and a bin sensitivity scan.
+
+A graph is scored against a system's ground truth with set algebra on
+``LaggedCausalGraph.link_keys()`` and ``GroundTruth.link_keys()`` /
+``GroundTruth.indirect_keys()``.
 
 Error-rate conventions
 ----------------------
@@ -31,17 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb
 
-from .errors import InvalidConfig, VariableMismatch
+from .errors import InvalidConfig
 from .estimators import BinningSpec
-from .graph import LaggedCausalGraph, LinkKey, build_graph, candidate_keys
+from .graph import LaggedCausalGraph, build_graph
 from .significance import SurrogateConfig, te_link_test
-from .synthetic import GroundTruth, SystemSpec, generate
+from .synthetic import SystemSpec, generate
 from .timeseries import Dataset, _derived_seed
 
 __all__ = [
-    "ConfusionCounts",
-    "TruthScore",
-    "score_against_truth",
     "ensemble_error_binomial",
     "ErrorRatePoint",
     "ErrorRateCurve",
@@ -50,92 +50,6 @@ __all__ = [
     "BinSensitivityReport",
     "bin_sensitivity_scan",
 ]
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Link-level confusion counts over a candidate space."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def false_negative_rate(self) -> float:
-        denom = self.tp + self.fn
-        return self.fn / denom if denom else 0.0
-
-    @property
-    def false_positive_rate(self) -> float:
-        denom = self.fp + self.tn
-        return self.fp / denom if denom else 0.0
-
-
-@dataclass(frozen=True)
-class TruthScore:
-    """Classified links behind one set of confusion counts.
-
-    When indirect links are excluded, detected indirect links sit in
-    ``indirect_detected`` and are counted in none of the four confusion
-    cells; the cells plus ``indirect_detected`` still partition the
-    candidate space.
-    """
-
-    counts: ConfusionCounts
-    true_positives: tuple[LinkKey, ...]
-    false_positives: tuple[LinkKey, ...]
-    false_negatives: tuple[LinkKey, ...]
-    indirect_detected: tuple[LinkKey, ...]
-
-
-def score_against_truth(
-    graph: LaggedCausalGraph,
-    truth: GroundTruth,
-    exclude_indirect: bool = True,
-) -> TruthScore:
-    """Classify every candidate link of the graph against ground truth.
-
-    Candidates are all ordered variable pairs at every lag 1..max_lag of
-    the graph. With ``exclude_indirect`` (the default) a detected link
-    that matches a documented indirect pathway is reported separately
-    instead of being counted as a false positive.
-    """
-    known = set(graph.variables)
-    for key in list(truth.link_keys()) + list(truth.indirect_keys()):
-        if key[0] not in known or key[1] not in known:
-            raise VariableMismatch(
-                f"ground truth references variable outside the graph: {key}"
-            )
-    inferred_keys = graph.link_keys()
-    true_keys = truth.link_keys()
-    indirect_keys = truth.indirect_keys() if exclude_indirect else frozenset()
-
-    tp, fp, fn = [], [], []
-    indirect_detected = []
-    tn = 0
-    for key in candidate_keys(graph.variables, graph.max_lag):
-        detected = key in inferred_keys
-        if key in true_keys:
-            (tp if detected else fn).append(key)
-        elif detected and key in indirect_keys:
-            indirect_detected.append(key)
-        elif detected:
-            fp.append(key)
-        else:
-            tn += 1
-    counts = ConfusionCounts(tp=len(tp), fp=len(fp), tn=tn, fn=len(fn))
-    return TruthScore(
-        counts=counts,
-        true_positives=tuple(sorted(tp)),
-        false_positives=tuple(sorted(fp)),
-        false_negatives=tuple(sorted(fn)),
-        indirect_detected=tuple(sorted(indirect_detected)),
-    )
 
 
 def ensemble_error_binomial(e_s: float, n: int, k_min: int) -> float:
@@ -194,8 +108,7 @@ def monte_carlo_rates(
 ) -> ErrorRateCurve:
     """Estimate FNR and FPR of the TE link test on the bivariate benchmark.
 
-    ``kind`` is "bivariate-linear" or "bivariate-nonlinear" (plain
-    "linear"/"nonlinear" are accepted). Per trial a fresh sample of the
+    ``kind`` is "bivariate-linear" or "bivariate-nonlinear". Per trial a fresh sample of the
     requested length is generated with signal m = ratio and noise eps = 1,
     then the gated TE link test runs at lag 1 (miss -> false negative) and
     lag 2 (fire -> false positive). X is i.i.d., so the lag-2 test is an
@@ -204,8 +117,6 @@ def monte_carlo_rates(
     Trial RNG streams derive from (seed, length index, ratio index,
     trial), so single points are reproducible in isolation.
     """
-    if kind in ("linear", "nonlinear"):
-        kind = f"bivariate-{kind}"
     if kind not in ("bivariate-linear", "bivariate-nonlinear"):
         raise InvalidConfig(f"kind must be a bivariate system, got {kind!r}")
     if n_trials < 1:

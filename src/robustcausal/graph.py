@@ -1,5 +1,5 @@
 """Lagged causal graphs: candidate evaluation, construction, and
-deterministic serialization (JSON, DOT, CSV).
+deterministic serialization (JSON, DOT).
 
 A graph over k variables with maximum lag L is built by testing every
 ordered pair at every lag 1..L, exactly k*(k-1)*L candidate links; only
@@ -185,10 +185,10 @@ def _dot_identifier(name: str) -> str:
 
 
 def export_graph(g: LaggedCausalGraph, fmt: str = "json") -> str:
-    """Serialize a graph to "json", "dot", or "csv" text.
+    """Serialize a graph to "json" or "dot" text.
 
     Output is deterministic: variables alphabetical, links sorted by
-    (source, target, lag).
+    (source, target, lag). Only JSON keeps strengths and reads back.
     """
     if fmt == "json":
         payload = {
@@ -217,17 +217,20 @@ def export_graph(g: LaggedCausalGraph, fmt: str = "json") -> str:
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        lines = ["source,target,lag,strength,significant"]
-        for l in g.links:
-            flag = "true" if l.significant else "false"
-            lines.append(f"{l.source},{l.target},{l.lag},{l.strength!r},{flag}")
-        return "\n".join(lines) + "\n"
     raise UnknownFormat(f"unknown export format {fmt!r}")
 
 
+def _typed(obj: dict, key: str, kind: type | tuple[type, ...]):
+    """``obj[key]`` if it has the JSON type ``kind``; a boolean is not a number."""
+    value = obj[key]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise TypeError(f"{key!r} has the wrong JSON type: {value!r}")
+    return value
+
+
 def import_graph(text: str) -> LaggedCausalGraph:
-    """Rebuild a graph from its JSON serialization (lossless round trip)."""
+    """Rebuild a graph from its JSON serialization (lossless round trip);
+    a field without its JSON type raises ``UnknownFormat``."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -235,19 +238,22 @@ def import_graph(text: str) -> LaggedCausalGraph:
     try:
         links = tuple(
             CausalLink(
-                source=l["source"],
-                target=l["target"],
-                lag=int(l["lag"]),
-                strength=float(l["strength"]),
-                significant=bool(l["significant"]),
+                source=_typed(l, "source", str),
+                target=_typed(l, "target", str),
+                lag=_typed(l, "lag", int),
+                strength=float(_typed(l, "strength", (int, float))),
+                significant=_typed(l, "significant", bool),
             )
-            for l in payload["links"]
+            for l in _typed(payload, "links", list)
         )
+        variables = _typed(payload, "variables", list)
+        if not all(isinstance(name, str) for name in variables):
+            raise TypeError(f"variable names must be strings: {variables!r}")
         return LaggedCausalGraph(
-            variables=tuple(payload["variables"]),
+            variables=tuple(variables),
             links=links,
-            max_lag=int(payload["max_lag"]),
-            method=str(payload["method"]),
+            max_lag=_typed(payload, "max_lag", int),
+            method=_typed(payload, "method", str),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UnknownFormat(f"graph JSON is missing or malformed fields: {exc}") from None

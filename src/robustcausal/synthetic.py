@@ -64,6 +64,18 @@ class TrueLink:
     coefficient: float
 
 
+# The direct couplings of systems B and C, in ground-truth order: each adds
+# coefficient * source(t - lag) to target(t). System C squares Z in its one
+# term, Z -> X.
+_COUPLINGS = (
+    TrueLink("Z", "X", 1, 0.4),
+    TrueLink("X", "Y", 3, 0.6),
+    TrueLink("W", "Y", 2, 0.09),
+    TrueLink("Y", "Z", 2, 0.7),
+    TrueLink("X", "W", 1, 0.5),
+)
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Direct links of the generating equations plus documented indirect links."""
@@ -149,44 +161,43 @@ class SystemSpec:
 _DIVERGENCE_LIMIT = 1e8
 
 
-def _simulate_coupled(
-    n: int,
-    eta_x: np.ndarray,
-    eta_y: np.ndarray,
-    eta_z: np.ndarray,
-    eta_w: np.ndarray,
-    squared_z: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run the four-variable recursion on explicit noise arrays.
+def _simulate_coupled(n: int, *eta: np.ndarray, squared_z: bool) -> tuple[np.ndarray, ...]:
+    """Run the recursion of ``_COUPLINGS`` on explicit noise arrays, one per
+    variable in ``_COUPLED_NAMES`` order, and return the series in that order.
 
     Values at negative time indices are zero, so the recursion starts from
-    rest and is driven purely by the supplied noise.
+    rest and is driven purely by the supplied noise. Each value is its
+    coupling terms summed in table order, plus its noise.
 
     The quadratic variant is only metastable: the loop Z -> X -> Y -> Z has
     an effective map ``z -> 0.168 z**2``, so a noise excursion beyond
     ``|z| ~ 6`` triggers super-exponential blow-up. Such realizations raise
     :class:`NonFinite` rather than returning astronomically large values.
     """
-    x = np.zeros(n)
-    y = np.zeros(n)
-    z = np.zeros(n)
-    w = np.zeros(n)
+    pad = max(c.lag for c in _COUPLINGS)
+    history = {name: [0.0] * (pad + n) for name in _COUPLED_NAMES}
+    noise = dict(zip(_COUPLED_NAMES, (e.tolist() for e in eta)))
+    inputs = {
+        name: [
+            (history[c.source], pad - c.lag, c.coefficient, squared_z and c.source == "Z")
+            for c in _COUPLINGS
+            if c.target == name
+        ]
+        for name in _COUPLED_NAMES
+    }
     for t in range(n):
-        z1 = z[t - 1] if t >= 1 else 0.0
-        x3 = x[t - 3] if t >= 3 else 0.0
-        w2 = w[t - 2] if t >= 2 else 0.0
-        y2 = y[t - 2] if t >= 2 else 0.0
-        x1 = x[t - 1] if t >= 1 else 0.0
-        x[t] = 0.4 * (z1 * z1 if squared_z else z1) + eta_x[t]
-        y[t] = 0.6 * x3 + 0.09 * w2 + eta_y[t]
-        z[t] = 0.7 * y2 + eta_z[t]
-        w[t] = 0.5 * x1 + eta_w[t]
-        if squared_z and abs(x[t]) > _DIVERGENCE_LIMIT:
+        for name in _COUPLED_NAMES:
+            value = -0.0  # the exact additive identity: -0.0 + a is a, bit for bit
+            for source, shift, coefficient, square in inputs[name]:
+                v = source[shift + t]
+                value += coefficient * (v * v if square else v)
+            history[name][pad + t] = value + noise[name][t]
+        if squared_z and abs(history["X"][pad + t]) > _DIVERGENCE_LIMIT:
             raise NonFinite(
                 f"quadratic system diverged at step {t}; this noise realization "
                 "leaves the stable regime, use a different rng_seed"
             )
-    return x, y, z, w
+    return tuple(np.array(history[name][pad:]) for name in _COUPLED_NAMES)
 
 
 def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
@@ -199,24 +210,14 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
         return Dataset(series), GroundTruth(true_links=())
 
     if spec.kind in ("B", "C"):
-        eta = [
-            _rng(spec.rng_seed, i).standard_normal(spec.length)
-            for i in range(4)
-        ]
-        x, y, z, w = _simulate_coupled(spec.length, *eta, squared_z=spec.kind == "C")
-        cut = spec.burn_in
+        eta = [_rng(spec.rng_seed, i).standard_normal(spec.length) for i in range(4)]
+        simulated = _simulate_coupled(spec.length, *eta, squared_z=spec.kind == "C")
         series = tuple(
-            TimeSeries(name, arr[cut:])
-            for name, arr in zip(_COUPLED_NAMES, (x, y, z, w))
+            TimeSeries(name, arr[spec.burn_in:])
+            for name, arr in zip(_COUPLED_NAMES, simulated)
         )
         truth = GroundTruth(
-            true_links=(
-                TrueLink("Z", "X", 1, 0.4),
-                TrueLink("X", "Y", 3, 0.6),
-                TrueLink("W", "Y", 2, 0.09),
-                TrueLink("Y", "Z", 2, 0.7),
-                TrueLink("X", "W", 1, 0.5),
-            ),
+            true_links=_COUPLINGS,
             indirect_links=_INDIRECT_B if spec.kind == "B" else _INDIRECT_C,
         )
         return Dataset(series), truth

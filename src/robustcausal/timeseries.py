@@ -102,9 +102,6 @@ class Dataset:
             )
         return Dataset(TimeSeries(s.name, s.values[start : start + length]) for s in self.series)
 
-    def __iter__(self):
-        return iter(self.series)
-
 
 def validate_dataset(d: Dataset) -> Dataset:
     """Check dataset invariants and return the dataset unchanged.

@@ -54,6 +54,16 @@ def test_generate_csv_path_variant(tmp_path):
     assert (tmp_path / "sim_manifest.json").exists()
 
 
+def test_generate_truth_path_wins_for_both_out_forms(tmp_path):
+    for out in (tmp_path / "dir", tmp_path / "sim.csv"):
+        truth = tmp_path / f"{out.stem}_given.json"
+        assert _run("generate", "--system", "B", "--length", "150", "--seed", "1",
+                    "--out", str(out), "--truth", str(truth)) == 0
+        assert json.loads(truth.read_text())["true_links"]
+        assert not (out / "truth.json").exists()
+        assert not (tmp_path / f"{out.stem}_truth.json").exists()
+
+
 def test_generate_requires_seed_and_system(tmp_path, capsys):
     assert _run("generate", "--system", "A", "--out", str(tmp_path / "x.csv")) == 2
     assert "--seed" in capsys.readouterr().err

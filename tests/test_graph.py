@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,28 +144,59 @@ def test_dot_quotes_awkward_names():
     assert 'rain -> "soil moisture" [label="lag 1"]' in dot
 
 
-def test_csv_output_shape():
-    g = _graph([CausalLink("X", "Y", 2, 0.25)])
-    lines = export_graph(g, "csv").strip().splitlines()
-    assert lines[0] == "source,target,lag,strength,significant"
-    assert lines[1].startswith("X,Y,2,")
-
-
 def test_unknown_format_rejected():
     g = _graph([])
-    with pytest.raises(UnknownFormat):
-        export_graph(g, "yaml")
+    for fmt in ("yaml", "csv"):
+        with pytest.raises(UnknownFormat):
+            export_graph(g, fmt)
     with pytest.raises(UnknownFormat):
         import_graph("this is not json")
     with pytest.raises(UnknownFormat):
         import_graph('{"variables": ["X"]}')
-    text = export_graph(_graph([CausalLink("X", "Y", 1, 0.5)]), "json")
-    malformed = [text.replace('"lag": 1', '"lag": "x"'),
-                 text.replace('"max_lag": 4', '"max_lag": "two"')]
+    good = json.loads(export_graph(_graph([CausalLink("X", "Y", 1, 0.5)]), "json"))
+    # Each value below has the wrong JSON type; a lenient reader would turn
+    # most of them into a valid graph ("false" into True, 1.9 into 1).
+    wrong_top = {"max_lag": ["two", 2.9, True], "variables": ["XY", ["X", "Y", 3]],
+                 "method": [1], "links": [good["links"][0]]}
+    wrong_link = {"lag": ["x", 1.9, True], "strength": ["0.5", True, None],
+                  "significant": ["false", 1], "source": [0], "target": [None]}
+    malformed = []
+    for key, values in wrong_top.items():
+        malformed += [{**good, key: v} for v in values]
+    for key, values in wrong_link.items():
+        malformed += [{**good, "links": [{**good["links"][0], key: v}]} for v in values]
     for bad in malformed:
-        assert bad != text
         with pytest.raises(UnknownFormat):
-            import_graph(bad)
+            import_graph(json.dumps(bad))
+    assert import_graph(json.dumps(good)) == _graph([CausalLink("X", "Y", 1, 0.5)])
+
+
+_NAMES = st.one_of(
+    st.sampled_from(["soil moisture", 'say "hi"', "a,b", "Größe", "温度", ""]),
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def _graphs(draw):
+    variables = tuple(draw(st.lists(_NAMES, min_size=2, max_size=4, unique=True)))
+    max_lag = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.sampled_from(candidate_keys(variables, max_lag)),
+                         unique=True, max_size=6))
+    # A Granger F statistic can be inf, so strengths include both infinities.
+    strengths = st.one_of(st.just(float("inf")), st.floats(allow_nan=False))
+    links = tuple(CausalLink(s, t, lag, draw(strengths), draw(st.booleans()))
+                  for s, t, lag in keys)
+    return LaggedCausalGraph(variables, links, max_lag, draw(_NAMES))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(g=_graphs())
+def test_json_round_trip_is_lossless_for_any_graph(g):
+    text = export_graph(g, "json")
+    back = import_graph(text)
+    assert back == g
+    assert export_graph(back, "json") == text
 
 
 def test_links_are_stored_sorted():

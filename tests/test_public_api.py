@@ -56,9 +56,6 @@ PUBLIC = {
     "generate",
     "SYSTEM_KINDS",
     # evaluation
-    "ConfusionCounts",
-    "TruthScore",
-    "score_against_truth",
     "ensemble_error_binomial",
     "ErrorRatePoint",
     "ErrorRateCurve",

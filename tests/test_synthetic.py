@@ -78,6 +78,55 @@ def test_quadratic_divergence_raises():
         _simulate_coupled(40, *eta, squared_z=True)
 
 
+def _coupled_oracle(n, eta_x, eta_y, eta_z, eta_w, squared_z):
+    """The hand-written recursion systems B and C ran before they were built
+    from one coupling table, kept as its oracle."""
+    x, y, z, w = (np.zeros(n) for _ in range(4))
+    for t in range(n):
+        z1 = z[t - 1] if t >= 1 else 0.0
+        x3 = x[t - 3] if t >= 3 else 0.0
+        w2 = w[t - 2] if t >= 2 else 0.0
+        y2 = y[t - 2] if t >= 2 else 0.0
+        x1 = x[t - 1] if t >= 1 else 0.0
+        x[t] = 0.4 * (z1 * z1 if squared_z else z1) + eta_x[t]
+        y[t] = 0.6 * x3 + 0.09 * w2 + eta_y[t]
+        z[t] = 0.7 * y2 + eta_z[t]
+        w[t] = 0.5 * x1 + eta_w[t]
+        if squared_z and abs(x[t]) > 1e8:
+            raise NonFinite(f"quadratic system diverged at step {t}")
+    return x, y, z, w
+
+
+_ORACLE_TRUTH = {
+    "true_links": (TrueLink("Z", "X", 1, 0.4), TrueLink("X", "Y", 3, 0.6),
+                   TrueLink("W", "Y", 2, 0.09), TrueLink("Y", "Z", 2, 0.7),
+                   TrueLink("X", "W", 1, 0.5)),
+    "B": (("Z", "Y", 4), ("W", "Z", 4), ("Z", "W", 2), ("Y", "X", 3)),
+    "C": (("Z", "W", 2), ("Y", "X", 3), ("Y", "W", 4), ("W", "Z", 4), ("Z", "Y", 4)),
+}
+
+
+@pytest.mark.parametrize("kind", ["B", "C"])
+def test_coupling_table_matches_the_hand_written_recursion(kind):
+    compared = 0
+    for seed in range(8):
+        spec = SystemSpec(kind=kind, length=1100, rng_seed=seed)
+        eta = [_rng(seed, i).standard_normal(spec.length) for i in range(4)]
+        try:
+            want = _coupled_oracle(spec.length, *eta, squared_z=kind == "C")
+        except NonFinite as exc:
+            with pytest.raises(NonFinite, match=str(exc)):
+                generate(spec)
+            continue
+        d, truth = generate(spec)
+        for name, arr in zip(("X", "Y", "Z", "W"), want):
+            assert d.get(name).values.tobytes() == arr[spec.burn_in:].tobytes()
+        want_truth = GroundTruth(_ORACLE_TRUTH["true_links"], _ORACLE_TRUTH[kind])
+        assert truth.to_json() == want_truth.to_json()
+        compared += 1
+    assert compared >= 3
+
+
 def test_divergent_seed_raises_through_generate():
     with pytest.raises(NonFinite, match="diverged"):
         generate(SystemSpec(kind="C", length=1000, rng_seed=0))
