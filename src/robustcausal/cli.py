@@ -19,11 +19,11 @@ keyed by its config key, which is also its key in the manifest's
 ``config``; ``--help`` shows both. A value comes from the flag, else the
 JSON file given as ``--config``, else the default; JSON ``null`` is unset.
 Unknown config keys and bad values are usage errors, and so is a setting
-of an ``analyze`` part (TE, GC, the ensemble) that the run skips, set away
-from its default. Every run writes a
-``manifest.json`` (effective config, seed, library versions, no
-timestamps); its ``config`` plus ``seed``, given as ``--config``, replays
-the run byte for byte.
+of a part (the data source's, or for ``analyze`` TE, GC, the ensemble)
+that the run skips, set away from its default. Every run writes a
+``manifest.json`` (the settings of the parts it used, seed, library
+versions, no timestamps); its ``config`` plus ``seed``, given as
+``--config``, replays the run byte for byte.
 
 Exit codes: 0 success, 1 computation error, 2 usage error. The environment
 variable ``ROBUST_CAUSAL_THREADS`` caps worker parallelism.
@@ -43,7 +43,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .ensemble import EnsembleConfig, analyze_ensemble
+from .ensemble import SUBSAMPLE_MODES, EnsembleConfig, analyze_ensemble
 from .errors import RobustCausalError
 from .estimators import BinningSpec
 from .evaluation import bin_sensitivity_scan, monte_carlo_rates
@@ -136,7 +136,7 @@ SETTINGS = {
     "length": Setting("--length", _int, 1000, "generated sample length"),
     "burn_in": Setting("--burn-in", _int, 100, "transient steps to drop"),
     "signal": Setting("--m", float, None, "bivariate signal coefficient"),
-    "noise": Setting("--eps", float, None, "bivariate noise coefficient (unset means 1)"),
+    "noise": Setting("--eps", float, 1.0, "bivariate noise coefficient"),
     "detrend": Setting("--detrend", _bool, False, "remove a linear trend per variable"),
     "deseasonalize_period": Setting("--deseasonalize", _int, None,
                                     "remove the mean cycle of this period per variable"),
@@ -153,8 +153,8 @@ SETTINGS = {
     "n_subsamples": Setting("--subsamples", _int, None,
                             "enable the ensemble check with this many windows"),
     "subsample_length": Setting("--sub-length", _int, None, "window length for the ensemble check"),
-    "mode": Setting("--mode", _choice("random-continuous", "fixed-overlap", "nonoverlapping"),
-                    "random-continuous", "how windows are drawn"),
+    "mode": Setting("--mode", _choice(*SUBSAMPLE_MODES), "random-continuous",
+                    "how windows are drawn"),
     "threshold": Setting("--threshold", float, 0.9, "consistency vote fraction"),
     "reuse_parent_bins": Setting("--reuse-parent-bins", _bool, False,
                                  "reuse the full-sample discretization for every window"),
@@ -174,17 +174,32 @@ SETTINGS = {
     "truth": Setting("--truth", str, None, "ground-truth JSON path (default next to the CSV)"),
 }
 
-SOURCE_KEYS = ("input", "system", "length", "burn_in", "signal", "noise",
-               "detrend", "deseasonalize_period")
-TE_KEYS = ("bins", "n_surrogates", "confidence", "te_surrogate_test")
-GC_KEYS = ("gc_alpha", "gc_lagwise")
-ENSEMBLE_KEYS = ("n_subsamples", "subsample_length", "mode", "threshold")
-# Each part of an analyze run: the settings only it reads, what a run sets
-# to use it, and whether it does; in order, the analyze keys after "method".
+
+def _always(s: dict) -> bool:
+    return True
+
+
+# A part of a run: the settings only it reads, what a run sets to use it
+# (None: every run does), and whether this run does. Each command lists its
+# parts in --help order; the settings outside them are seed, out, truth.
+SYSTEM_PARTS = (
+    (("system", "length"), "--system", lambda s: s["system"] is not None),
+    (("burn_in",), "--system B or C", lambda s: s["system"] in ("B", "C")),
+    (("signal", "noise"), "a bivariate --system",
+     lambda s: s["system"] in ("bivariate-linear", "bivariate-nonlinear")),
+)
+SOURCE_PARTS = (
+    (("input",), "--input", lambda s: s["input"] is not None),
+    *SYSTEM_PARTS,
+    (("detrend", "deseasonalize_period"), None, _always),
+)
 ANALYZE_PARTS = (
-    (TE_KEYS, "--method te", lambda s: s["method"] == "te"),
-    (GC_KEYS, "--method gc", lambda s: s["method"] == "gc"),
-    (ENSEMBLE_KEYS, "--subsamples", lambda s: s["n_subsamples"] is not None),
+    (("max_lag", "method"), None, _always),
+    (("bins", "n_surrogates", "confidence", "te_surrogate_test"), "--method te",
+     lambda s: s["method"] == "te"),
+    (("gc_alpha", "gc_lagwise"), "--method gc", lambda s: s["method"] == "gc"),
+    (("n_subsamples", "subsample_length", "mode", "threshold"), "--subsamples",
+     lambda s: s["n_subsamples"] is not None),
     (("reuse_parent_bins",), "--method te with --subsamples",
      lambda s: s["method"] == "te" and s["n_subsamples"] is not None),
     (("workers",), "--subsamples", lambda s: s["n_subsamples"] is not None),
@@ -234,8 +249,21 @@ def _resolve(ns) -> dict:
     return values
 
 
-def _pick(s: dict, *keys) -> dict:
-    return {key: s[key] for key in keys}
+def _recorded(command: Command, s: dict) -> dict:
+    """The manifest's ``config``: the settings of every part of ``command``
+    that the run uses. A setting of a part it skips, away from its parsed
+    default, is a usage error."""
+    config = {}
+    for keys, needs, used in command.parts:
+        if used(s):
+            config.update((key, s[key]) for key in keys if key not in UNRECORDED_KEYS)
+            continue
+        for key in keys:
+            row = SETTINGS[key]
+            default = None if row.default is None else row.parse(row.default)
+            if key not in UNCHECKED_KEYS and s[key] != default:
+                raise UsageError(f"{row.flag} (config key {key}) needs {needs}")
+    return config
 
 
 def _require_seed(seed) -> int:
@@ -285,24 +313,20 @@ def _system_spec(s: dict, seed) -> SystemSpec:
 
 
 def _load_input(s: dict, seed: int | None):
-    """Preprocessed dataset from --input CSV or an inline-generated --system,
-    and the manifest keys that describe it."""
+    """Preprocessed dataset from --input CSV or an inline-generated --system."""
     if (s["input"] is None) == (s["system"] is None):
         raise UsageError("exactly one of --input or --system is required")
     if s["input"] is not None:
-        d, described = read_dataset_csv(s["input"]), {"input": s["input"]}
+        d = read_dataset_csv(s["input"])
     else:
         d, _ = generate(_system_spec(s, seed))
-        described = _pick(s, "system", "length", "burn_in")
-        if s["signal"] is not None:
-            described.update(signal=s["signal"], noise=1.0 if s["noise"] is None else s["noise"])
     spec = PreprocessSpec(detrend=s["detrend"], season_period=s["deseasonalize_period"])
     if spec.detrend or spec.season_period is not None:
         d = apply_preprocess(d, spec)
-    return d, {**described, **_pick(s, "detrend", "deseasonalize_period")}
+    return d
 
 
-def cmd_generate(s: dict) -> int:
+def cmd_generate(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
     if s["system"] is None:
         raise UsageError("--system is required")
@@ -316,9 +340,8 @@ def cmd_generate(s: dict) -> int:
     _write(truth_path, truth.to_json())
     # Record the paths as given, not as derived: a replay with a new --out
     # then writes every file beside the new output.
-    effective = _pick(s, "system", "length", "burn_in", "signal", "noise", "truth")
-    effective["out"] = str(out)
-    _write_manifest(_beside(out, "manifest.json"), "generate", effective, seed)
+    config.update(truth=s["truth"], out=str(out))
+    _write_manifest(_beside(out, "manifest.json"), "generate", config, seed)
     print(f"wrote {csv_path} ({len(d.names)} variables, {d.length} steps)")
     return 0
 
@@ -331,22 +354,12 @@ def _surrogate_config(s: dict, seed: int) -> SurrogateConfig:
                            reuse_parent_bins=s.get("reuse_parent_bins", False))
 
 
-def cmd_analyze(s: dict) -> int:
-    recorded = ["method", "max_lag"]
-    for keys, needs, used in ANALYZE_PARTS:
-        if used(s):
-            recorded += [key for key in keys if key not in UNRECORDED_KEYS]
-            continue
-        for key in keys:
-            row = SETTINGS[key]
-            default = None if row.default is None else row.parse(row.default)
-            if key not in UNCHECKED_KEYS and s[key] != default:
-                raise UsageError(f"{row.flag} (config key {key}) needs {needs}")
+def cmd_analyze(s: dict, config: dict) -> int:
     ensemble = s["n_subsamples"] is not None
     seed = _require_seed(s["seed"]) if s["method"] == "te" or ensemble else s["seed"]
     test = (_surrogate_config(s, seed) if s["method"] == "te"
             else GrangerConfig(alpha=s["gc_alpha"], lagwise=s["gc_lagwise"]))
-    d, effective = _load_input(s, seed)
+    d = _load_input(s, seed)
     out = Path(s["out"])
 
     if ensemble:
@@ -366,13 +379,12 @@ def cmd_analyze(s: dict) -> int:
         summary = f"graph: {graph.n_links} significant link(s)"
     _write(out / "graph.json", export_graph(graph, "json"))
     _write(out / "graph.dot", export_graph(graph, "dot"))
-    effective.update(_pick(s, *recorded))
-    _write_manifest(out / "manifest.json", "analyze", effective, seed)
+    _write_manifest(out / "manifest.json", "analyze", config, seed)
     print(f"{summary} -> {out}")
     return 0
 
 
-def cmd_evaluate(s: dict) -> int:
+def cmd_evaluate(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
     curve = monte_carlo_rates(kind=s["kind"], lengths=s["lengths"], ratios=s["ratios"],
                               n_trials=s["trials"], rng_seed=seed,
@@ -380,16 +392,15 @@ def cmd_evaluate(s: dict) -> int:
     out = Path(s["out"])
     csv_path = out if out.suffix.lower() == ".csv" else out / "error_rates.csv"
     _write(csv_path, curve.to_csv())
-    effective = _pick(s, "kind", "lengths", "ratios", "trials", "n_surrogates", "confidence")
-    effective["out"] = str(out)
-    _write_manifest(_beside(out, "manifest.json"), "evaluate", effective, seed)
+    config["out"] = str(out)
+    _write_manifest(_beside(out, "manifest.json"), "evaluate", config, seed)
     print(f"wrote {csv_path} ({len(curve.points)} grid points x {s['trials']} trials)")
     return 0
 
 
-def cmd_sensitivity(s: dict) -> int:
+def cmd_sensitivity(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
-    d, effective = _load_input(s, seed)
+    d = _load_input(s, seed)
     center = s["center"]
     if center == "auto":
         center = BinningSpec.from_dataset(d).bin_count
@@ -407,37 +418,38 @@ def cmd_sensitivity(s: dict) -> int:
         "stable": report.stable(),
     }
     _write(out / "report.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    effective.update(_pick(s, "radius", "max_lag", "n_surrogates", "confidence"), center=center)
-    _write_manifest(out / "manifest.json", "sensitivity", effective, seed)
+    config["center"] = center
+    _write_manifest(out / "manifest.json", "sensitivity", config, seed)
     flat = ", ".join(f"{m}:{report.jaccard[m]:.2f}" for m in sorted(report.jaccard))
     print(f"bin sensitivity around {center}: {flat} -> {out}")
     return 0
 
 
 class Command(NamedTuple):
-    run: Callable
+    run: Callable  # (settings, the manifest's config) -> exit code
     help: str
-    keys: tuple
+    parts: tuple  # (keys, needs, used) per part, in --help order
+    own: tuple  # settings outside the parts (seed, out, truth); the command records them
     out: str | None  # default of --out
+
+    @property
+    def keys(self) -> tuple:
+        return tuple(key for keys, _, _ in self.parts for key in keys) + self.own
 
 
 COMMANDS = {
-    "generate": Command(cmd_generate, "simulate a benchmark system to CSV",
-                        ("system", "length", "burn_in", "signal", "noise", "seed", "out", "truth"),
-                        None),
+    "generate": Command(cmd_generate, "simulate a benchmark system to CSV", SYSTEM_PARTS,
+                        ("seed", "out", "truth"), None),
     "analyze": Command(cmd_analyze, "build the lagged causal graph of a dataset",
-                       SOURCE_KEYS + ("max_lag", "method",
-                                      *(key for keys, _, _ in ANALYZE_PARTS for key in keys),
-                                      "seed", "out"),
-                       "analysis"),
+                       SOURCE_PARTS + ANALYZE_PARTS, ("seed", "out"), "analysis"),
     "evaluate": Command(cmd_evaluate, "Monte Carlo FNR/FPR curves on the bivariate benchmark",
-                        ("kind", "lengths", "ratios", "trials", "n_surrogates", "confidence",
-                         "seed", "out"),
-                        "evaluation"),
+                        ((("kind", "lengths", "ratios", "trials", "n_surrogates", "confidence"),
+                          None, _always),),
+                        ("seed", "out"), "evaluation"),
     "sensitivity": Command(cmd_sensitivity, "link-set stability across bin counts",
-                           SOURCE_KEYS + ("center", "radius", "max_lag", "n_surrogates",
-                                          "confidence", "seed", "out"),
-                           "sensitivity"),
+                           SOURCE_PARTS + ((("center", "radius", "max_lag", "n_surrogates",
+                                             "confidence"), None, _always),),
+                           ("seed", "out"), "sensitivity"),
 }
 
 
@@ -463,8 +475,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
+    command = COMMANDS[ns.subcommand]
     try:
-        return COMMANDS[ns.subcommand].run(_resolve(ns))
+        s = _resolve(ns)
+        return command.run(s, _recorded(command, s))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

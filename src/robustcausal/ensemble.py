@@ -22,6 +22,8 @@ Window schemes
 
 from __future__ import annotations
 
+import csv
+import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -127,13 +129,15 @@ class LinkFrequencyTable:
         return self.counts.get(key, 0) / self.n_subsamples
 
     def to_csv(self) -> str:
-        """CSV with one row per candidate link: source,target,lag,count,fraction."""
-        lines = ["source,target,lag,count,fraction"]
+        """CSV with one row per candidate link: source,target,lag,count,fraction.
+        Names that hold a comma, a quote or a line break are quoted."""
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("source", "target", "lag", "count", "fraction"))
         for key in sorted(candidate_keys(self.variables, self.max_lag)):
-            s, t, lag = key
             count = self.counts.get(key, 0)
-            lines.append(f"{s},{t},{lag},{count},{count / self.n_subsamples!r}")
-        return "\n".join(lines) + "\n"
+            writer.writerow((*key, count, repr(count / self.n_subsamples)))
+        return text.getvalue()
 
 
 def link_frequencies(graphs: list[LaggedCausalGraph]) -> LinkFrequencyTable:

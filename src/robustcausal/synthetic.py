@@ -29,8 +29,8 @@ Four system kinds are available:
 
 Alongside the data, :func:`generate` returns the ground truth: the direct
 links written into the equations plus the indirect (transitive) links that
-lag composition produces, which a pairwise detector may legitimately pick
-up without them being directly simulated.
+lag composition produces up to a total lag of 4, which a pairwise detector
+may legitimately pick up without them being directly simulated.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ __all__ = ["SystemSpec", "GroundTruth", "TrueLink", "generate", "SYSTEM_KINDS"]
 SYSTEM_KINDS = ("A", "B", "C", "bivariate-linear", "bivariate-nonlinear")
 
 _COUPLED_NAMES = ("X", "Y", "Z", "W")
-
-# Indirect links by lag composition of the direct couplings, per system.
-# Example: Z drives X at lag 1 and X drives Y at lag 3, so Z also shows up
-# at Y with lag 4 without a simulated Z->Y term.
-_INDIRECT_B = (("Z", "Y", 4), ("W", "Z", 4), ("Z", "W", 2), ("Y", "X", 3))
-_INDIRECT_C = (("Z", "W", 2), ("Y", "X", 3), ("Y", "W", 4), ("W", "Z", 4), ("Z", "Y", 4))
 
 
 @dataclass(frozen=True)
@@ -74,6 +68,29 @@ _COUPLINGS = (
     TrueLink("Y", "Z", 2, 0.7),
     TrueLink("X", "W", 1, 0.5),
 )
+
+# The largest lag at which the benchmark systems are analysed, and so the
+# largest total lag of the indirect links their ground truth lists.
+_INDIRECT_MAX_LAG = 4
+
+
+def _composed_links(max_lag: int) -> tuple[tuple[str, str, int], ...]:
+    """Indirect links of systems B and C: (source, target, total lag) of
+    every path of two or more couplings with total lag <= ``max_lag``, other
+    than the couplings themselves and self-loops, sorted by (lag, source,
+    target). Example: Z drives X at lag 1 and X drives Y at lag 3, so Z also
+    shows up at Y with lag 4 without a simulated Z->Y term."""
+    direct = {(c.source, c.target, c.lag) for c in _COUPLINGS}
+    composed, paths = set(), direct
+    while paths:
+        paths = {(s, c.target, lag + c.lag) for s, t, lag in paths for c in _COUPLINGS
+                 if c.source == t and lag + c.lag <= max_lag}
+        composed |= paths
+    keys = {(s, t, lag) for s, t, lag in composed - direct if s != t}
+    return tuple(sorted(keys, key=lambda k: (k[2], k[0], k[1])))
+
+
+_INDIRECT = _composed_links(_INDIRECT_MAX_LAG)
 
 
 @dataclass(frozen=True)
@@ -127,7 +144,9 @@ class SystemSpec:
     ``length`` is the number of generated steps for the coupled systems
     (B and C output ``length - burn_in`` points after the transient is
     dropped; A and the bivariate kinds output exactly ``length``).
-    ``signal`` and ``noise`` are the bivariate coefficients m and eps.
+    ``burn_in`` is read by B and C only. ``signal`` and ``noise`` are the
+    bivariate coefficients m (required) and eps, read by the bivariate
+    kinds only.
     """
 
     kind: str
@@ -135,7 +154,7 @@ class SystemSpec:
     rng_seed: int
     burn_in: int = 100
     signal: float | None = None
-    noise: float | None = None
+    noise: float = 1.0
 
     def __post_init__(self):
         if self.kind not in SYSTEM_KINDS:
@@ -151,9 +170,8 @@ class SystemSpec:
         if self.kind.startswith("bivariate"):
             if self.signal is None:
                 raise InvalidConfig(f"kind {self.kind!r} needs a signal coefficient")
-            eps = 1.0 if self.noise is None else self.noise
-            if eps <= 0:
-                raise InvalidConfig(f"noise coefficient must be > 0, got {eps}")
+            if self.noise <= 0:
+                raise InvalidConfig(f"noise coefficient must be > 0, got {self.noise}")
 
 
 # Magnitude beyond which the quadratic recursion has irreversibly left the
@@ -216,15 +234,11 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
             TimeSeries(name, arr[spec.burn_in:])
             for name, arr in zip(_COUPLED_NAMES, simulated)
         )
-        truth = GroundTruth(
-            true_links=_COUPLINGS,
-            indirect_links=_INDIRECT_B if spec.kind == "B" else _INDIRECT_C,
-        )
-        return Dataset(series), truth
+        return Dataset(series), GroundTruth(true_links=_COUPLINGS, indirect_links=_INDIRECT)
 
     # bivariate kinds: X is i.i.d., Y responds at lag 1, no recursion.
     m = float(spec.signal)
-    eps = 1.0 if spec.noise is None else float(spec.noise)
+    eps = float(spec.noise)
     x_full = _rng(spec.rng_seed, 0).standard_normal(spec.length + 1)
     eta = _rng(spec.rng_seed, 1).standard_normal(spec.length)
     driver = x_full[:-1]

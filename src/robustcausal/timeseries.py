@@ -203,10 +203,11 @@ def apply_preprocess(d: Dataset, spec: PreprocessSpec) -> Dataset:
 def read_dataset_csv(path) -> Dataset:
     """Read a dataset from CSV: header row of names, one time step per row.
 
-    Values use '.' as the decimal mark and ',' as the separator. Blank cells
-    are an error. A leading timestamp column named "t" is ignored.
+    The file is UTF-8, with or without a byte-order mark. Values use '.' as
+    the decimal mark and ',' as the separator. Blank cells are an error. A
+    leading timestamp column named "t" is ignored.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
@@ -245,16 +246,18 @@ def read_dataset_csv(path) -> Dataset:
 def write_dataset_csv(d: Dataset, path) -> None:
     """Write the dataset as CSV (header of names, one time step per row).
 
-    Values are written in their shortest exact form, so ``read_dataset_csv``
-    gives back the same names and the same floats. Raises ``CsvFormatError``
-    for a name the reader would change: an empty one, one with surrounding
-    whitespace, or a first name "t", which the reader takes for a timestamp
-    column.
+    The file is UTF-8 without a byte-order mark. Values are written in their
+    shortest exact form, so ``read_dataset_csv`` gives back the same names
+    and the same floats. Raises ``CsvFormatError`` for a name the reader
+    would change: an empty one, one with surrounding whitespace, a first
+    name "t", which the reader takes for a timestamp column, or a first name
+    that starts with U+FEFF, which the reader takes for a byte-order mark.
     """
     for i, name in enumerate(d.names):
-        if name == "" or name != name.strip() or (i == 0 and name == "t"):
+        if (name == "" or name != name.strip()
+                or (i == 0 and (name == "t" or name.startswith("\ufeff")))):
             raise CsvFormatError(f"{path}: series name {name!r} would not read back")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(d.names)
         matrix = np.column_stack([s.values for s in d.series])

@@ -255,13 +255,16 @@ def test_manifest_configs_are_pinned(tmp_path):
     assert _manifest_config(
         "generate", "--system", "A", "--length", "120", "--seed", "1",
         "--out", f"{t}/a.csv",
-    ) == {"system": "A", "length": 120, "burn_in": 100, "signal": None, "noise": None,
-          "out": f"{t}/a.csv", "truth": None}
+    ) == {"system": "A", "length": 120, "out": f"{t}/a.csv", "truth": None}
+    assert _manifest_config(
+        "generate", "--system", "B", "--length", "150", "--burn-in", "20", "--seed", "1",
+        "--out", f"{t}/b.csv",
+    ) == {"system": "B", "length": 150, "burn_in": 20, "out": f"{t}/b.csv", "truth": None}
     assert _manifest_config(
         "generate", "--system", "bivariate-linear", "--m", "0.5", "--length", "120",
         "--seed", "1", "--out", f"{t}/biv",
-    ) == {"system": "bivariate-linear", "length": 120, "burn_in": 100, "signal": 0.5,
-          "noise": None, "out": f"{t}/biv", "truth": None}
+    ) == {"system": "bivariate-linear", "length": 120, "signal": 0.5, "noise": 1.0,
+          "out": f"{t}/biv", "truth": None}
     assert _manifest_config(
         "analyze", *system_b, "--surrogates", "20", "--subsamples", "3",
         "--sub-length", "120", "--te-surrogate-test", "on", "--bins", "5",
@@ -282,9 +285,14 @@ def test_manifest_configs_are_pinned(tmp_path):
     assert _manifest_config(
         "analyze", "--system", "bivariate-linear", "--m", "0.5", "--length", "200",
         "--max-lag", "2", "--surrogates", "20", "--seed", "2", "--out", f"{t}/biv_te",
-    ) == {**source_b, "system": "bivariate-linear", "length": 200, "signal": 0.5,
-          "noise": 1.0, "method": "te", "bins": "auto", "n_surrogates": 20,
-          "confidence": 0.95, "te_surrogate_test": "off"}
+    ) == {"system": "bivariate-linear", "length": 200, "signal": 0.5, "noise": 1.0,
+          "max_lag": 2, "detrend": False, "deseasonalize_period": None, "method": "te",
+          "bins": "auto", "n_surrogates": 20, "confidence": 0.95, "te_surrogate_test": "off"}
+    assert _manifest_config(
+        "analyze", "--input", f"{t}/a.csv", "--method", "gc", "--max-lag", "2", "--detrend",
+        "--out", f"{t}/csv_gc",
+    ) == {"input": f"{t}/a.csv", "max_lag": 2, "detrend": True, "deseasonalize_period": None,
+          "method": "gc", "gc_alpha": 0.05, "gc_lagwise": True}
     assert _manifest_config(
         "evaluate", "--lengths", "60", "--ratios", "0.2..0.6:3", "--trials", "2",
         "--surrogates", "10", "--seed", "3", "--out", f"{t}/x.csv",
@@ -337,6 +345,53 @@ def test_gc_refuses_binning_settings(tmp_path, capsys, flags, config, named):
     assert code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (("analyze", "--input", "F", "--length", "50"), {},
+     "--length (config key length) needs --system"),
+    (("analyze", "--input", "F", "--m", "0.3"), {},
+     "--m (config key signal) needs a bivariate --system"),
+    (("analyze", "--input", "F"), {"burn_in": 7},
+     "--burn-in (config key burn_in) needs --system B or C"),
+    (("generate", "--system", "B", "--m", "0.7"), {},
+     "--m (config key signal) needs a bivariate --system"),
+    (("generate", "--system", "B"), {"noise": 2},
+     "--eps (config key noise) needs a bivariate --system"),
+    (("generate", "--system", "A", "--burn-in", "7"), {},
+     "--burn-in (config key burn_in) needs --system B or C"),
+    (("generate", "--system", "bivariate-linear", "--m", "0.5", "--burn-in", "7"), {},
+     "--burn-in (config key burn_in) needs --system B or C"),
+    (("sensitivity", "--input", "F", "--burn-in", "3"), {},
+     "--burn-in (config key burn_in) needs --system B or C"),
+    (("analyze", "--input", "F", "--length", "1000", "--burn-in", "100", "--eps", "1"), {},
+     None),
+    (("generate", "--system", "bivariate-linear", "--m", "0.5", "--burn-in", "100"), {}, None),
+], ids=["analyze-length", "analyze-m", "analyze-burn-in-key", "generate-b-m",
+        "generate-b-eps-key", "generate-a-burn-in", "generate-bivariate-burn-in",
+        "sensitivity-burn-in", "analyze-defaults", "generate-defaults"])
+def test_source_settings_of_a_skipped_part_are_refused(tmp_path, capsys, argv, config, named):
+    # A source setting the chosen data source never reads (a system setting
+    # with --input, burn-in outside B and C, m and eps outside the bivariate
+    # systems) is refused unless it keeps its default, and nothing is written.
+    source = tmp_path / "in" / "f.csv"
+    source.parent.mkdir()
+    rng = np.random.default_rng(5)
+    write_dataset_csv(Dataset((TimeSeries("X", rng.normal(size=150)),
+                               TimeSeries("Y", rng.normal(size=150)))), source)
+    argv = [str(source) if arg == "F" else arg for arg in argv]
+    tail = (("--length", "150") if argv[0] == "generate"
+            else ("--max-lag", "1", "--surrogates", "10"))
+    if argv[0] == "sensitivity":
+        tail += ("--radius", "1", "--center", "5")
+    code = _run(*argv, *tail, "--seed", "2", "--out", str(tmp_path / "out"),
+                "--config", _write_config(tmp_path / "in" / "c.json", config))
+    if named is None:
+        assert code == 0
+        return
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
 def test_gc_accepts_surrogates(tmp_path):

@@ -1,9 +1,15 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustcausal import graph
 from robustcausal.ensemble import (
+    SUBSAMPLE_MODES,
     EnsembleConfig,
+    LinkFrequencyTable,
     analyze_ensemble,
     draw_subsamples,
     link_frequencies,
@@ -16,7 +22,8 @@ from robustcausal.errors import (
     WindowTooLong,
 )
 from robustcausal.estimators import BinningSpec
-from robustcausal.graph import CausalLink, LaggedCausalGraph
+from robustcausal.granger import GrangerConfig
+from robustcausal.graph import CausalLink, LaggedCausalGraph, export_graph
 from robustcausal.significance import SurrogateConfig
 from robustcausal.timeseries import Dataset, TimeSeries
 
@@ -136,17 +143,49 @@ def test_frequency_table_csv_lists_candidates():
     assert any(line.startswith("U,V,1") for line in lines[1:])
 
 
-def test_analyze_ensemble_deterministic_and_worker_independent():
-    d = _dataset(4, names=("A", "B", "C"), l=400)
-    cfg = EnsembleConfig(8, 120, rng_seed=3)
-    sur = SurrogateConfig(rng_seed=17, n_surrogates=40)
-    res1 = analyze_ensemble(d, cfg, sur, max_lag=2, workers=1)
-    res2 = analyze_ensemble(d, cfg, sur, max_lag=2, workers=4)
-    assert res1.full_graph.link_keys() == res2.full_graph.link_keys()
-    assert res1.frequencies.counts == res2.frequencies.counts
-    assert res1.robust.link_keys() == res2.robust.link_keys()
-    res3 = analyze_ensemble(d, cfg, sur, max_lag=2, workers=1)
-    assert res3.frequencies.counts == res1.frequencies.counts
+def test_frequency_table_csv_reads_back_awkward_names():
+    # Names with a comma or a quote are legal dataset names; each row must
+    # still read back as five fields.
+    names = ("a,b", 'c"d')
+    table = LinkFrequencyTable(variables=names, max_lag=2, method="te", n_subsamples=3,
+                               counts={("a,b", 'c"d', 2): 2}, mean_strengths={})
+    rows = list(csv.reader(io.StringIO(table.to_csv())))
+    assert rows[0] == ["source", "target", "lag", "count", "fraction"]
+    assert sorted(rows[1:]) == sorted(
+        [s, t, str(lag), str(table.counts.get((s, t, lag), 0)),
+         repr(table.fraction((s, t, lag)))]
+        for s in names for t in names if s != t for lag in (1, 2))
+    # plain names are written as before: no quoting, "\n" line ends
+    plain = LinkFrequencyTable(variables=("U", "V"), max_lag=1, method="te", n_subsamples=3,
+                               counts={("U", "V", 1): 1}, mean_strengths={})
+    assert plain.to_csv() == "source,target,lag,count,fraction\nU,V,1,1,0.3333333333333333\nV,U,1,0,0.0\n"
+
+
+def _exported(result):
+    """Every output of an ensemble run, as the bytes the CLI writes."""
+    return (export_graph(result.full_graph, "json"), export_graph(result.robust, "json"),
+            result.frequencies.to_csv(),
+            *(export_graph(g, "json") for g in result.subsample_graphs))
+
+
+@settings(max_examples=24, deadline=None, database=None)
+@given(
+    method=st.sampled_from(["te", "gc"]),
+    mode=st.sampled_from(SUBSAMPLE_MODES),
+    reuse_parent_bins=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_analyze_ensemble_deterministic_and_worker_independent(method, mode, reuse_parent_bins,
+                                                                seed):
+    d = _dataset(seed, names=("A", "B", "C"), l=240)
+    cfg = EnsembleConfig(3, 80, rng_seed=seed, mode=mode, threshold=0.6)
+    test = (SurrogateConfig(rng_seed=seed + 1, n_surrogates=20,
+                            reuse_parent_bins=reuse_parent_bins)
+            if method == "te" else GrangerConfig())
+    serial = _exported(analyze_ensemble(d, cfg, test, max_lag=2, workers=1))
+    assert len(serial) == 3 + cfg.n_subsamples
+    assert _exported(analyze_ensemble(d, cfg, test, max_lag=2, workers=2)) == serial
+    assert _exported(analyze_ensemble(d, cfg, test, max_lag=2, workers=1)) == serial
 
 
 def test_analyze_ensemble_reuse_parent_bins_mode_runs(monkeypatch):

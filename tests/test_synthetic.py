@@ -6,6 +6,7 @@ from robustcausal.synthetic import (
     GroundTruth,
     SystemSpec,
     TrueLink,
+    _composed_links,
     _simulate_coupled,
     generate,
 )
@@ -121,10 +122,25 @@ def test_coupling_table_matches_the_hand_written_recursion(kind):
         d, truth = generate(spec)
         for name, arr in zip(("X", "Y", "Z", "W"), want):
             assert d.get(name).values.tobytes() == arr[spec.burn_in:].tobytes()
-        want_truth = GroundTruth(_ORACLE_TRUTH["true_links"], _ORACLE_TRUTH[kind])
-        assert truth.to_json() == want_truth.to_json()
+        assert truth.true_links == _ORACLE_TRUTH["true_links"]
+        # The derived indirect links are the old table's, sorted, plus for B
+        # the path Y -> Z -> X -> W (lags 2 + 1 + 1) that its table missed.
+        extra = {("Y", "W", 4)} if kind == "B" else set()
+        assert set(truth.indirect_links) == set(_ORACLE_TRUTH[kind]) | extra
+        assert list(truth.indirect_links) == sorted(truth.indirect_links,
+                                                    key=lambda k: (k[2], k[0], k[1]))
         compared += 1
     assert compared >= 3
+
+
+def test_indirect_links_stop_at_the_lag_bound():
+    assert _composed_links(1) == ()
+    assert _composed_links(2) == (("Z", "W", 2),)
+    assert _composed_links(3) == (("Z", "W", 2), ("Y", "X", 3))
+    assert len(_composed_links(4)) == 5
+    # no path returns to its source before total lag 6 (Z -> X -> Y -> Z)
+    assert ("Z", "Z", 6) not in _composed_links(6)
+    assert ("Z", "X", 7) in _composed_links(7)  # Z -> X -> Y -> Z -> X
 
 
 def test_divergent_seed_raises_through_generate():

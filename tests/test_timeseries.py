@@ -178,7 +178,8 @@ def test_csv_round_trip_is_lossless(tmp_path_factory, names, length, data):
     )
     d = Dataset(tuple(TimeSeries(n, v) for n, v in zip(names, values)))
     path = tmp_path_factory.mktemp("csv") / "d.csv"
-    if names[0] == "t" or any(n == "" or n != n.strip() for n in names):
+    if (names[0] == "t" or names[0].startswith("\ufeff")
+            or any(n == "" or n != n.strip() for n in names)):
         with pytest.raises(CsvFormatError):
             write_dataset_csv(d, path)
         return
@@ -190,13 +191,29 @@ def test_csv_round_trip_is_lossless(tmp_path_factory, names, length, data):
 
 
 def test_csv_writer_rejects_names_the_reader_would_change(tmp_path):
-    for names in (("t", "Y", "Z"), ("t", "Y"), (" X", "Y"), ("X", "")):
+    for names in (("t", "Y", "Z"), ("t", "Y"), (" X", "Y"), ("X", ""), ("\ufeffX", "Y")):
         d = Dataset(tuple(_series(n, [1.0, 2.0]) for n in names))
         with pytest.raises(CsvFormatError):
             write_dataset_csv(d, tmp_path / "d.csv")
     d = Dataset((_series("Y", [1.0, 2.0]), _series("t", [3.0, 4.0])))
     write_dataset_csv(d, tmp_path / "d.csv")
     assert read_dataset_csv(tmp_path / "d.csv").names == ("Y", "t")
+
+
+def test_csv_reader_skips_a_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with EF BB BF; the timestamp
+    # column behind it is still skipped, and a BOM-less file reads the same.
+    body = "t,X,Y\n0,1.5,2.0\n1,3.0,-1.0\n"
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + body.encode())
+    (tmp_path / "plain.csv").write_bytes(body.encode())
+    for name in ("bom.csv", "plain.csv"):
+        d = read_dataset_csv(tmp_path / name)
+        assert d.names == ("X", "Y")
+        assert d.get("X").values.tolist() == [1.5, 3.0]
+    d = Dataset((_series("µ", [1.0, 2.0]), _series("Y", [3.0, 4.0])))
+    write_dataset_csv(d, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes().startswith("µ,Y".encode("utf-8"))
+    assert read_dataset_csv(tmp_path / "out.csv").names == ("µ", "Y")
 
 
 def test_csv_reader_rejects_ragged_rows(tmp_path):
