@@ -44,7 +44,7 @@ import scipy
 
 from . import __version__
 from .ensemble import SUBSAMPLE_MODES, EnsembleConfig, analyze_ensemble
-from .errors import RobustCausalError
+from .errors import InvalidConfig, RobustCausalError
 from .estimators import BinningSpec
 from .evaluation import bin_sensitivity_scan, monte_carlo_rates
 from .granger import GrangerConfig
@@ -307,9 +307,14 @@ def _beside(out: Path, name: str) -> Path:
 
 
 def _system_spec(s: dict, seed) -> SystemSpec:
-    """The benchmark system the settings describe."""
-    return SystemSpec(kind=s["system"], length=s["length"], rng_seed=_require_seed(seed),
-                      burn_in=s["burn_in"], signal=s["signal"], noise=s["noise"])
+    """The benchmark system the settings describe; settings it rejects are
+    usage errors."""
+    seed = _require_seed(seed)
+    try:
+        return SystemSpec(kind=s["system"], length=s["length"], rng_seed=seed,
+                          burn_in=s["burn_in"], signal=s["signal"], noise=s["noise"])
+    except InvalidConfig as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_input(s: dict, seed: int | None):

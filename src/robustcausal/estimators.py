@@ -19,22 +19,31 @@ conditional mutual information of aligned code arrays A, B and C (``_cmi``):
     I(A; C | B) = -H(B) + H(A, B) + H(B, C) - H(A, B, C)
 
 Without a B it is the mutual information ``I(A; C) = H(A) + H(C) - H(A, C)``
-(the lagged-MI gate and ``mutual_information``); transfer entropy from a
-source X to a target Y at lag tau takes ``A = x[t - tau]``, ``B = y[t - tau]``
-and ``C = y[t]``, so ``TE = I(X_past ; Y_now | Y_past)``.
+(the lagged-MI gate); transfer entropy from a source X to a target Y at lag
+tau takes ``A = x[t - tau]``, ``B = y[t - tau]`` and ``C = y[t]``, so
+``TE = I(X_past ; Y_now | Y_past)``.
 
 Surrogate batches
 -----------------
 ``_cmi`` also evaluates the statistic with each shuffled source in place of
-A, counting all of them in one offset ``bincount`` (in chunks of at most
-``_BATCH_CELL_BUDGET`` cells) and taking row entropies of many count rows
-at once (``_entropy_bits_rows``). All rows of a batch count the same
-aligned samples, so they share one total N. Each count n is looked up in
-``_plogp_table(N)``, the terms ``p * log2(p)`` at ``p = n / N`` (0 at
-n = 0), computed once per N by the same float operations as the direct
-formula, and each row sums its terms in cell order. So the result is
-bit-identical to ``-sum(p * log2(p))`` over the nonzero cells, not merely
-close to it.
+A, counting all of them in one offset ``bincount`` and taking row
+entropies of many count rows at once (``_entropy_bits_rows``). The flat
+index of that ``bincount`` is built in place in a scratch buffer that each
+thread owns (``threading.local``), so concurrent callers never share it.
+The buffer only grows, up to ``_INDEX_BUFFER_CAP`` (2**20) elements, 8 MB
+per thread: a bank is counted in chunks of rows small enough for that cap
+and for ``_BATCH_CELL_BUDGET`` histogram cells, and only a single row
+longer than the cap makes it larger. Chunking does not change any row's
+value. Each row's (A, B) marginal, its counts summed over C, is an
+integer matrix-vector product with a vector of ones; integer sums are
+exact, so it equals the ``sum`` over C element for element.
+
+All rows of a batch count the same aligned samples, so they share one
+total N. Each count n is looked up in ``_plogp_table(N)``, the terms
+``p * log2(p)`` at ``p = n / N`` (0 at n = 0), computed once per N by the
+same float operations as the direct formula, and each row sums its terms
+in cell order. So the result is bit-identical to ``-sum(p * log2(p))``
+over the nonzero cells, not merely close to it.
 
 The observed value keeps the dot-product form (``_entropy_bits``). The two
 forms can differ in the last bit of the same histogram, so each keeps its
@@ -46,6 +55,7 @@ joint gives them to every row.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,7 +75,6 @@ __all__ = [
     "BinningSpec",
     "scott_bin_width",
     "variable_bin_count",
-    "mutual_information",
     "transfer_entropy",
 ]
 
@@ -177,6 +186,21 @@ class BinningSpec:
 # processed in row chunks to bound memory.
 _BATCH_CELL_BUDGET = 30_000_000
 
+# Cap on the elements of one thread's index buffer (8 MB of intp); a bank
+# whose rows are longer than this is indexed one row at a time.
+_INDEX_BUFFER_CAP = 1 << 20
+
+_scratch = threading.local()
+
+
+def _index_buffer(size: int) -> np.ndarray:
+    """The first ``size`` elements of this thread's grow-only ``intp``
+    scratch buffer, for the row bank's flat histogram index."""
+    buf = getattr(_scratch, "index", None)
+    if buf is None or buf.size < size:
+        buf = _scratch.index = np.empty(size, dtype=np.intp)
+    return buf[:size]
+
 
 def _joint_counts(codes: list[np.ndarray], m: int) -> np.ndarray:
     """Flat joint counts (length m**k) of k aligned code arrays."""
@@ -213,15 +237,13 @@ def _entropy_bits_rows(rows: np.ndarray, total: int) -> np.ndarray:
     return -_plogp_table(total)[rows].sum(axis=1)
 
 
-def _check_pair(x: TimeSeries, y: TimeSeries, lag: int | None = None) -> None:
-    """Raise unless ``x`` and ``y`` are equally long and, when a ``lag`` is
-    given, it is at least 1 and leaves aligned samples."""
+def _check_pair(x: TimeSeries, y: TimeSeries, lag: int) -> None:
+    """Raise unless ``x`` and ``y`` are equally long and ``lag`` is at least
+    1 and leaves aligned samples."""
     if len(x) != len(y):
         raise LengthMismatch(
             f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
         )
-    if lag is None:
-        return
     if lag < 1:
         raise InvalidConfig(f"lag must be >= 1, got {lag}")
     if lag >= len(y):
@@ -237,8 +259,8 @@ def _cmi(
 ) -> tuple[float, np.ndarray | None]:
     """``I(A; C | B)`` in bits of aligned code arrays, ``I(A; C)`` when ``b``
     is None, and the same statistic with each row of ``rows`` in place of
-    ``a`` (counted in chunks of at most ``_BATCH_CELL_BUDGET`` cells), or
-    None without ``rows``; all clamped at 0."""
+    ``a`` (counted in row chunks, see the module docstring), or None
+    without ``rows``; all clamped at 0."""
     if b is None:
         nb = 1
         joint = _joint_counts([a, c], m).reshape(m, 1, m)
@@ -254,33 +276,24 @@ def _cmi(
         return observed, None
 
     base = c if b is None else b * m + c
-    n_rows = rows.shape[0]
+    n_rows, n = rows.shape
     cells = m * nb * m
-    chunk = max(1, min(n_rows, _BATCH_CELL_BUDGET // cells))
+    chunk = max(1, min(n_rows, _BATCH_CELL_BUDGET // cells, _INDEX_BUFFER_CAP // n))
+    ones = np.ones(m, dtype=np.intp)
     surrogates = np.empty(n_rows)
     for start in range(0, n_rows, chunk):
         part = rows[start : start + chunk]
         n_part = part.shape[0]
-        offsets = (np.arange(n_part) * cells)[:, None]
-        flat = (part * (nb * m) + base[None, :]) + offsets
+        flat = _index_buffer(n_part * n).reshape(n_part, n)
+        np.multiply(part, nb * m, out=flat)
+        flat += base
+        flat += (np.arange(n_part) * cells)[:, None]
         counts = np.bincount(flat.ravel(), minlength=n_part * cells).reshape(n_part, cells)
         h_abc_s = _entropy_bits_rows(counts, c.size)
-        h_ab_s = _entropy_bits_rows(counts.reshape(n_part, m * nb, m).sum(axis=2), c.size)
+        h_ab_s = _entropy_bits_rows(counts.reshape(n_part, m * nb, m) @ ones, c.size)
         surrogates[start : start + n_part] = -h_b + h_ab_s + h_bc - h_abc_s
     np.maximum(surrogates, 0.0, out=surrogates)
     return observed, surrogates
-
-
-def mutual_information(x: TimeSeries, y: TimeSeries, spec: BinningSpec) -> float:
-    """Binned mutual information ``H(X) + H(Y) - H(X, Y)`` in bits.
-
-    Exactly symmetric in its arguments: the joint histogram is built in a
-    name-canonical order so both call orders produce bit-identical floats.
-    Tiny negative rounding residue is clamped to 0.
-    """
-    _check_pair(x, y)
-    a, c = sorted((x, y), key=lambda s: s.name)
-    return _cmi(spec.digitize(a), None, spec.digitize(c), spec.bin_count)[0]
 
 
 def _te_from_codes(cx: np.ndarray, cy: np.ndarray, lag: int, m: int) -> float:

@@ -32,7 +32,8 @@ the consistency vote drops a real link.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
+
+from scipy import special
 
 from .errors import InvalidConfig
 from .estimators import BinningSpec
@@ -61,9 +62,9 @@ def ensemble_error_binomial(e_s: float, n: int, k_min: int) -> float:
         raise InvalidConfig(f"n must be >= 1, got {n}")
     if not 1 <= k_min <= n:
         raise InvalidConfig(f"k_min must be in 1..{n}, got {k_min}")
-    return float(
-        sum(comb(n, i) * e_s**i * (1.0 - e_s) ** (n - i) for i in range(k_min, n + 1))
-    )
+    # by the regularized incomplete beta function: summed C(n, i) terms
+    # overflow a float from n = 1030 on
+    return float(special.bdtrc(k_min - 1, n, e_s))
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,20 @@ def test_source_settings_of_a_skipped_part_are_refused(tmp_path, capsys, argv, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
+@pytest.mark.parametrize("command", ["generate", "analyze", "sensitivity"])
+@pytest.mark.parametrize("system, named", [
+    (("--system", "bivariate-linear", "--length", "200"), "needs a signal coefficient"),
+    (("--system", "B", "--length", "100"), "must exceed burn_in"),
+], ids=["bivariate-without-m", "b-not-above-burn-in"])
+def test_system_settings_the_system_rejects_are_usage_errors(tmp_path, capsys, command,
+                                                            system, named):
+    code = _run(command, *system, "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gc_accepts_surrogates(tmp_path):
     # benchmarks/harness.py passes --surrogates to its GC analyses.
     base = ("analyze", "--system", "B", "--length", "300", "--max-lag", "2",

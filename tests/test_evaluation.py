@@ -40,6 +40,14 @@ def test_binomial_error_edge_cases():
     assert got == pytest.approx(1.0 - 0.7**10, rel=1e-12)
 
 
+def test_binomial_error_large_n_does_not_overflow():
+    # by symmetry at e_s = 1/2: P(at least n/2 of n) = 1/2 + C(n, n/2) / 2**(n + 1)
+    got = ensemble_error_binomial(0.5, 1100, 550)
+    assert got == pytest.approx(0.5 + math.comb(1100, 550) / 2**1101, rel=1e-12)
+    far_tail = sum(math.comb(1100, i) for i in range(900, 1101)) / 2**1100
+    assert ensemble_error_binomial(0.5, 1100, 900) == pytest.approx(far_tail, rel=1e-12)
+
+
 def test_binomial_error_monotone_in_subsample_rate():
     grid = np.linspace(0.0, 1.0, 100)
     values = [ensemble_error_binomial(e, 10, 9) for e in grid]

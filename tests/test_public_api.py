@@ -23,7 +23,6 @@ PUBLIC = {
     "BinningSpec",
     "scott_bin_width",
     "variable_bin_count",
-    "mutual_information",
     "transfer_entropy",
     # surrogate significance
     "SurrogateConfig",

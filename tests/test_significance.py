@@ -1,10 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from robustcausal import estimators
 from robustcausal.errors import InvalidConfig, LagTooLarge, LengthMismatch
-from robustcausal.estimators import BinningSpec, mutual_information, transfer_entropy
+from robustcausal.estimators import BinningSpec, _cmi, transfer_entropy
 from robustcausal.significance import (
     SurrogateConfig,
     _decide,
@@ -57,7 +60,7 @@ def test_mi_gate_detects_strong_dependence():
     assert res.significant
     assert res.statistic > 10.0
     # the gate's MI is that of the lag-aligned pair (x[t - 2], y[t])
-    aligned = mutual_information(_series("x", x.values[:-2]), _series("y", y.values[2:]), spec)
+    aligned = _cmi(spec.digitize(x)[:-2], None, spec.digitize(y)[2:], spec.bin_count)[0]
     assert res.observed == pytest.approx(aligned, rel=1e-12)
 
 
@@ -164,6 +167,38 @@ def test_chunked_row_banks_are_bit_identical(monkeypatch):
     assert whole.te_test is not None
     assert _bits(chunked.mi_test) == _bits(whole.mi_test)
     assert _bits(chunked.te_test) == _bits(whole.te_test)
+
+
+def test_concurrent_threads_equal_a_sequential_run():
+    # each thread builds its row banks' index in its own scratch buffer;
+    # tests of different bank sizes run at once, in four threads
+    cases = []
+    for i in range(12):
+        lag = 1 + i % 3
+        x, y = _coupled_pair(40 + i, l=150 + 100 * (i % 4), lag=lag, gain=0.3)
+        cases.append((x, y, lag, BinningSpec.from_dataset(Dataset((x, y)))))
+    cfg = SurrogateConfig(rng_seed=5, n_surrogates=60, te_surrogate_test=True)
+
+    def run(case):
+        x, y, lag, spec = case
+        return te_link_test(x, y, lag, spec, cfg)
+
+    sequential = [run(case) for case in cases]
+    assert sum(res.te_test is not None for res in sequential) >= 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, case) for case in cases * 4]
+            concurrent = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(sequential * 4, concurrent):
+        assert _bits(got.mi_test) == _bits(want.mi_test)
+        assert (got.te_test is None) == (want.te_test is None)
+        if want.te_test is not None:
+            assert _bits(got.te_test) == _bits(want.te_test)
+        assert (got.link, np.float64(got.te).tobytes()) == (want.link, np.float64(want.te).tobytes())
 
 
 def test_decide_degenerate_spread_rules():
