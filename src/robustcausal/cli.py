@@ -140,7 +140,7 @@ SETTINGS = {
     "detrend": Setting("--detrend", _bool, False, "remove a linear trend per variable"),
     "deseasonalize_period": Setting("--deseasonalize", _int, None,
                                     "remove the mean cycle of this period per variable"),
-    "max_lag": Setting("--max-lag", _int, 4, "largest lag to test"),
+    "max_lag": Setting("--max-lag", _count, 4, "largest lag to test"),
     "method": Setting("--method", _choice("te", "gc"), "te", "estimator"),
     "bins": Setting("--bins", _auto_or_int, "auto", "'auto' (Scott's rule) or a fixed bin count"),
     "n_surrogates": Setting("--surrogates", _int, 100, "surrogate realizations per test"),
@@ -306,15 +306,20 @@ def _beside(out: Path, name: str) -> Path:
     return out.with_name(f"{out.stem}_{name}") if out.suffix.lower() == ".csv" else out / name
 
 
-def _system_spec(s: dict, seed) -> SystemSpec:
-    """The benchmark system the settings describe; settings it rejects are
-    usage errors."""
-    seed = _require_seed(seed)
+def _checked(config: Callable, **settings):
+    """``config(**settings)``: a config object, such as a ``SystemSpec``.
+    Settings it rejects are usage errors."""
     try:
-        return SystemSpec(kind=s["system"], length=s["length"], rng_seed=seed,
-                          burn_in=s["burn_in"], signal=s["signal"], noise=s["noise"])
+        return config(**settings)
     except InvalidConfig as exc:
         raise UsageError(str(exc)) from None
+
+
+def _system_spec(s: dict, seed) -> SystemSpec:
+    """The benchmark system the settings describe."""
+    return _checked(SystemSpec, kind=s["system"], length=s["length"],
+                    rng_seed=_require_seed(seed), burn_in=s["burn_in"], signal=s["signal"],
+                    noise=s["noise"])
 
 
 def _load_input(s: dict, seed: int | None):
@@ -352,27 +357,28 @@ def cmd_generate(s: dict, config: dict) -> int:
 
 
 def _surrogate_config(s: dict, seed: int) -> SurrogateConfig:
-    return SurrogateConfig(rng_seed=seed, n_surrogates=s["n_surrogates"],
-                           confidence=s["confidence"],
-                           te_surrogate_test=s.get("te_surrogate_test") == "on",
-                           bins=None if s.get("bins", "auto") == "auto" else s["bins"],
-                           reuse_parent_bins=s.get("reuse_parent_bins", False))
+    return _checked(SurrogateConfig, rng_seed=seed, n_surrogates=s["n_surrogates"],
+                    confidence=s["confidence"],
+                    te_surrogate_test=s.get("te_surrogate_test") == "on",
+                    bins=None if s.get("bins", "auto") == "auto" else s["bins"],
+                    reuse_parent_bins=s.get("reuse_parent_bins", False))
 
 
 def cmd_analyze(s: dict, config: dict) -> int:
     ensemble = s["n_subsamples"] is not None
     seed = _require_seed(s["seed"]) if s["method"] == "te" or ensemble else s["seed"]
     test = (_surrogate_config(s, seed) if s["method"] == "te"
-            else GrangerConfig(alpha=s["gc_alpha"], lagwise=s["gc_lagwise"]))
+            else _checked(GrangerConfig, alpha=s["gc_alpha"], lagwise=s["gc_lagwise"]))
+    if ensemble:
+        if s["subsample_length"] is None:
+            raise UsageError("--sub-length is required when --subsamples is set")
+        ens_cfg = _checked(EnsembleConfig, n_subsamples=s["n_subsamples"],
+                           subsample_length=s["subsample_length"], rng_seed=seed,
+                           mode=s["mode"], threshold=s["threshold"])
     d = _load_input(s, seed)
     out = Path(s["out"])
 
     if ensemble:
-        if s["subsample_length"] is None:
-            raise UsageError("--sub-length is required when --subsamples is set")
-        ens_cfg = EnsembleConfig(n_subsamples=s["n_subsamples"],
-                                 subsample_length=s["subsample_length"], rng_seed=seed,
-                                 mode=s["mode"], threshold=s["threshold"])
         result = analyze_ensemble(d, ens_cfg, test, max_lag=s["max_lag"],
                                   workers=_worker_count(s["workers"]))
         graph, robust = result.full_graph, result.robust
@@ -405,11 +411,11 @@ def cmd_evaluate(s: dict, config: dict) -> int:
 
 def cmd_sensitivity(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
+    surrogate = _surrogate_config(s, seed)
     d = _load_input(s, seed)
     center = s["center"]
     if center == "auto":
         center = BinningSpec.from_dataset(d).bin_count
-    surrogate = _surrogate_config(s, seed)
     report = bin_sensitivity_scan(d, center, s["radius"], max_lag=s["max_lag"],
                                   surrogate=surrogate)
 

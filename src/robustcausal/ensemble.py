@@ -3,10 +3,12 @@
 The idea: a link inferred from the full sample is only trusted if it keeps
 reappearing when the analysis is repeated on many shorter contiguous
 windows of the same record. The pipeline draws ``n`` windows of length
-``q``, builds one graph per window, counts how often each (source, target,
-lag) link shows up, and keeps the links whose appearance count reaches
-``ceil(threshold * n)``. One test config, its binning included, serves the
-full sample and every window, as in :func:`robustcausal.graph.build_graph`.
+``q`` and tests every candidate (source, target, lag) link on each. The
+outcomes form one vote matrix, a row per window and a column per
+candidate. Each column's votes are counted, and the links whose count
+reaches ``ceil(threshold * n)`` are kept. One test config, its binning
+included, serves the full sample and every window, as in
+:func:`robustcausal.graph.build_graph`.
 
 Window schemes
 --------------
@@ -30,10 +32,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidConfig, TooManyWindows, VariableMismatch, WindowTooLong
+from .errors import InvalidConfig, TooManyWindows, WindowTooLong
 from .estimators import BinningSpec
 from .granger import GrangerConfig
-from .graph import CausalLink, LaggedCausalGraph, LinkKey, build_graph, candidate_keys
+from .graph import (CausalLink, LaggedCausalGraph, LinkKey, build_graph, candidate_keys,
+                    evaluate_candidates)
 from .significance import SurrogateConfig
 from .timeseries import Dataset, _derived_seed, _rng, validate_dataset
 
@@ -111,11 +114,11 @@ def draw_subsamples(d: Dataset, cfg: EnsembleConfig) -> list[Dataset]:
 
 @dataclass(frozen=True)
 class LinkFrequencyTable:
-    """Appearance counts of every observed link across the subsample graphs.
+    """Appearance counts of every observed link across the windows.
 
-    ``counts`` maps (source, target, lag) to the number of subsample graphs
-    containing the link; ``mean_strengths`` averages the link strength over
-    the graphs where it appeared. Keys absent from ``counts`` have count 0.
+    ``counts`` maps (source, target, lag) to the number of windows whose
+    test kept the link; ``mean_strengths`` averages the link strength over
+    those windows. Keys absent from ``counts`` have count 0.
     """
 
     variables: tuple[str, ...]
@@ -124,9 +127,6 @@ class LinkFrequencyTable:
     n_subsamples: int
     counts: dict[LinkKey, int]
     mean_strengths: dict[LinkKey, float]
-
-    def fraction(self, key: LinkKey) -> float:
-        return self.counts.get(key, 0) / self.n_subsamples
 
     def to_csv(self) -> str:
         """CSV with one row per candidate link: source,target,lag,count,fraction.
@@ -140,34 +140,20 @@ class LinkFrequencyTable:
         return text.getvalue()
 
 
-def link_frequencies(graphs: list[LaggedCausalGraph]) -> LinkFrequencyTable:
-    """Count link appearances across subsample graphs.
+def link_frequencies(decisions: np.ndarray, statistics: np.ndarray, *,
+                     variables: tuple[str, ...], max_lag: int, method: str) -> LinkFrequencyTable:
+    """Count the votes of each column of a vote matrix (see ``EnsembleResult``).
 
-    All graphs must agree on variables, max lag, and method.
+    A mean strength adds the voting windows' statistics in window order from
+    0.0 and divides by the count, bit for bit a per-link running sum.
     """
-    if not graphs:
-        raise InvalidConfig("need at least one subsample graph")
-    first = graphs[0]
-    counts: dict[LinkKey, int] = {}
-    strength_sums: dict[LinkKey, float] = {}
-    for g in graphs:
-        if set(g.variables) != set(first.variables):
-            raise VariableMismatch("subsample graphs cover different variables")
-        if g.max_lag != first.max_lag or g.method != first.method:
-            raise VariableMismatch("subsample graphs mix max_lag or method settings")
-        for link in g.links:
-            key = (link.source, link.target, link.lag)
-            counts[key] = counts.get(key, 0) + 1
-            strength_sums[key] = strength_sums.get(key, 0.0) + link.strength
-    means = {key: strength_sums[key] / counts[key] for key in counts}
-    return LinkFrequencyTable(
-        variables=first.variables,
-        max_lag=first.max_lag,
-        method=first.method,
-        n_subsamples=len(graphs),
-        counts=counts,
-        mean_strengths=means,
-    )
+    sums = np.zeros(decisions.shape[1])
+    for row in np.where(decisions, statistics, 0.0):
+        sums += row  # + 0.0 leaves a sum begun at 0.0 unchanged
+    keys = candidate_keys(variables, max_lag)
+    counts = {key: int(n) for key, n in zip(keys, decisions.sum(axis=0)) if n}
+    means = {key: float(total) / counts[key] for key, total in zip(keys, sums) if key in counts}
+    return LinkFrequencyTable(tuple(variables), max_lag, method, len(decisions), counts, means)
 
 
 def robust_graph(freq: LinkFrequencyTable, threshold: float = 0.9) -> LaggedCausalGraph:
@@ -175,21 +161,27 @@ def robust_graph(freq: LinkFrequencyTable, threshold: float = 0.9) -> LaggedCaus
     if not 0.0 < threshold <= 1.0:
         raise InvalidConfig(f"threshold must be in (0, 1], got {threshold}")
     required = _required_count(threshold, freq.n_subsamples)
-    links = tuple(
-        CausalLink(s, t, lag, freq.mean_strengths[(s, t, lag)], True)
-        for (s, t, lag), count in freq.counts.items()
-        if count >= required
-    )
+    links = tuple(CausalLink(*key, freq.mean_strengths[key])
+                  for key, count in freq.counts.items() if count >= required)
     return LaggedCausalGraph(freq.variables, links, freq.max_lag, freq.method)
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     """Everything one ensemble run produces: ``robust`` is the full graph's
-    consistency-filtered counterpart, voted from ``frequencies``."""
+    consistency-filtered counterpart, voted from ``frequencies``.
+
+    ``decisions`` (bool) and ``statistics`` (float64) are the vote matrix:
+    a row per window in draw order, a column per candidate in the order of
+    ``candidate_keys(frequencies.variables, frequencies.max_lag)``, which
+    keeps the dataset's variable order. A cell holds the window's decision
+    and statistic (TE bits or Granger F) whether significant or not; a TE
+    candidate that fails the MI gate holds 0.0.
+    """
 
     full_graph: LaggedCausalGraph
-    subsample_graphs: tuple[LaggedCausalGraph, ...]
+    decisions: np.ndarray
+    statistics: np.ndarray
     frequencies: LinkFrequencyTable
     robust: LaggedCausalGraph
 
@@ -200,13 +192,16 @@ def _subsample_graph(
     *,
     max_lag: int,
     spec: BinningSpec | None,
-) -> LaggedCausalGraph:
-    """One window's graph, built exactly as the full-sample graph is.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One window's row of the vote matrix: the decision and the statistic
+    of every candidate, tested exactly as on the full sample.
 
     A named module-level function: the pool pickles it by reference, and
-    ``benchmarks/layer_trace.py`` times window graphs through it.
+    ``benchmarks/layer_trace.py`` times window tests through it.
     """
-    return build_graph(window, test, max_lag, spec=spec)
+    candidates = evaluate_candidates(window, test, max_lag, spec=spec)
+    return (np.array([c.significant for c in candidates], dtype=bool),
+            np.array([c.strength for c in candidates], dtype=np.float64))
 
 
 def analyze_ensemble(
@@ -217,7 +212,7 @@ def analyze_ensemble(
     max_lag: int = 4,
     workers: int = 1,
 ) -> EnsembleResult:
-    """Full pipeline: full-sample graph, per-window graphs, vote, filter.
+    """Full pipeline: full-sample graph, per-window vote rows, vote, filter.
 
     The test config picks the method, as in ``build_graph``. Each window's
     TE surrogate streams derive from (surrogate seed, window index), so
@@ -239,17 +234,15 @@ def analyze_ensemble(
         replace(test, rng_seed=_derived_seed(test.rng_seed, 0x5B5B, j)) if te else test
         for j in range(len(windows))
     ]
-    window_graph = partial(_subsample_graph, max_lag=max_lag, spec=parent_spec)
+    window_row = partial(_subsample_graph, max_lag=max_lag, spec=parent_spec)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            graphs = list(pool.map(window_graph, windows, tests))
+            rows = list(pool.map(window_row, windows, tests))
     else:
-        graphs = list(map(window_graph, windows, tests))
+        rows = list(map(window_row, windows, tests))
 
-    freq = link_frequencies(graphs)
-    return EnsembleResult(
-        full_graph=full_graph,
-        subsample_graphs=tuple(graphs),
-        frequencies=freq,
-        robust=robust_graph(freq, cfg.threshold),
-    )
+    decisions, statistics = (np.array(part) for part in zip(*rows))
+    freq = link_frequencies(decisions, statistics, variables=d.names, max_lag=max_lag,
+                            method=test.method)
+    return EnsembleResult(full_graph, decisions, statistics, freq,
+                          robust_graph(freq, cfg.threshold))

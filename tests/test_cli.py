@@ -394,14 +394,39 @@ def test_source_settings_of_a_skipped_part_are_refused(tmp_path, capsys, argv, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
-@pytest.mark.parametrize("command", ["generate", "analyze", "sensitivity"])
-@pytest.mark.parametrize("system, named", [
-    (("--system", "bivariate-linear", "--length", "200"), "needs a signal coefficient"),
-    (("--system", "B", "--length", "100"), "must exceed burn_in"),
-], ids=["bivariate-without-m", "b-not-above-burn-in"])
-def test_system_settings_the_system_rejects_are_usage_errors(tmp_path, capsys, command,
-                                                            system, named):
-    code = _run(command, *system, "--seed", "1", "--out", str(tmp_path / "out"))
+_ENSEMBLE = ("--subsamples", "5", "--sub-length", "100")
+
+
+@pytest.mark.parametrize("argv, named", [
+    *(pytest.param((command, *system), named, id=f"{name}-{command}")
+      for name, system, named in [
+          ("bivariate-without-m", ("--system", "bivariate-linear", "--length", "200"),
+           "needs a signal coefficient"),
+          ("b-not-above-burn-in", ("--system", "B", "--length", "100"), "must exceed burn_in")]
+      for command in ("generate", "analyze", "sensitivity")),
+    # Test and ensemble settings are checked before the input is read: the
+    # input file ("F") does not exist.
+    *(pytest.param((command, "--input", "F", *settings), named, id=name)
+      for name, command, settings, named in [
+          ("threshold-0", "analyze", ("--threshold", "0", *_ENSEMBLE), "threshold must be"),
+          ("subsamples-0", "analyze", ("--subsamples", "0", "--sub-length", "100"),
+           "n_subsamples must be"),
+          ("sub-length-1", "analyze", ("--subsamples", "5", "--sub-length", "1"),
+           "subsample_length must be"),
+          ("fixed-overlap-4", "analyze", ("--mode", "fixed-overlap", *_ENSEMBLE),
+           "exactly 3 windows"),
+          ("surrogates-1", "analyze", ("--surrogates", "1"), "n_surrogates must be"),
+          ("confidence-1.5", "analyze", ("--confidence", "1.5"), "confidence must be"),
+          ("gc-alpha-2", "analyze", ("--method", "gc", "--gc-alpha", "2"), "alpha must be"),
+          ("max-lag-0", "analyze", ("--max-lag", "0"), "max_lag"),
+          ("sensitivity-surrogates-1", "sensitivity", ("--surrogates", "1"),
+           "n_surrogates must be")]),
+])
+def test_system_settings_the_system_rejects_are_usage_errors(tmp_path, capsys, argv, named):
+    # Settings that a system, a test or the ensemble rejects are usage
+    # errors: exit 2, "error: ..." and nothing written.
+    argv = [str(tmp_path / "absent.csv") if arg == "F" else arg for arg in argv]
+    code = _run(*argv, "--seed", "1", "--out", str(tmp_path / "out"))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err

@@ -15,15 +15,10 @@ from robustcausal.ensemble import (
     link_frequencies,
     robust_graph,
 )
-from robustcausal.errors import (
-    InvalidConfig,
-    TooManyWindows,
-    VariableMismatch,
-    WindowTooLong,
-)
+from robustcausal.errors import InvalidConfig, TooManyWindows, WindowTooLong
 from robustcausal.estimators import BinningSpec
 from robustcausal.granger import GrangerConfig
-from robustcausal.graph import CausalLink, LaggedCausalGraph, export_graph
+from robustcausal.graph import candidate_keys, evaluate_candidates, export_graph
 from robustcausal.significance import SurrogateConfig
 from robustcausal.timeseries import Dataset, TimeSeries
 
@@ -37,17 +32,17 @@ def _dataset(seed, names=("A", "B"), l=200):
     return Dataset(tuple(_series(n, rng.normal(size=l)) for n in names))
 
 
-def _fake_graphs(appearances, n, strength_by_run=None):
-    """n two-variable graphs; ``appearances[key]`` says in which runs a link shows."""
-    graphs = []
-    for run in range(n):
-        links = []
-        for key, runs in appearances.items():
-            if run in runs:
-                s = strength_by_run[key][run] if strength_by_run else 0.5
-                links.append(CausalLink(key[0], key[1], key[2], s))
-        graphs.append(LaggedCausalGraph(("U", "V"), tuple(links), 4, "te"))
-    return graphs
+def _vote(appearances, n, strength_by_run=None):
+    """The vote of n windows over ("U", "V") at max lag 4; ``appearances[key]``
+    says in which windows a link is kept."""
+    keys = candidate_keys(("U", "V"), 4)
+    decisions = np.zeros((n, len(keys)), dtype=bool)
+    statistics = np.zeros((n, len(keys)))
+    for key, runs in appearances.items():
+        for run in runs:
+            decisions[run, keys.index(key)] = True
+            statistics[run, keys.index(key)] = strength_by_run[key][run] if strength_by_run else 0.5
+    return link_frequencies(decisions, statistics, variables=("U", "V"), max_lag=4, method="te")
 
 
 def test_fixed_overlap_window_starts():
@@ -113,15 +108,15 @@ def test_vote_keeps_exact_threshold_count():
         ("U", "V", 2): set(range(90)),
         ("V", "U", 1): set(range(89)),
     }
-    freq = link_frequencies(_fake_graphs(appearances, 100))
+    freq = _vote(appearances, 100)
     robust = robust_graph(freq, threshold=0.9)
     assert robust.link_keys() == {("U", "V", 1), ("U", "V", 2)}
-    assert freq.fraction(("V", "U", 1)) == pytest.approx(0.89)
+    assert freq.counts[("V", "U", 1)] == 89
 
 
 def test_vote_all_three_at_unit_threshold():
     appearances = {("U", "V", 1): {0, 1, 2}, ("V", "U", 2): {0, 2}}
-    freq = link_frequencies(_fake_graphs(appearances, 3))
+    freq = _vote(appearances, 3)
     robust = robust_graph(freq, threshold=1.0)
     assert robust.link_keys() == {("U", "V", 1)}
 
@@ -129,14 +124,49 @@ def test_vote_all_three_at_unit_threshold():
 def test_robust_strength_is_mean_over_appearances():
     key = ("U", "V", 3)
     strengths = {key: {0: 0.2, 2: 0.6}}
-    freq = link_frequencies(_fake_graphs({key: {0, 2}}, 3, strengths))
+    freq = _vote({key: {0, 2}}, 3, strengths)
     robust = robust_graph(freq, threshold=0.5)
     (link,) = robust.links
     assert link.strength == pytest.approx(0.4)
 
 
+def _dict_loop_vote(decisions, statistics, keys):
+    """The vote as a per-link dict loop over windows, the way it was counted
+    from window graphs: the oracle of the matrix vote."""
+    counts, sums = {}, {}
+    for row_decisions, row_statistics in zip(decisions, statistics):
+        for key, kept, strength in zip(keys, row_decisions, row_statistics):
+            if kept:
+                counts[key] = counts.get(key, 0) + 1
+                sums[key] = sums.get(key, 0.0) + float(strength)
+    return counts, {key: sums[key] / counts[key] for key in counts}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_windows=st.integers(1, 120),
+       n_variables=st.integers(2, 3), max_lag=st.integers(1, 3), vote_share=st.floats(0, 1))
+def test_vote_counts_and_means_match_a_dict_loop_bit_for_bit(seed, n_windows, n_variables,
+                                                             max_lag, vote_share):
+    variables = ("U", "V", "W")[:n_variables]
+    keys = candidate_keys(variables, max_lag)
+    shape = (n_windows, len(keys))
+    rng = np.random.default_rng(seed)
+    decisions = rng.random(shape) < vote_share
+    # Strengths of varied magnitude, so the order of the additions shows in
+    # the last bits of a mean.
+    statistics = rng.random(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    freq = link_frequencies(decisions, statistics, variables=variables, max_lag=max_lag,
+                            method="te")
+    counts, means = _dict_loop_vote(decisions, statistics, keys)
+    assert freq.counts == counts
+    assert all(type(count) is int for count in freq.counts.values())
+    assert freq.mean_strengths.keys() == means.keys()
+    for key, mean in freq.mean_strengths.items():
+        assert type(mean) is float and mean.hex() == means[key].hex(), key
+
+
 def test_frequency_table_csv_lists_candidates():
-    freq = link_frequencies(_fake_graphs({("U", "V", 1): {0, 1}}, 2))
+    freq = _vote({("U", "V", 1): {0, 1}}, 2)
     text = freq.to_csv()
     lines = text.strip().splitlines()
     assert lines[0].startswith("source,target,lag")
@@ -153,7 +183,7 @@ def test_frequency_table_csv_reads_back_awkward_names():
     assert rows[0] == ["source", "target", "lag", "count", "fraction"]
     assert sorted(rows[1:]) == sorted(
         [s, t, str(lag), str(table.counts.get((s, t, lag), 0)),
-         repr(table.fraction((s, t, lag)))]
+         repr(table.counts.get((s, t, lag), 0) / 3)]
         for s in names for t in names if s != t for lag in (1, 2))
     # plain names are written as before: no quoting, "\n" line ends
     plain = LinkFrequencyTable(variables=("U", "V"), max_lag=1, method="te", n_subsamples=3,
@@ -162,10 +192,12 @@ def test_frequency_table_csv_reads_back_awkward_names():
 
 
 def _exported(result):
-    """Every output of an ensemble run, as the bytes the CLI writes."""
+    """Every output of an ensemble run, as the bytes the CLI writes, and the
+    bytes of the vote matrix: every window's decision and statistic of
+    every candidate."""
     return (export_graph(result.full_graph, "json"), export_graph(result.robust, "json"),
-            result.frequencies.to_csv(),
-            *(export_graph(g, "json") for g in result.subsample_graphs))
+            result.frequencies.to_csv(), result.decisions.tobytes(),
+            result.statistics.tobytes())
 
 
 @settings(max_examples=24, deadline=None, database=None)
@@ -182,8 +214,10 @@ def test_analyze_ensemble_deterministic_and_worker_independent(method, mode, reu
     test = (SurrogateConfig(rng_seed=seed + 1, n_surrogates=20,
                             reuse_parent_bins=reuse_parent_bins)
             if method == "te" else GrangerConfig())
-    serial = _exported(analyze_ensemble(d, cfg, test, max_lag=2, workers=1))
-    assert len(serial) == 3 + cfg.n_subsamples
+    result = analyze_ensemble(d, cfg, test, max_lag=2, workers=1)
+    assert result.decisions.dtype == bool and result.statistics.dtype == np.float64
+    assert result.decisions.shape == result.statistics.shape == (cfg.n_subsamples, 12)
+    serial = _exported(result)
     assert _exported(analyze_ensemble(d, cfg, test, max_lag=2, workers=2)) == serial
     assert _exported(analyze_ensemble(d, cfg, test, max_lag=2, workers=1)) == serial
 
@@ -210,7 +244,7 @@ def test_analyze_ensemble_reuse_parent_bins_mode_runs(monkeypatch):
         derived.clear()
         bin_counts.clear()
         res = analyze_ensemble(d, cfg, sur, max_lag=2)
-        assert len(res.subsample_graphs) == 5
+        assert res.decisions.shape == (5, 4)
         assert len(derived) == derivations, reuse
         assert bin_counts == {5}, reuse
         again = analyze_ensemble(d, cfg, sur, max_lag=2)
@@ -226,8 +260,22 @@ def test_analyze_ensemble_reports_all_parts():
         max_lag=2,
     )
     assert res.full_graph.variables == ("A", "B")
-    assert len(res.subsample_graphs) == 4
+    assert res.decisions.shape == res.statistics.shape == (4, 4)
     assert res.frequencies.n_subsamples == 4
+
+
+def test_vote_matrix_rows_are_the_window_tests():
+    # Row j holds window j's outcome of every candidate, in candidate_keys
+    # order over the dataset's variable order, non-significant ones included.
+    d = _dataset(7, names=("B", "A", "C"), l=300)
+    cfg = EnsembleConfig(4, 90, rng_seed=3)
+    res = analyze_ensemble(d, cfg, GrangerConfig(), max_lag=2)
+    assert res.frequencies.variables == ("B", "A", "C")
+    for j, window in enumerate(draw_subsamples(d, cfg)):
+        candidates = evaluate_candidates(window, GrangerConfig(), 2)
+        assert [(c.source, c.target, c.lag) for c in candidates] == candidate_keys(d.names, 2)
+        assert res.decisions[j].tolist() == [c.significant for c in candidates]
+        assert res.statistics[j].tolist() == [c.strength for c in candidates]
 
 
 def test_ensemble_config_validation():
@@ -243,10 +291,20 @@ def test_ensemble_config_validation():
         EnsembleConfig(3, 100, rng_seed=0, threshold=1.2)
 
 
-def test_frequency_tables_reject_mixed_graphs():
-    a = LaggedCausalGraph(("U", "V"), (), 4, "te")
-    b = LaggedCausalGraph(("U", "W"), (), 4, "te")
-    with pytest.raises(VariableMismatch):
-        link_frequencies([a, b])
-    with pytest.raises(InvalidConfig):
-        link_frequencies([])
+@settings(max_examples=12, deadline=None, database=None)
+@given(seed=st.integers(0, 2**16), binary=st.booleans(), method=st.sampled_from(["te", "gc"]))
+def test_quantised_and_binary_inputs_neither_abort_nor_bias_the_vote(seed, binary, method):
+    # X drives Y at lag 1. Quantised sensors (X in integers, Y in halves)
+    # and binary records make ties and few distinct values; the vote must
+    # still keep exactly the true link, in every example.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=600)
+    y = np.concatenate(([0.0], x[:-1])) + 0.5 * rng.normal(size=600)
+    if binary:
+        x, y = (x > 0).astype(float), (y > 0).astype(float)
+    else:
+        x, y = np.round(x), np.round(2 * y) / 2
+    d = Dataset((_series("X", x), _series("Y", y)))
+    test = SurrogateConfig(rng_seed=seed, n_surrogates=50) if method == "te" else GrangerConfig()
+    res = analyze_ensemble(d, EnsembleConfig(20, 100, rng_seed=seed), test, max_lag=2)
+    assert res.robust.link_keys() == {("X", "Y", 1)}
