@@ -397,6 +397,7 @@ def cmd_analyze(s: dict, config: dict) -> int:
 
 def cmd_evaluate(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
+    _surrogate_config(s, seed)  # the trials' settings: bad ones are usage errors
     curve = monte_carlo_rates(kind=s["kind"], lengths=s["lengths"], ratios=s["ratios"],
                               n_trials=s["trials"], rng_seed=seed,
                               n_surrogates=s["n_surrogates"], confidence=s["confidence"])
@@ -412,6 +413,8 @@ def cmd_evaluate(s: dict, config: dict) -> int:
 def cmd_sensitivity(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
     surrogate = _surrogate_config(s, seed)
+    if s["radius"] < 0:
+        raise UsageError(f"--radius must be >= 0, got {s['radius']}")
     d = _load_input(s, seed)
     center = s["center"]
     if center == "auto":

@@ -14,6 +14,9 @@ The test statistic is
 with k restrictions, referred to the F(k, N - params_full) distribution;
 the p-value comes from ``scipy.special.fdtrc``, the survival function
 ``scipy.stats.f.sf`` wraps, so ``scipy.stats`` is never imported.
+``scipy.special`` itself is imported on first use, inside ``granger_test``:
+it takes about half of the CLI's start-up, and ``generate``, ``--help``
+and usage errors never compute a p-value.
 
 The reduced model depends only on the target and the lag, so a caller
 testing several sources against one (target, lag) fits it once with
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidConfig, LengthMismatch, NonFinite, SingularDesign, TooShort
 from .timeseries import TimeSeries
@@ -150,6 +152,8 @@ def granger_test(
         f_statistic = math.inf if numerator > 0.0 else 0.0
     else:
         f_statistic = numerator / denominator
+    from scipy import special
+
     p_value = float(special.fdtrc(k, df_den, f_statistic)) if math.isfinite(f_statistic) else 0.0
     return GrangerResult(
         f_statistic=f_statistic,

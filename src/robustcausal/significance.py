@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidConfig
 from .estimators import BinningSpec, _check_pair, _cmi, _te_from_codes
@@ -81,6 +80,8 @@ class SurrogateConfig:
             raise InvalidConfig(f"n_surrogates must be >= 2, got {self.n_surrogates}")
         if not 0.0 < self.confidence < 1.0:
             raise InvalidConfig(f"confidence must be in (0, 1), got {self.confidence}")
+        if self.bins is not None and self.bins < 2:
+            raise InvalidConfig(f"bins must be >= 2, got {self.bins}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,13 @@ def _name_key(name: str) -> int:
 @lru_cache(maxsize=64)
 def _t_critical(confidence: float, df: int) -> float:
     """Student-t quantile ``t.ppf(confidence, df)``, by the special
-    function it wraps, so that ``scipy.stats`` is never imported."""
+    function it wraps, so that ``scipy.stats`` is never imported.
+
+    ``scipy.special`` is imported here, on the first cache miss, not with
+    the module: it takes about half of the CLI's start-up, and
+    ``generate``, ``--help`` and usage errors never need a quantile."""
+    from scipy import special
+
     return float(special.stdtrit(df, confidence))
 
 

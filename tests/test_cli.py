@@ -420,7 +420,15 @@ _ENSEMBLE = ("--subsamples", "5", "--sub-length", "100")
           ("gc-alpha-2", "analyze", ("--method", "gc", "--gc-alpha", "2"), "alpha must be"),
           ("max-lag-0", "analyze", ("--max-lag", "0"), "max_lag"),
           ("sensitivity-surrogates-1", "sensitivity", ("--surrogates", "1"),
-           "n_surrogates must be")]),
+           "n_surrogates must be"),
+          ("bins-0", "analyze", ("--bins", "0"), "bins must be >= 2"),
+          ("bins-1", "analyze", ("--bins", "1"), "bins must be >= 2"),
+          ("sensitivity-radius--1", "sensitivity", ("--radius", "-1"), "--radius must be")]),
+    # evaluate checks its trials' settings before the first trial.
+    *(pytest.param(("evaluate", "--trials", "2", *settings), named, id=name)
+      for name, settings, named in [
+          ("evaluate-surrogates-1", ("--surrogates", "1"), "n_surrogates must be"),
+          ("evaluate-confidence-1.5", ("--confidence", "1.5"), "confidence must be")]),
 ])
 def test_system_settings_the_system_rejects_are_usage_errors(tmp_path, capsys, argv, named):
     # Settings that a system, a test or the ensemble rejects are usage

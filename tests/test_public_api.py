@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import robustcausal
 
 PUBLIC = {
@@ -89,13 +91,40 @@ def test_public_names_are_pinned_and_resolve():
         assert hasattr(robustcausal, name), name
 
 
-def test_importing_the_cli_does_not_load_scipy_stats():
-    # scipy.stats takes most of the CLI's import time; the package uses the
-    # scipy.special functions it wraps instead.
+def _cli(*argv) -> str:
+    """A statement that runs the CLI in-process and keeps its exit code as ``code``."""
+    return (f"from robustcausal.cli import main\ntry:\n    code = main({list(argv)!r})\n"
+            "except SystemExit as exc:\n    code = exc.code")
+
+
+_SYSTEM_B = ("--system", "B", "--length", "300", "--seed", "1")
+
+
+@pytest.mark.parametrize("statement, code, loads_special", [
+    pytest.param("import robustcausal", None, False, id="import-package"),
+    pytest.param("import robustcausal.cli", None, False, id="import-cli"),
+    pytest.param(_cli("generate", *_SYSTEM_B, "--out", "g"), 0, False, id="generate"),
+    pytest.param(_cli("--help"), 0, False, id="help"),
+    pytest.param(_cli("analyze", "--input", "absent.csv", "--bins", "1", "--seed", "1"), 2,
+                 False, id="usage-error"),
+    pytest.param(_cli("analyze", *_SYSTEM_B, "--max-lag", "1", "--surrogates", "5",
+                      "--out", "te"), 0, True, id="analyze-te"),
+    pytest.param(_cli("analyze", *_SYSTEM_B, "--max-lag", "1", "--method", "gc",
+                      "--out", "gc"), 0, True, id="analyze-gc"),
+    pytest.param(_cli("evaluate", "--lengths", "60", "--ratios", "1.0", "--trials", "1",
+                      "--surrogates", "5", "--seed", "1", "--out", "ev"), 0, True,
+                 id="evaluate"),
+])
+def test_import_budget(tmp_path, statement, code, loads_special):
+    # scipy.special, with the array-API layer it pulls in, is about half of
+    # the CLI's start-up, so it is imported at the first p-value or
+    # quantile: runs that compute none start without it. scipy.stats is
+    # never imported; the package calls the scipy.special functions it wraps.
     src = str(Path(robustcausal.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, robustcausal.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    probe = (f"import sys\ncode = None\n{statement}\n"
+             "print(code, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-3:] == [str(code), str(loads_special), "False"]

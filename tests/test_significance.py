@@ -217,6 +217,10 @@ def test_surrogate_config_validation():
         SurrogateConfig(rng_seed=0, confidence=1.0)
     with pytest.raises(InvalidConfig):
         SurrogateConfig(rng_seed=0, confidence=0.0)
+    for bins in (0, 1):
+        with pytest.raises(InvalidConfig, match="bins must be >= 2"):
+            SurrogateConfig(rng_seed=0, bins=bins)
+    assert SurrogateConfig(rng_seed=0, bins=2).bins == 2
 
 
 def test_te_link_argument_validation():
