@@ -398,6 +398,8 @@ def cmd_analyze(s: dict, config: dict) -> int:
 def cmd_evaluate(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
     _surrogate_config(s, seed)  # the trials' settings: bad ones are usage errors
+    for length in s["lengths"]:  # and each length's system, as the trials build it
+        _checked(SystemSpec, kind=s["kind"], length=length, rng_seed=seed, signal=s["ratios"][0])
     curve = monte_carlo_rates(kind=s["kind"], lengths=s["lengths"], ratios=s["ratios"],
                               n_trials=s["trials"], rng_seed=seed,
                               n_surrogates=s["n_surrogates"], confidence=s["confidence"])
@@ -415,6 +417,8 @@ def cmd_sensitivity(s: dict, config: dict) -> int:
     surrogate = _surrogate_config(s, seed)
     if s["radius"] < 0:
         raise UsageError(f"--radius must be >= 0, got {s['radius']}")
+    if s["center"] != "auto" and s["center"] - s["radius"] < 2:
+        raise UsageError(f"--center {s['center']} with --radius {s['radius']} dips below 2 bins")
     d = _load_input(s, seed)
     center = s["center"]
     if center == "auto":

@@ -31,10 +31,11 @@ entropies of many count rows at once (``_entropy_bits_rows``). The flat
 index of that ``bincount`` is built in place in a scratch buffer that each
 thread owns (``threading.local``), so concurrent callers never share it.
 The buffer only grows, up to ``_INDEX_BUFFER_CAP`` (2**20) elements, 8 MB
-per thread: a bank is counted in chunks of rows small enough for that cap
-and for ``_BATCH_CELL_BUDGET`` histogram cells, and only a single row
-longer than the cap makes it larger. Chunking does not change any row's
-value. Each row's (A, B) marginal, its counts summed over C, is an
+of ``intp`` per thread: a bank is counted in chunks of rows small enough
+for that cap and for ``_BATCH_CELL_BUDGET`` (2**16) histogram cells, 512 KB
+of counts plus 512 KB of ``p * log2(p)`` terms, and only a single row
+longer than the cap makes the buffer larger. Chunking does not change any
+row's value. Each row's (A, B) marginal, its counts summed over C, is an
 integer matrix-vector product with a vector of ones; integer sums are
 exact, so it equals the ``sum`` over C element for element.
 
@@ -182,9 +183,11 @@ class BinningSpec:
         return np.clip(idx, 0, self.bin_count - 1)
 
 
-# Cap on surrogate-batch histogram cells held at once; larger batches are
-# processed in row chunks to bound memory.
-_BATCH_CELL_BUDGET = 30_000_000
+# Cap on the surrogate-batch histogram cells held at once: 512 KB of int64
+# counts plus 512 KB of float64 ``p * log2(p)`` terms per chunk. A TE-stage
+# bank of 100 rows at m = 19 (6,859 cells a row) runs in 12 chunks of 9
+# rows; an MI-gate bank of 100 rows stays whole up to m = 25.
+_BATCH_CELL_BUDGET = 1 << 16
 
 # Cap on the elements of one thread's index buffer (8 MB of intp); a bank
 # whose rows are longer than this is indexed one row at a time.

@@ -18,13 +18,26 @@ the p-value comes from ``scipy.special.fdtrc``, the survival function
 it takes about half of the CLI's start-up, and ``generate``, ``--help``
 and usage errors never compute a p-value.
 
-The reduced model depends only on the target and the lag, so a caller
-testing several sources against one (target, lag) fits it once with
-``_reduced_rss`` and passes ``rss_reduced`` in; the result is the same
-float as an unshared fit. Each model keeps its own singular-design check:
-the Gram matrix of the reduced design and that of the full design must
-each have a 2-norm condition number (``np.linalg.cond``) of at most
-``_COND_LIMIT``, else ``SingularDesign`` is raised.
+Each model keeps its own singular-design check: the Gram matrix of the
+reduced design and that of the full design must each have a 2-norm
+condition number (``np.linalg.cond``) of at most ``_COND_LIMIT``, else
+``SingularDesign`` is raised.
+
+Stacked fits
+------------
+A graph tests every ordered pair of variables at each lag, and at one lag
+all reduced designs share a shape, as do all full designs. ``_stacked_fits``
+fits them as stacks by the normal equations: one ``np.matmul`` Gram, one
+batched ``np.linalg.cond``, one batched ``np.linalg.solve`` over the designs
+at or below ``_COND_LIMIT``, one stacked residual, and the RSS of each fit
+by ``np.dot`` as ``_ols_rss`` takes it. Each stacked call runs the same
+BLAS or LAPACK routine per design as the 2-D call, so every RSS is the
+same float as an unshared fit. The caller passes them to ``granger_test``
+as ``rss_reduced`` and ``rss_full``. An ill-conditioned design is left out
+of the solve (an exactly singular Gram would abort the whole batch) and
+passed as None, so ``granger_test`` fits it itself and raises
+``SingularDesign`` at the same candidate, with the same message, as an
+unshared test.
 """
 
 from __future__ import annotations
@@ -88,6 +101,52 @@ def _ols_rss(design: np.ndarray, target: np.ndarray) -> float:
     return float(np.dot(resid, resid))
 
 
+def _stacked_rss(designs: np.ndarray, targets: np.ndarray) -> list[float | None]:
+    """``_ols_rss`` of each (design, target) pair of a stack of designs
+    (fits x samples x columns) and targets (fits x samples), bit for bit;
+    None for a design whose Gram is worse conditioned than ``_COND_LIMIT``."""
+    gram = np.matmul(designs.transpose(0, 2, 1), designs)
+    fit = np.flatnonzero(np.linalg.cond(gram) <= _COND_LIMIT)
+    rss: list[float | None] = [None] * len(designs)
+    if fit.size:
+        x, y = designs[fit], targets[fit]
+        beta = np.linalg.solve(gram[fit], np.matmul(x.transpose(0, 2, 1), y[..., None]))
+        resid = y - np.matmul(x, beta)[..., 0]
+        for i, r in zip(fit, resid):
+            rss[i] = float(np.dot(r, r))
+    return rss
+
+
+# Cap on the design elements of one stack of full models (8 MB of float64);
+# more (source, target) pairs are fitted in several stacks.
+_STACK_ELEMENT_CAP = 1 << 20
+
+
+def _stacked_fits(
+    values: np.ndarray, lag: int, lagwise: bool, sources: list[int], targets: list[int]
+) -> tuple[list[float | None], list[float | None]]:
+    """RSS at ``lag`` of the reduced model of each row of ``values``
+    (variables x samples), and of the full model of each pair
+    ``(sources[i], targets[i])`` of row indices; None for an
+    ill-conditioned design (see the module docstring)."""
+    l = values.shape[1]
+    # reduced[v] is the design of _autoregression for row v; its lag
+    # columns of a source are also that source's columns in a full design
+    reduced = np.empty((len(values), l - lag, 1 + lag))
+    reduced[:, :, 0] = 1.0
+    for j in range(1, lag + 1):
+        reduced[:, :, j] = values[:, lag - j : l - j]
+    y = values[:, lag:]
+    first = lag if lagwise else 1
+    rss_full: list[float | None] = []
+    step = max(1, _STACK_ELEMENT_CAP // ((l - lag) * (2 * (1 + lag) - first)))
+    for start in range(0, len(targets), step):
+        t, s = targets[start : start + step], sources[start : start + step]
+        full = np.concatenate((reduced[t], reduced[s, :, first:]), axis=2)
+        rss_full += _stacked_rss(full, y[t])
+    return _stacked_rss(reduced, y), rss_full
+
+
 def _autoregression(yv: np.ndarray, lag: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Target ``y[lag:]`` and the columns of the reduced design: an
     intercept and the lags 1..lag of ``y``."""
@@ -96,23 +155,19 @@ def _autoregression(yv: np.ndarray, lag: int) -> tuple[np.ndarray, list[np.ndarr
     return yv[lag:], [np.ones(l - lag)] + auto_cols
 
 
-def _reduced_rss(yv: np.ndarray, lag: int) -> float:
-    """RSS of the reduced model of ``y`` at ``lag``, shared by every source."""
-    target, cols = _autoregression(yv, lag)
-    return _ols_rss(np.column_stack(cols), target)
-
-
 def granger_test(
     x: TimeSeries,
     y: TimeSeries,
     lag: int,
     cfg: GrangerConfig,
     rss_reduced: float | None = None,
+    rss_full: float | None = None,
 ) -> GrangerResult:
     """F-test of whether lagged x improves the autoregressive fit of y.
 
-    ``rss_reduced`` is the reduced model's RSS from ``_reduced_rss`` on
-    ``y`` at ``lag``; when None the reduced model is fitted here.
+    ``rss_reduced`` and ``rss_full`` are the RSS of the reduced and the
+    full model from ``_stacked_fits`` on ``y`` (and ``x``) at ``lag``; a
+    model given as None is fitted here.
     """
     if len(x) != len(y):
         raise LengthMismatch(
@@ -144,7 +199,8 @@ def granger_test(
     target, reduced_cols = _autoregression(yv, p)
     if rss_reduced is None:
         rss_reduced = _ols_rss(np.column_stack(reduced_cols), target)
-    rss_full = _ols_rss(np.column_stack(reduced_cols + source_cols), target)
+    if rss_full is None:
+        rss_full = _ols_rss(np.column_stack(reduced_cols + source_cols), target)
 
     numerator = max(0.0, rss_reduced - rss_full) / k
     denominator = rss_full / df_den

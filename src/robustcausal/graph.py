@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidConfig, LagTooLarge, UnknownFormat, VariableMismatch
 from .estimators import BinningSpec
-from .granger import GrangerConfig, _reduced_rss, granger_test
+from .granger import GrangerConfig, _stacked_fits, granger_test
 from .significance import SurrogateConfig, _name_key, _te_link_from_codes
 from .timeseries import Dataset, validate_dataset
 
@@ -142,15 +144,22 @@ def evaluate_candidates(
             return res.te, res.link
 
     elif isinstance(test, GrangerConfig):
-        # The reduced fit of a (target, lag) is shared by every source; it
-        # is made at that pair's first candidate, where an unshared test
-        # would make it first, so a singular design raises at the same one.
-        reduced: dict[tuple[str, int], float] = {}
+        # Per lag, every reduced and full model is fitted in stacks; an
+        # ill-conditioned one comes back None, and granger_test refits it
+        # and raises SingularDesign at the candidate an unshared test would.
+        row = {name: i for i, name in enumerate(d.names)}
+        pairs = [(src, tgt) for src, tgt, _ in candidate_keys(d.names, 1)]
+        sources = [row[src] for src, _ in pairs]
+        targets = [row[tgt] for _, tgt in pairs]
+        values = np.stack([s.values for s in d.series])
+        fits = {}
+        for lag in range(1, max_lag + 1):
+            rss_reduced, rss_full = _stacked_fits(values, lag, test.lagwise, sources, targets)
+            fits[lag] = dict(zip(d.names, rss_reduced)), dict(zip(pairs, rss_full))
 
         def decide(src: str, tgt: str, lag: int) -> tuple[float, bool]:
-            if (tgt, lag) not in reduced:
-                reduced[tgt, lag] = _reduced_rss(d.get(tgt).values, lag)
-            res = granger_test(d.get(src), d.get(tgt), lag, test, reduced[tgt, lag])
+            reduced, full = fits[lag]
+            res = granger_test(d.get(src), d.get(tgt), lag, test, reduced[tgt], full[src, tgt])
             return res.f_statistic, res.link
 
     else:

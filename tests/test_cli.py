@@ -423,12 +423,16 @@ _ENSEMBLE = ("--subsamples", "5", "--sub-length", "100")
            "n_surrogates must be"),
           ("bins-0", "analyze", ("--bins", "0"), "bins must be >= 2"),
           ("bins-1", "analyze", ("--bins", "1"), "bins must be >= 2"),
-          ("sensitivity-radius--1", "sensitivity", ("--radius", "-1"), "--radius must be")]),
-    # evaluate checks its trials' settings before the first trial.
+          ("sensitivity-radius--1", "sensitivity", ("--radius", "-1"), "--radius must be"),
+          ("sensitivity-center-3-radius-2", "sensitivity", ("--center", "3", "--radius", "2"),
+           "dips below 2 bins")]),
+    # evaluate checks its trials' settings and systems before the first trial.
     *(pytest.param(("evaluate", "--trials", "2", *settings), named, id=name)
       for name, settings, named in [
           ("evaluate-surrogates-1", ("--surrogates", "1"), "n_surrogates must be"),
-          ("evaluate-confidence-1.5", ("--confidence", "1.5"), "confidence must be")]),
+          ("evaluate-confidence-1.5", ("--confidence", "1.5"), "confidence must be"),
+          ("evaluate-lengths-0", ("--lengths", "100,0", "--ratios", "1.0"),
+           "length must be >= 1")]),
 ])
 def test_system_settings_the_system_rejects_are_usage_errors(tmp_path, capsys, argv, named):
     # Settings that a system, a test or the ensemble rejects are usage

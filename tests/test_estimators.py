@@ -312,6 +312,28 @@ def test_row_bank_kernel_allocates_less_than_one_index_array():
         assert peak < index_bytes
 
 
+@pytest.mark.parametrize("m", [19, 25])
+def test_te_stage_batch_memory_is_bounded(m):
+    # a TE-stage bank of 100 rows has 100 * m**3 histogram cells (8 bytes
+    # of counts and 8 of p*log p terms each: 11 MB at m = 19, 25 MB at
+    # m = 25 if counted at once); counted in chunks of at most
+    # _BATCH_CELL_BUDGET cells, a warm call peaks below 1.5 MB
+    rng = np.random.default_rng(1)
+    l, lag = 1000, 1
+    keep = l - lag
+    x = rng.integers(0, m, l)
+    y = rng.integers(0, m, l)
+    rows = rng.permuted(np.tile(x, (100, 1)), axis=1)[:, :keep]
+    _cmi(x[:keep], y[:keep], y[lag:], m, rows)
+    tracemalloc.start()
+    try:
+        _cmi(x[:keep], y[:keep], y[lag:], m, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+
+
 def test_entropy_bits_empty_histogram():
     with pytest.raises(EmptyHistogram):
         _entropy_bits(np.zeros(4))

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
+
+from robustcausal import granger, graph
 
 from robustcausal.errors import (
     InvalidConfig,
@@ -160,3 +165,59 @@ def test_shared_reduced_fit_keeps_singular_design_errors():
             evaluate_candidates(d, GrangerConfig(), max_lag=2)
         assert str(shared.value) == str(alone.value)
         assert columns in str(shared.value)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    kinds=st.lists(st.sampled_from(("noise", "noise", "noise", "flat", "collinear", "near")),
+                   min_size=2, max_size=4),
+    length=st.integers(30, 300),
+    lag_share=st.floats(0.0, 1.0),
+    lagwise=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    stack_cap=st.sampled_from([1, granger._STACK_ELEMENT_CAP]),
+)
+# a flat or collinear variable in the middle of the stacks
+@example(kinds=["noise", "flat", "noise"], length=80, lag_share=0.2, lagwise=True, seed=3,
+         stack_cap=granger._STACK_ELEMENT_CAP)
+@example(kinds=["noise", "noise", "collinear", "noise"], length=120, lag_share=0.1,
+         lagwise=False, seed=4, stack_cap=granger._STACK_ELEMENT_CAP)
+@example(kinds=["noise", "collinear", "noise", "noise"], length=200, lag_share=0.0,
+         lagwise=True, seed=5, stack_cap=1)
+def test_stacked_fits_match_unshared_tests(kinds, length, lag_share, lagwise, seed, stack_cap):
+    # evaluate_candidates fits each lag's models in stacks (one full model
+    # a stack at stack_cap 1); a loop of unshared tests must give the same
+    # strengths and decisions, or the same SingularDesign at the same
+    # candidate. "collinear" is an affine copy of the previous variable's
+    # noise (the last one's for V0), so with a "noise" there it makes a
+    # singular full design; "near" adds a little noise, for condition
+    # numbers about the limit.
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(len(kinds), length))
+    values = {"noise": lambda i: noise[i], "flat": lambda i: np.full(length, 1.5),
+              "collinear": lambda i: 2.5 * noise[i - 1] - 1.0,
+              "near": lambda i: 2.5 * noise[i - 1] - 1.0 + 1e-4 * noise[i]}
+    d = Dataset(tuple(_series(f"V{i}", values[kind](i)) for i, kind in enumerate(kinds)))
+    max_lag = 1 + round(lag_share * ((length - 1) // 4 - 1))
+    cfg = GrangerConfig(lagwise=lagwise)
+
+    expected, failure = [], None
+    for src, tgt, lag in candidate_keys(d.names, max_lag):
+        try:
+            res = granger_test(d.get(src), d.get(tgt), lag, cfg)
+        except SingularDesign as exc:
+            failure = (src, tgt, lag), str(exc)
+            break
+        expected.append((res.f_statistic.hex(), res.link))
+
+    with mock.patch.object(graph, "granger_test", wraps=granger_test) as spy, \
+            mock.patch.object(granger, "_STACK_ELEMENT_CAP", stack_cap):
+        if failure is None:
+            got = evaluate_candidates(d, cfg, max_lag)
+            assert [(c.strength.hex(), c.significant) for c in got] == expected
+        else:
+            with pytest.raises(SingularDesign) as raised:
+                evaluate_candidates(d, cfg, max_lag)
+            assert str(raised.value) == failure[1]
+            x, y, lag = spy.call_args.args[:3]
+            assert (x.name, y.name, lag) == failure[0]
