@@ -18,38 +18,28 @@ the p-value comes from ``scipy.special.fdtrc``, the survival function
 it takes about half of the CLI's start-up, and ``generate``, ``--help``
 and usage errors never compute a p-value.
 
-Each model keeps its own singular-design check: the Gram matrix of the
-reduced design and that of the full design must each have a 2-norm
-condition number (``np.linalg.cond``) of at most ``_COND_LIMIT``, else
-``SingularDesign`` is raised.
-
-Stacked fits
-------------
-A graph tests every ordered pair of variables at each lag, and at one lag
-all reduced designs share a shape, as do all full designs. ``_stacked_fits``
-fits them as stacks by the normal equations: one ``np.matmul`` Gram, one
-batched ``np.linalg.cond``, one batched ``np.linalg.solve`` over the designs
-at or below ``_COND_LIMIT``, one stacked residual, and the RSS of each fit
-by ``np.dot`` as ``_ols_rss`` takes it. Each stacked call runs the same
-BLAS or LAPACK routine per design as the 2-D call, so every RSS is the
-same float as an unshared fit. The caller passes them to ``granger_test``
-as ``rss_reduced`` and ``rss_full``. An ill-conditioned design is left out
-of the solve (an exactly singular Gram would abort the whole batch) and
-passed as None, so ``granger_test`` fits it itself and raises
-``SingularDesign`` at the same candidate, with the same message, as an
-unshared test.
+One fit path: ``_stacked_fits`` fits every model by the normal equations,
+in stacks of designs of one shape; each batched call runs the same BLAS or
+LAPACK routine per design, so an RSS does not depend on its stack. A design
+whose Gram has a 2-norm condition number above ``_COND_LIMIT`` is left out
+of the solve (an exactly singular Gram would abort the batch) and gets an
+RSS of None, on which ``granger_test`` raises ``SingularDesign`` naming the
+model, its lag and its column count, the reduced model first.
+``_candidate_fits`` fits a graph's candidates lag by lag; a single test
+given no fits is a stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidConfig, LengthMismatch, NonFinite, SingularDesign, TooShort
-from .timeseries import TimeSeries
+from .timeseries import Dataset, TimeSeries
 
 __all__ = ["GrangerConfig", "GrangerResult", "granger_test"]
 
@@ -89,22 +79,10 @@ class GrangerResult:
     df_den: int
 
 
-def _ols_rss(design: np.ndarray, target: np.ndarray) -> float:
-    """Residual sum of squares of an OLS fit via the normal equations."""
-    gram = design.T @ design
-    if np.linalg.cond(gram) > _COND_LIMIT:
-        raise SingularDesign(
-            f"regression design is numerically singular ({design.shape[1]} columns)"
-        )
-    beta = np.linalg.solve(gram, design.T @ target)
-    resid = target - design @ beta
-    return float(np.dot(resid, resid))
-
-
 def _stacked_rss(designs: np.ndarray, targets: np.ndarray) -> list[float | None]:
-    """``_ols_rss`` of each (design, target) pair of a stack of designs
-    (fits x samples x columns) and targets (fits x samples), bit for bit;
-    None for a design whose Gram is worse conditioned than ``_COND_LIMIT``."""
+    """RSS of the OLS fit of each (design, target) pair of a stack of
+    designs (fits x samples x columns) and targets (fits x samples); None
+    for a design whose Gram is worse conditioned than ``_COND_LIMIT``."""
     gram = np.matmul(designs.transpose(0, 2, 1), designs)
     fit = np.flatnonzero(np.linalg.cond(gram) <= _COND_LIMIT)
     rss: list[float | None] = [None] * len(designs)
@@ -130,7 +108,7 @@ def _stacked_fits(
     ``(sources[i], targets[i])`` of row indices; None for an
     ill-conditioned design (see the module docstring)."""
     l = values.shape[1]
-    # reduced[v] is the design of _autoregression for row v; its lag
+    # reduced[v] is row v's reduced design (intercept, lags 1..lag); its lag
     # columns of a source are also that source's columns in a full design
     reduced = np.empty((len(values), l - lag, 1 + lag))
     reduced[:, :, 0] = 1.0
@@ -147,12 +125,20 @@ def _stacked_fits(
     return _stacked_rss(reduced, y), rss_full
 
 
-def _autoregression(yv: np.ndarray, lag: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Target ``y[lag:]`` and the columns of the reduced design: an
-    intercept and the lags 1..lag of ``y``."""
-    l = yv.size
-    auto_cols = [yv[lag - j : l - j] for j in range(1, lag + 1)]
-    return yv[lag:], [np.ones(l - lag)] + auto_cols
+def _candidate_fits(
+    d: Dataset, max_lag: int, lagwise: bool
+) -> dict[tuple[str, str, int], tuple[float | None, float | None]]:
+    """``(rss_reduced, rss_full)`` of every candidate (source, target, lag)
+    of ``d`` up to ``max_lag``, the models of each lag fitted as stacks."""
+    values = np.stack([s.values for s in d.series])
+    pairs = list(permutations(range(len(d.names)), 2))
+    sources, targets = [s for s, _ in pairs], [t for _, t in pairs]
+    fits = {}
+    for lag in range(1, max_lag + 1):
+        reduced, full = _stacked_fits(values, lag, lagwise, sources, targets)
+        for s, t, rss_full in zip(sources, targets, full):
+            fits[d.names[s], d.names[t], lag] = reduced[t], rss_full
+    return fits
 
 
 def granger_test(
@@ -160,14 +146,12 @@ def granger_test(
     y: TimeSeries,
     lag: int,
     cfg: GrangerConfig,
-    rss_reduced: float | None = None,
-    rss_full: float | None = None,
+    rss: tuple[float | None, float | None] | None = None,
 ) -> GrangerResult:
     """F-test of whether lagged x improves the autoregressive fit of y.
 
-    ``rss_reduced`` and ``rss_full`` are the RSS of the reduced and the
-    full model from ``_stacked_fits`` on ``y`` (and ``x``) at ``lag``; a
-    model given as None is fitted here.
+    ``rss`` is the candidate's ``(rss_reduced, rss_full)`` from
+    ``_candidate_fits``; without it the test fits its own, a stack of one.
     """
     if len(x) != len(y):
         raise LengthMismatch(
@@ -183,11 +167,7 @@ def granger_test(
     l = yv.size
     p = lag
     n_eff = l - p
-    if cfg.lagwise:
-        source_cols = [xv[: l - p]]
-    else:
-        source_cols = [xv[p - j : l - j] for j in range(1, p + 1)]
-    k = len(source_cols)
+    k = 1 if cfg.lagwise else p
     params_full = 1 + p + k
     df_den = n_eff - params_full
     if df_den < 1:
@@ -196,11 +176,19 @@ def granger_test(
             f"({params_full} parameters, {n_eff} usable samples)"
         )
 
-    target, reduced_cols = _autoregression(yv, p)
+    if rss is None:
+        reduced, full = _stacked_fits(np.stack([xv, yv]), p, cfg.lagwise, [0], [1])
+        rss = reduced[1], full[0]
+    rss_reduced, rss_full = rss
+    singular = "regression design is numerically singular"
     if rss_reduced is None:
-        rss_reduced = _ols_rss(np.column_stack(reduced_cols), target)
+        raise SingularDesign(
+            f"reduced model of {y.name!r} at lag {p}: {singular} ({1 + p} columns)"
+        )
     if rss_full is None:
-        rss_full = _ols_rss(np.column_stack(reduced_cols + source_cols), target)
+        raise SingularDesign(
+            f"full model {x.name!r} -> {y.name!r} at lag {p}: {singular} ({params_full} columns)"
+        )
 
     numerator = max(0.0, rss_reduced - rss_full) / k
     denominator = rss_full / df_den

@@ -15,11 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidConfig, LagTooLarge, UnknownFormat, VariableMismatch
 from .estimators import BinningSpec
-from .granger import GrangerConfig, _stacked_fits, granger_test
+from .granger import GrangerConfig, _candidate_fits, granger_test
 from .significance import SurrogateConfig, _name_key, _te_link_from_codes
 from .timeseries import Dataset, validate_dataset
 
@@ -144,22 +142,10 @@ def evaluate_candidates(
             return res.te, res.link
 
     elif isinstance(test, GrangerConfig):
-        # Per lag, every reduced and full model is fitted in stacks; an
-        # ill-conditioned one comes back None, and granger_test refits it
-        # and raises SingularDesign at the candidate an unshared test would.
-        row = {name: i for i, name in enumerate(d.names)}
-        pairs = [(src, tgt) for src, tgt, _ in candidate_keys(d.names, 1)]
-        sources = [row[src] for src, _ in pairs]
-        targets = [row[tgt] for _, tgt in pairs]
-        values = np.stack([s.values for s in d.series])
-        fits = {}
-        for lag in range(1, max_lag + 1):
-            rss_reduced, rss_full = _stacked_fits(values, lag, test.lagwise, sources, targets)
-            fits[lag] = dict(zip(d.names, rss_reduced)), dict(zip(pairs, rss_full))
+        fits = _candidate_fits(d, max_lag, test.lagwise)
 
         def decide(src: str, tgt: str, lag: int) -> tuple[float, bool]:
-            reduced, full = fits[lag]
-            res = granger_test(d.get(src), d.get(tgt), lag, test, reduced[tgt], full[src, tgt])
+            res = granger_test(d.get(src), d.get(tgt), lag, test, fits[src, tgt, lag])
             return res.f_statistic, res.link
 
     else:

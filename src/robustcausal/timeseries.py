@@ -205,10 +205,17 @@ def read_dataset_csv(path) -> Dataset:
 
     The file is UTF-8, with or without a byte-order mark. Values use '.' as
     the decimal mark and ',' as the separator. Blank cells are an error. A
-    leading timestamp column named "t" is ignored.
+    leading timestamp column named "t" is ignored. Undecodable bytes and
+    csv faults (a field over its size limit) raise ``CsvFormatError``.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]

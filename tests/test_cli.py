@@ -130,6 +130,47 @@ def test_analyze_missing_input_reports_json_error(tmp_path, capsys):
     assert "message" in payload
 
 
+@pytest.mark.parametrize("names, model, columns", [
+    (("X", "F"), "reduced model of 'F'", 2),
+    (("F", "X"), "full model 'F' -> 'X'", 3),
+], ids=["flat-target", "flat-source"])
+def test_gc_singular_design_names_the_model(tmp_path, capsys, names, model, columns):
+    # a flat column F fails at the first candidate: X -> F has a singular
+    # reduced model, and F -> X (F first) a singular full model
+    noise = np.random.default_rng(9).normal(size=80)
+    values = {"X": noise, "F": np.full(80, 2.5)}
+    write_dataset_csv(Dataset(tuple(TimeSeries(n, values[n]) for n in names)), tmp_path / "f.csv")
+    rc = _run("analyze", "--input", str(tmp_path / "f.csv"), "--method", "gc",
+              "--max-lag", "2", "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SingularDesign",
+        "message": f"{model} at lag 1: regression design is numerically singular "
+                   f"({columns} columns)",
+    }
+
+
+def _analyze_error(tmp_path, capsys, body: bytes):
+    path = tmp_path / "in.csv"
+    path.write_bytes(body)
+    rc = _run("analyze", "--input", str(path), "--method", "gc", "--out", str(tmp_path / "o"))
+    assert rc == 1
+    return json.loads(capsys.readouterr().err), str(path)
+
+
+def test_analyze_reports_non_utf8_input_as_json_error(tmp_path, capsys):
+    payload, path = _analyze_error(tmp_path, capsys, b"X,Y\n1,2\n3,\xff\n")
+    assert payload["error"] == "CsvFormatError"
+    assert payload["message"].startswith(f"{path}: not UTF-8")
+
+
+def test_analyze_reports_csv_module_faults_as_json_error(tmp_path, capsys):
+    # a quoted field over the csv module's 131072-character limit, on line 3
+    payload, path = _analyze_error(tmp_path, capsys, b'X,Y\n1,2\n3,"' + b"9" * 131073 + b'"\n')
+    assert payload["error"] == "CsvFormatError"
+    assert payload["message"].startswith(f"{path}:3: field larger than field limit")
+
+
 def test_analyze_byte_identical_reruns(tmp_path):
     data = _generate_small(tmp_path, length="500")
     args = (

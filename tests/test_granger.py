@@ -34,6 +34,30 @@ def _driven_pair(seed, l=500, lag=1, gain=0.9):
     return _series("x", x), _series("y", y)
 
 
+def _reference_rss(x, y, lag, lagwise):
+    """RSS of the reduced and the full model of one candidate, each fitted
+    alone by the 2-D normal equations; None for a design whose Gram is
+    worse conditioned than the limit."""
+    l = y.size
+    target = y[lag:]
+    reduced = [np.ones(l - lag)] + [y[lag - j : l - j] for j in range(1, lag + 1)]
+    source = [x[lag - j : l - j] for j in range(lag if lagwise else 1, lag + 1)]
+
+    def rss(columns):
+        design = np.column_stack(columns)
+        gram = design.T @ design
+        if np.linalg.cond(gram) > granger._COND_LIMIT:
+            return None
+        resid = target - design @ np.linalg.solve(gram, design.T @ target)
+        return float(np.dot(resid, resid))
+
+    return rss(reduced), rss(reduced + source)
+
+
+def _hex(rss):
+    return tuple(None if r is None else r.hex() for r in rss)
+
+
 def test_detects_strong_lagged_driver():
     x, y = _driven_pair(0, lag=1)
     res = granger_test(x, y, 1, GrangerConfig())
@@ -188,10 +212,13 @@ def test_stacked_fits_match_unshared_tests(kinds, length, lag_share, lagwise, se
     # evaluate_candidates fits each lag's models in stacks (one full model
     # a stack at stack_cap 1); a loop of unshared tests must give the same
     # strengths and decisions, or the same SingularDesign at the same
-    # candidate. "collinear" is an affine copy of the previous variable's
-    # noise (the last one's for V0), so with a "noise" there it makes a
-    # singular full design; "near" adds a little noise, for condition
-    # numbers about the limit.
+    # candidate. Each unshared test must in turn match the 2-D reference
+    # fit: the same RSS floats, and SingularDesign exactly where the
+    # reference finds an ill-conditioned design, naming its column count.
+    # "collinear" is an affine copy of the previous variable's noise (the
+    # last one's for V0), so with a "noise" there it makes a singular full
+    # design; "near" adds a little noise, for condition numbers about the
+    # limit.
     rng = np.random.default_rng(seed)
     noise = rng.normal(size=(len(kinds), length))
     values = {"noise": lambda i: noise[i], "flat": lambda i: np.full(length, 1.5),
@@ -203,11 +230,15 @@ def test_stacked_fits_match_unshared_tests(kinds, length, lag_share, lagwise, se
 
     expected, failure = [], None
     for src, tgt, lag in candidate_keys(d.names, max_lag):
+        want = _reference_rss(d.get(src).values, d.get(tgt).values, lag, lagwise)
         try:
             res = granger_test(d.get(src), d.get(tgt), lag, cfg)
         except SingularDesign as exc:
+            columns = 1 + lag if want[0] is None else 1 + lag + (1 if lagwise else lag)
+            assert None in want and str(exc).endswith(f"({columns} columns)"), (want, exc)
             failure = (src, tgt, lag), str(exc)
             break
+        assert _hex((res.rss_reduced, res.rss_full)) == _hex(want), (src, tgt, lag)
         expected.append((res.f_statistic.hex(), res.link))
 
     with mock.patch.object(graph, "granger_test", wraps=granger_test) as spy, \
