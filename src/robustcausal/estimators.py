@@ -25,18 +25,20 @@ tau takes ``A = x[t - tau]``, ``B = y[t - tau]`` and ``C = y[t]``, so
 
 Surrogate batches
 -----------------
-``_cmi`` also evaluates the statistic with each shuffled source in place of
-A, counting all of them in one offset ``bincount`` and taking row
-entropies of many count rows at once (``_entropy_bits_rows``). The flat
-index of that ``bincount`` is built in place in a scratch buffer that each
-thread owns (``threading.local``), so concurrent callers never share it.
+``_cmi`` counts the observed joint once and returns a ``count`` function
+that evaluates the statistic with each shuffled source in place of A, as
+often as a caller asks for a further chunk of rows. ``count`` counts many
+rows in one offset ``bincount`` and takes their row entropies at once
+(``_entropy_bits_rows``). The flat index of that ``bincount`` is built in
+place in a scratch buffer that each thread owns (``threading.local``), so
+concurrent callers never share it.
 The buffer only grows, up to ``_INDEX_BUFFER_CAP`` (2**20) elements, 8 MB
 of ``intp`` per thread: a bank is counted in chunks of rows small enough
 for that cap and for ``_BATCH_CELL_BUDGET`` (2**16) histogram cells, 512 KB
 of counts plus 512 KB of ``p * log2(p)`` terms, and only a single row
 longer than the cap makes the buffer larger. Chunking does not change any
 row's value. Each row's (A, B) marginal, its counts summed over C, is an
-integer matrix-vector product with a vector of ones; integer sums are
+``einsum`` over the last axis of the integer counts; integer sums are
 exact, so it equals the ``sum`` over C element for element.
 
 All rows of a batch count the same aligned samples, so they share one
@@ -59,6 +61,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -254,16 +257,12 @@ def _check_pair(x: TimeSeries, y: TimeSeries, lag: int) -> None:
 
 
 def _cmi(
-    a: np.ndarray,
-    b: np.ndarray | None,
-    c: np.ndarray,
-    m: int,
-    rows: np.ndarray | None = None,
-) -> tuple[float, np.ndarray | None]:
+    a: np.ndarray, b: np.ndarray | None, c: np.ndarray, m: int
+) -> tuple[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
     """``I(A; C | B)`` in bits of aligned code arrays, ``I(A; C)`` when ``b``
-    is None, and the same statistic with each row of ``rows`` in place of
-    ``a`` (counted in row chunks, see the module docstring), or None
-    without ``rows``; all clamped at 0."""
+    is None, clamped at 0, and ``count(rows, out)``, which writes to ``out``
+    and returns the statistic with each row of ``rows`` in place of ``a``,
+    clamped at 0 and counted in row chunks (see the module docstring)."""
     if b is None:
         nb = 1
         joint = _joint_counts([a, c], m).reshape(m, 1, m)
@@ -275,28 +274,28 @@ def _cmi(
     h_bc = _entropy_bits(joint.sum(axis=0))
     h_ab = _entropy_bits(joint.sum(axis=2))
     observed = max(0.0, -h_b + h_ab + h_bc - _entropy_bits(joint))
-    if rows is None:
-        return observed, None
-
-    base = c if b is None else b * m + c
-    n_rows, n = rows.shape
     cells = m * nb * m
-    chunk = max(1, min(n_rows, _BATCH_CELL_BUDGET // cells, _INDEX_BUFFER_CAP // n))
-    ones = np.ones(m, dtype=np.intp)
-    surrogates = np.empty(n_rows)
-    for start in range(0, n_rows, chunk):
-        part = rows[start : start + chunk]
-        n_part = part.shape[0]
-        flat = _index_buffer(n_part * n).reshape(n_part, n)
-        np.multiply(part, nb * m, out=flat)
-        flat += base
-        flat += (np.arange(n_part) * cells)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=n_part * cells).reshape(n_part, cells)
-        h_abc_s = _entropy_bits_rows(counts, c.size)
-        h_ab_s = _entropy_bits_rows(counts.reshape(n_part, m * nb, m) @ ones, c.size)
-        surrogates[start : start + n_part] = -h_b + h_ab_s + h_bc - h_abc_s
-    np.maximum(surrogates, 0.0, out=surrogates)
-    return observed, surrogates
+
+    def count(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        base = c if b is None else b * m + c
+        n_rows, n = rows.shape
+        chunk = max(1, min(n_rows, _BATCH_CELL_BUDGET // cells, _INDEX_BUFFER_CAP // n))
+        for start in range(0, n_rows, chunk):
+            part = rows[start : start + chunk]
+            n_part = part.shape[0]
+            flat = _index_buffer(n_part * n).reshape(n_part, n)
+            np.multiply(part, nb * m, out=flat)
+            flat += base
+            flat += (np.arange(n_part) * cells)[:, None]
+            counts = np.bincount(flat.ravel(), minlength=n_part * cells).reshape(n_part, cells)
+            h_abc_s = _entropy_bits_rows(counts, c.size)
+            ab_counts = np.einsum("ijk->ij", counts.reshape(n_part, m * nb, m))
+            h_ab_s = _entropy_bits_rows(ab_counts, c.size)
+            out[start : start + n_part] = -h_b + h_ab_s + h_bc - h_abc_s
+        np.maximum(out, 0.0, out=out)
+        return out
+
+    return observed, count
 
 
 def _te_from_codes(cx: np.ndarray, cy: np.ndarray, lag: int, m: int) -> float:

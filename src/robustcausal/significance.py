@@ -19,6 +19,23 @@ stricter decision. Both stages are one call of the estimator kernel
 ``estimators._cmi`` on the same shuffled sources: the gate is ``I(X_past;
 Y_now)``, the TE stage ``I(X_past; Y_now | Y_past)``.
 
+Early stopping
+--------------
+A bank of n shuffles is drawn and counted in chunks that end after 3n//10
+and 6n//10 rows (those in 2..n-1), then n. After each chunk but the last
+the test asks whether the full bank could still pass. Surrogate values are
+at least 0, and for a fixed sum of the rows not yet counted the t statistic
+is largest when they are all equal, so its largest reachable value has a
+closed form in the counted rows' mean and spread (``_t_ceiling``). Once
+that is below the critical value, by a margin for rounding, the test stops
+and is not significant, as the full bank would be: every decision, and with
+it every written output, is that of the full-n test. No upper bound on the
+values is needed, and none is used: the t-maximising completion always lies
+below the counted mean. ``SignificanceResult.rows`` says how many rows were
+counted; a stopped test describes them by its mean, spread and statistic.
+A gate that passes has counted all n rows, and the TE stage counts the same
+chunks with the same stop.
+
 Determinism
 -----------
 Every surrogate batch draws from an RNG stream derived from the configured
@@ -26,7 +43,8 @@ seed plus the (source, target, lag) identity, so decisions are
 bit-reproducible and independent of the order in which candidate links are
 evaluated. A link test draws one shuffle ensemble and evaluates both MI and
 TE on the same shuffled sources, exactly as a sequential by-hand procedure
-would reuse its surrogate realizations.
+would reuse its surrogate realizations. Its chunks come from that stream in
+order, so the rows a stopped test drew are a prefix of the full ensemble.
 """
 
 from __future__ import annotations
@@ -35,7 +53,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -49,6 +67,18 @@ __all__ = [
     "TeLinkResult",
     "te_link_test",
 ]
+
+# A bank of n surrogate rows is counted in chunks that end after 3n//10 and
+# 6n//10 rows (those in 2..n-1), then n; after each chunk but the last the
+# test stops if it can no longer pass.
+_CHECKPOINT_TENTHS = (3, 6)
+# A test stops only if the largest t it can still reach is this far below
+# the critical value, and its counted rows spread by more than this share
+# of the observed value; together they cover the rounding of the full
+# bank's t (see ``_surrogate_test``).
+_T_MARGIN = 1e-6
+_SPREAD_FLOOR = 1e-4
+
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -86,13 +116,20 @@ class SurrogateConfig:
 
 @dataclass(frozen=True)
 class SignificanceResult:
-    """Outcome of one surrogate test."""
+    """Outcome of one surrogate test.
+
+    ``rows`` is the number of surrogate rows counted. A test that stopped
+    early has ``rows`` below the configured bank size, describes the
+    counted rows by ``surrogate_mean``, ``surrogate_std`` and
+    ``statistic``, and is not significant, as the full bank would be.
+    """
 
     observed: float
     surrogate_mean: float
     surrogate_std: float
     statistic: float
     significant: bool
+    rows: int
 
 
 @dataclass(frozen=True)
@@ -128,17 +165,91 @@ def _t_critical(confidence: float, df: int) -> float:
     return float(special.stdtrit(df, confidence))
 
 
+def _moments(s: np.ndarray) -> tuple[float, float]:
+    """Mean and sum of squared deviations of ``s``, by the reductions of
+    ``s.mean()`` and ``s.std(ddof=1)``, so bit for bit the same."""
+    mean = np.add.reduce(s) / s.size
+    dev = s - mean
+    dev *= dev
+    return float(mean), float(np.add.reduce(dev))
+
+
 def _decide(observed: float, surrogates: np.ndarray, confidence: float) -> SignificanceResult:
     """One-sided, one-sample t-test of the observed value against surrogates."""
-    mu = float(surrogates.mean())
-    s = float(surrogates.std(ddof=1))
+    n = surrogates.size
+    mu, m2 = _moments(surrogates)
+    s = math.sqrt(m2 / (n - 1))
     if s == 0.0:
         if observed > mu:
-            return SignificanceResult(observed, mu, s, math.inf, True)
-        return SignificanceResult(observed, mu, s, 0.0, False)
+            return SignificanceResult(observed, mu, s, math.inf, True, n)
+        return SignificanceResult(observed, mu, s, 0.0, False, n)
     statistic = (observed - mu) / s
-    crit = _t_critical(confidence, surrogates.size - 1)
-    return SignificanceResult(observed, mu, s, statistic, statistic > crit)
+    crit = _t_critical(confidence, n - 1)
+    return SignificanceResult(observed, mu, s, statistic, statistic > crit, n)
+
+
+def _checkpoints(n: int) -> list[int]:
+    """Row counts after which a bank of ``n`` is checked, ending at ``n``."""
+    cuts = {tenths * n // 10 for tenths in _CHECKPOINT_TENTHS}
+    return sorted(k for k in cuts if 2 <= k < n) + [n]
+
+
+def _t_ceiling(observed: float, mean: float, m2: float, k: int, n: int) -> float:
+    """An upper bound, wherever it is positive, on the t statistic of a bank
+    of ``n`` values whose first ``k`` have ``mean`` and squared deviations
+    ``m2`` (> 0) and whose other ``r = n - k`` are at least 0.
+
+    A positive t has ``observed`` above the bank's mean. For a fixed sum of
+    the other values, and so a fixed mean, the spread is smallest, and t
+    largest, when they all equal some ``v >= 0``. Over v, with ``delta =
+    observed - mean``, t(v) has one stationary point ``v* = mean - m2 / (k
+    * delta)``: a maximum, of ``sqrt((n - 1) * (delta**2 / m2 + r / (n *
+    k)))``, when ``delta > 0``. So the bound is t(v*) if ``v* > 0``, else
+    t(0). An upper bound on the values is never needed: v* lies below the
+    mean, and t falls on both sides of it.
+    """
+    r = n - k
+    delta = observed - mean
+    if delta > 0.0 and mean * k * delta > m2:
+        return math.sqrt((n - 1) * (delta * delta / m2 + r / (n * k)))
+    return (delta + r / n * mean) / math.sqrt((m2 + k * r / n * mean * mean) / (n - 1))
+
+
+def _surrogate_test(
+    observed: float,
+    count: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    chunks: Iterable[np.ndarray],
+    n: int,
+    confidence: float,
+) -> SignificanceResult:
+    """The t-test of ``observed`` against the ``n`` surrogate values that
+    ``count`` gives for ``chunks`` of shuffled rows, taken in turn.
+
+    Surrogate values are at least 0. After each chunk but the last, the
+    test stops, not significant, once ``_t_ceiling`` shows that no values
+    of the rows not yet counted can lift the full bank's t to a positive
+    critical value; otherwise it is ``_decide`` on all ``n`` values.
+
+    The bound is exact arithmetic on the counted values. The full bank's t
+    in floats can exceed it only by its rounding, about ``eps * observed /
+    s`` for a t near the critical value, and its spread s is at least
+    ``s_k * sqrt((k - 1) / (n - 1))`` for the spread s_k of the first k. With
+    s_k above ``_SPREAD_FLOOR * observed`` that stays below ``_T_MARGIN``
+    for banks of up to 10**8 rows.
+    """
+    crit = _t_critical(confidence, n - 1)
+    values = np.empty(n)
+    k = 0
+    for rows in chunks:
+        count(rows, values[k : k + rows.shape[0]])
+        k += rows.shape[0]
+        if k == n or crit <= 0.0:
+            continue
+        mean, m2 = _moments(values[:k])
+        s = math.sqrt(m2 / (k - 1))
+        if s > _SPREAD_FLOOR * observed and _t_ceiling(observed, mean, m2, k, n) < crit - _T_MARGIN:
+            return SignificanceResult(observed, mean, s, (observed - mean) / s, False, k)
+    return _decide(observed, values, confidence)
 
 
 def _shuffled_source_rows(cx: np.ndarray, n_rows: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,15 +265,16 @@ def _te_stage(
     lag: int,
     m: int,
     confidence: float,
-    rows: np.ndarray,
+    rows: list[np.ndarray],
 ) -> SignificanceResult:
     """Surrogate test of the transfer entropy at ``lag``.
 
-    ``rows`` holds the same shuffled-source realizations the MI gate used,
-    sliced to the aligned window.
+    ``rows`` holds the chunks of shuffled-source realizations the MI gate
+    counted, sliced to the aligned window; a gate that passed counted all.
     """
     keep = cx.size - lag
-    return _decide(*_cmi(cx[:keep], cy[:keep], cy[lag:], m, rows), confidence)
+    n = sum(chunk.shape[0] for chunk in rows)
+    return _surrogate_test(*_cmi(cx[:keep], cy[:keep], cy[lag:], m), rows, n, confidence)
 
 
 def _te_link_from_codes(
@@ -176,18 +288,29 @@ def _te_link_from_codes(
 ) -> TeLinkResult:
     """Gated TE link decision on pre-digitized code arrays.
 
-    One shuffle ensemble of the full source is drawn per (pair, lag) and
-    shared by the MI gate and the TE test.
+    One shuffle ensemble of the full source is drawn per (pair, lag), chunk
+    by chunk as the MI gate asks for it, and shared by the MI gate and the
+    TE test. The chunks come from one stream in order, so the rows drawn
+    are a prefix of the whole ensemble.
     """
     keep = cx.size - lag
     rng = _rng(cfg.rng_seed, key_x, key_y, lag)
-    rows = _shuffled_source_rows(cx, cfg.n_surrogates, rng)[:, :keep]
-    mi_res = _decide(*_cmi(cx[:keep], None, cy[lag:], m, rows), cfg.confidence)
+    bank: list[np.ndarray] = []
+
+    def draw():
+        start = 0
+        for stop in _checkpoints(cfg.n_surrogates):
+            bank.append(_shuffled_source_rows(cx, stop - start, rng)[:, :keep])
+            yield bank[-1]
+            start = stop
+
+    gate = _cmi(cx[:keep], None, cy[lag:], m)
+    mi_res = _surrogate_test(*gate, draw(), cfg.n_surrogates, cfg.confidence)
     if not mi_res.significant:
         return TeLinkResult(False, 0.0, mi_res, None)
     if not cfg.te_surrogate_test:
         return TeLinkResult(True, _te_from_codes(cx, cy, lag, m), mi_res, None)
-    te_res = _te_stage(cx, cy, lag, m, cfg.confidence, rows)
+    te_res = _te_stage(cx, cy, lag, m, cfg.confidence, bank)
     return TeLinkResult(te_res.significant, te_res.observed, mi_res, te_res)
 
 

@@ -240,7 +240,8 @@ def test_cmi_is_bit_identical_to_the_stage_formulas(seed, l, m, n_rows, mix, con
     c = np.where(rng.random(l) < mix, a, rng.integers(0, m, l))
     b = np.roll(c, 1) if conditional else None
     rows = rng.permuted(np.tile(a, (n_rows, 1)), axis=1)
-    observed, surrogates = _cmi(a, b, c, m, rows)
+    observed, count = _cmi(a, b, c, m)
+    surrogates = count(rows, np.empty(n_rows))
     if conditional:
         want_observed, want_surrogates = _te_stage_oracle(a, b, c, m, rows)
     else:
@@ -274,7 +275,8 @@ def test_row_bank_kernel_is_bit_identical_to_the_fresh_array_loop(
     banks = [bank[:n_rows], bank[:1], bank]
 
     def run():
-        return [_cmi(a, b, c, m, rows)[1] for rows in banks]
+        count = _cmi(a, b, c, m)[1]
+        return [count(rows, np.empty(len(rows))) for rows in banks]
 
     # a cap this small splits banks into chunks of cap // keep rows, or of one
     with mock.patch.object(estimators, "_INDEX_BUFFER_CAP", cap):
@@ -302,10 +304,10 @@ def test_row_bank_kernel_allocates_less_than_one_index_array():
     rows = rng.permuted(np.tile(x, (100, 1)), axis=1)[:, :keep]
     index_bytes = rows.size * np.dtype(np.intp).itemsize
     for b in (None, y[:keep]):
-        _cmi(x[:keep], b, y[lag:], m, rows)
+        _cmi(x[:keep], b, y[lag:], m)[1](rows, np.empty(100))
         tracemalloc.start()
         try:
-            _cmi(x[:keep], b, y[lag:], m, rows)
+            _cmi(x[:keep], b, y[lag:], m)[1](rows, np.empty(100))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -324,10 +326,10 @@ def test_te_stage_batch_memory_is_bounded(m):
     x = rng.integers(0, m, l)
     y = rng.integers(0, m, l)
     rows = rng.permuted(np.tile(x, (100, 1)), axis=1)[:, :keep]
-    _cmi(x[:keep], y[:keep], y[lag:], m, rows)
+    _cmi(x[:keep], y[:keep], y[lag:], m)[1](rows, np.empty(100))
     tracemalloc.start()
     try:
-        _cmi(x[:keep], y[:keep], y[lag:], m, rows)
+        _cmi(x[:keep], y[:keep], y[lag:], m)[1](rows, np.empty(100))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

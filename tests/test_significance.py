@@ -1,17 +1,26 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from robustcausal import estimators
+from robustcausal import estimators, significance
+from robustcausal.ensemble import EnsembleConfig, analyze_ensemble
 from robustcausal.errors import InvalidConfig, LagTooLarge, LengthMismatch
 from robustcausal.estimators import BinningSpec, _cmi, transfer_entropy
+from robustcausal.evaluation import monte_carlo_rates
 from robustcausal.significance import (
+    _SPREAD_FLOOR,
+    _T_MARGIN,
     SurrogateConfig,
     _decide,
+    _moments,
     _shuffled_source_rows,
+    _surrogate_test,
+    _t_ceiling,
     _t_critical,
     te_link_test,
 )
@@ -158,12 +167,15 @@ def test_chunked_row_banks_are_bit_identical(monkeypatch):
         row_counts.append(rows.shape[0])
         return entropy_rows(rows, total)
 
-    # 250 cells: gate chunks of 250 // 5**2 = 10 rows, TE chunks of 250 // 5**3 = 2
+    # 250 cells: gate chunks of at most 250 // 5**2 = 10 rows, TE chunks of
+    # at most 250 // 5**3 = 2, within the checkpoint chunks of 9, 9 and 12
     monkeypatch.setattr(estimators, "_BATCH_CELL_BUDGET", 250)
     monkeypatch.setattr(estimators, "_entropy_bits_rows", counted)
     chunked = te_link_test(x, y, 1, spec, cfg)
-    # two row-entropy calls per chunk: 3 gate chunks, then 15 TE chunks
-    assert row_counts == [10] * 6 + [2] * 30
+    # two row-entropy calls per chunk: 4 gate chunks, then 16 TE chunks
+    gate = [9, 9, 10, 2]
+    te = [2, 2, 2, 2, 1] * 2 + [2] * 6
+    assert row_counts == [rows for rows in gate + te for _ in range(2)]
     assert whole.te_test is not None
     assert _bits(chunked.mi_test) == _bits(whole.mi_test)
     assert _bits(chunked.te_test) == _bits(whole.te_test)
@@ -242,3 +254,142 @@ def test_t_critical_equals_scipy_stats_quantile():
         for df in dfs:
             assert _t_critical(confidence, df) == float(stats.t.ppf(confidence, df)), (
                 confidence, df)
+
+
+def _copy_values(rows, out):
+    """A ``count`` for banks whose rows are the surrogate values themselves."""
+    out[:] = rows
+    return out
+
+
+def _bank_prefix(seed, n, k_share, scale, levels, low, width, z):
+    """k of n surrogate values in a band of [0, scale], continuous or on
+    ``levels`` + 1 levels, and an observed value z prefix deviations above
+    their mean; None unless the prefix spreads as far as a test needs to stop."""
+    k = min(n - 1, max(2, round(k_share * n)))
+    rng = np.random.default_rng(seed)
+    u = rng.random(k) if levels == 0 else rng.integers(0, levels + 1, k) / levels
+    prefix = (low + width * u) * scale
+    mean, m2 = _moments(prefix)
+    s = math.sqrt(m2 / (k - 1))
+    observed = max(0.0, mean + z * s)
+    if s <= _SPREAD_FLOOR * observed:
+        return None
+    return rng, k, prefix, mean, m2, observed
+
+
+_BANKS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 150),
+    k_share=st.floats(0.0, 1.0),
+    scale=st.floats(0.01, 8.0),
+    levels=st.integers(0, 4),
+    low=st.floats(0.0, 1.0),
+    width=st.floats(0.01, 1.0),
+    z=st.floats(-3.0, 12.0),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(**_BANKS)
+def test_t_ceiling_bounds_the_t_of_every_completion(seed, n, k_share, scale, levels, low,
+                                                    width, z):
+    # wherever it is positive (a test stops only below a positive critical
+    # value), the t of a bank of n is at most _t_ceiling of its first k
+    # values, up to rounding, whatever its other n - k values are; equal
+    # completions on a grid reach the largest t, up to the grid's step
+    width = min(width, 1.0 - low)
+    assume(width > 0.0)
+    drawn = _bank_prefix(seed, n, k_share, scale, levels, low, width, z)
+    assume(drawn is not None)
+    rng, k, prefix, mean, m2, observed = drawn
+    bound = _t_ceiling(observed, mean, m2, k, n)
+    r = n - k
+    completions = [np.full(r, v) for v in np.linspace(0.0, 2.0 * scale, 401)]
+    completions += [rng.random(r) * scale for _ in range(5)]
+    completions += [(low + width * rng.random(r)) * scale for _ in range(5)]
+    for rest in completions:
+        t = _decide(observed, np.concatenate([prefix, rest]), 0.95).statistic
+        assert t <= max(bound, 0.0) + _T_MARGIN
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(**_BANKS, confidence=st.sampled_from([0.3, 0.5, 0.9, 0.95, 0.99]),
+       completion=st.sampled_from(["stationary", "zero", "mean", "band", "uniform"]))
+def test_a_stopped_test_decides_as_the_full_bank(seed, n, k_share, scale, levels, low, width,
+                                                 z, confidence, completion):
+    width = min(width, 1.0 - low)
+    assume(width > 0.0)
+    drawn = _bank_prefix(seed, n, k_share, scale, levels, low, width, z)
+    assume(drawn is not None)
+    rng, k, prefix, mean, m2, observed = drawn
+    r = n - k
+    delta = observed - mean
+    stationary = mean - m2 / (k * delta) if delta > 0.0 else 0.0
+    rest = {
+        "stationary": np.full(r, max(stationary, 0.0)),
+        "zero": np.zeros(r),
+        "mean": np.full(r, mean),
+        "band": (low + width * rng.random(r)) * scale,
+        "uniform": rng.random(r) * scale,
+    }[completion]
+    want = _decide(observed, np.concatenate([prefix, rest]), confidence)
+    got = _surrogate_test(observed, _copy_values, [prefix, rest], n, confidence)
+    assert got.significant == want.significant
+    assert got.rows in (k, n)
+    if got.rows == n:
+        assert _bits(got) == _bits(want)
+    else:
+        assert (got.surrogate_mean, got.surrogate_std) == (mean, math.sqrt(m2 / (k - 1)))
+
+
+def test_a_clear_null_stops_at_the_first_checkpoint():
+    # x[t - 1] and y[t] run through every pair of bins equally often, so the
+    # observed MI is about 0 and below every surrogate
+    x = _series("x", np.tile([0.0, 1.0], 200))
+    y = _series("y", np.tile([1.0, 0.0, 0.0, 1.0], 100))
+    spec = BinningSpec.from_dataset(Dataset((x, y)))
+    res = te_link_test(x, y, 1, spec, SurrogateConfig(rng_seed=3, n_surrogates=100))
+    assert not res.link
+    assert res.mi_test.rows == 30
+    assert res.mi_test.statistic < 0.0
+
+
+def test_a_passing_gate_counts_the_whole_bank():
+    x, y = _coupled_pair(6, lag=1)
+    spec = BinningSpec.from_dataset(Dataset((x, y)))
+    cfg = SurrogateConfig(rng_seed=11, n_surrogates=50, te_surrogate_test=True)
+    res = te_link_test(x, y, 1, spec, cfg)
+    assert res.mi_test.significant and res.mi_test.rows == 50
+    assert res.te_test.rows == 50
+
+
+def test_stopping_early_changes_no_ensemble_or_rate_curve(monkeypatch):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=400)
+    y = np.concatenate([[0.0], 0.6 * x[:-1]]) + rng.normal(size=400)
+    d = Dataset((_series("X", x), _series("Y", y), _series("Z", rng.normal(size=400))))
+    ens = EnsembleConfig(6, 150, rng_seed=2)
+    sur = SurrogateConfig(rng_seed=5, n_surrogates=40, te_surrogate_test=True)
+    surrogate_test = significance._surrogate_test
+    counted = []
+
+    def recorded(*args):
+        res = surrogate_test(*args)
+        counted.append(res.rows)
+        return res
+
+    def run():
+        res = analyze_ensemble(d, ens, sur, max_lag=2)
+        curve = monte_carlo_rates("bivariate-linear", [60, 120], [0.3, 1.0], n_trials=5,
+                                  rng_seed=1, n_surrogates=30)
+        return res.decisions.tobytes(), res.statistics.tobytes(), curve.to_csv()
+
+    monkeypatch.setattr(significance, "_surrogate_test", recorded)
+    stopping = run()
+    # gates and TE stages stopped at both checkpoints, and others counted all
+    assert {12, 24, 40, 9, 18, 30} <= set(counted)
+    monkeypatch.setattr(significance, "_CHECKPOINT_TENTHS", ())
+    counted.clear()
+    assert run() == stopping
+    assert set(counted) == {40, 30}
