@@ -44,11 +44,11 @@ import scipy
 
 from . import __version__
 from .ensemble import SUBSAMPLE_MODES, EnsembleConfig, analyze_ensemble
-from .errors import InvalidConfig, RobustCausalError
+from .errors import InvalidConfig, LagTooLarge, RobustCausalError
 from .estimators import BinningSpec
 from .evaluation import bin_sensitivity_scan, monte_carlo_rates
 from .granger import GrangerConfig
-from .graph import build_graph, export_graph
+from .graph import _check_max_lag, build_graph, export_graph
 from .significance import SurrogateConfig
 from .synthetic import SYSTEM_KINDS, SystemSpec, generate
 from .timeseries import PreprocessSpec, apply_preprocess, read_dataset_csv, write_dataset_csv
@@ -375,6 +375,10 @@ def cmd_analyze(s: dict, config: dict) -> int:
         ens_cfg = _checked(EnsembleConfig, n_subsamples=s["n_subsamples"],
                            subsample_length=s["subsample_length"], rng_seed=seed,
                            mode=s["mode"], threshold=s["threshold"])
+        try:
+            _check_max_lag(s["max_lag"], s["subsample_length"])
+        except LagTooLarge as exc:
+            raise UsageError(f"--max-lag with --sub-length: {exc}") from None
     d = _load_input(s, seed)
     out = Path(s["out"])
 
@@ -397,12 +401,10 @@ def cmd_analyze(s: dict, config: dict) -> int:
 
 def cmd_evaluate(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
-    _surrogate_config(s, seed)  # the trials' settings: bad ones are usage errors
-    for length in s["lengths"]:  # and each length's system, as the trials build it
+    surrogate = _surrogate_config(s, seed)
+    for length in s["lengths"]:  # each length's system, as the trials build it
         _checked(SystemSpec, kind=s["kind"], length=length, rng_seed=seed, signal=s["ratios"][0])
-    curve = monte_carlo_rates(kind=s["kind"], lengths=s["lengths"], ratios=s["ratios"],
-                              n_trials=s["trials"], rng_seed=seed,
-                              n_surrogates=s["n_surrogates"], confidence=s["confidence"])
+    curve = monte_carlo_rates(s["kind"], s["lengths"], s["ratios"], s["trials"], surrogate)
     out = Path(s["out"])
     csv_path = out if out.suffix.lower() == ".csv" else out / "error_rates.csv"
     _write(csv_path, curve.to_csv())

@@ -8,7 +8,8 @@ Per variable, Scott's rule gives a bin width ``3.5 * std / l**(1/3)`` and a
 count ``ceil((max - min) / width)``; the system-wide count is the minimum
 over variables. Each variable then gets its own equally spaced edges over
 its observed range, rightmost edge inclusive. A constant variable is left
-out of the minimum, and all its samples share one bin.
+out of the minimum, and all its samples share one bin. A NaN or an
+infinity raises ``NonFinite`` (``timeseries._check_finite``).
 
 Estimators
 ----------
@@ -65,15 +66,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateBins,
-    EmptyHistogram,
-    InvalidConfig,
-    LagTooLarge,
-    LengthMismatch,
-    ZeroVariance,
-)
-from .timeseries import Dataset, TimeSeries
+from .errors import DegenerateBins, EmptyHistogram, InvalidConfig, ZeroVariance
+from .timeseries import Dataset, TimeSeries, _check_finite, _check_pair
 
 __all__ = [
     "BinningSpec",
@@ -149,8 +143,14 @@ class BinningSpec:
         A constant variable does not abort the derivation: it is skipped for
         the count minimum and gets synthetic edges around its single value
         (all its samples land in one bin, so its entropy is zero). Without a
-        forced count at least one variable must still vary.
+        forced count at least one variable must still vary. A NaN or an
+        infinity raises ``NonFinite``, read off each variable's range.
         """
+        ranges = []
+        for s in d.series:
+            lo, hi = float(s.values.min()), float(s.values.max())
+            _check_finite(s, (lo, hi))
+            ranges.append((s.name, lo, hi))
         if bin_count is None:
             counts = []
             for s in d.series:
@@ -166,12 +166,10 @@ class BinningSpec:
                 raise DegenerateBins(f"bin_count must be >= 2, got {bin_count}")
             m = int(bin_count)
         edges = {}
-        for s in d.series:
-            lo = float(s.values.min())
-            hi = float(s.values.max())
+        for name, lo, hi in ranges:
             if hi == lo:
                 lo, hi = lo - 0.5, hi + 0.5
-            edges[s.name] = np.linspace(lo, hi, m + 1)
+            edges[name] = np.linspace(lo, hi, m + 1)
         return cls(m, edges)
 
     def digitize(self, s: TimeSeries) -> np.ndarray:
@@ -243,19 +241,6 @@ def _entropy_bits_rows(rows: np.ndarray, total: int) -> np.ndarray:
     return -_plogp_table(total)[rows].sum(axis=1)
 
 
-def _check_pair(x: TimeSeries, y: TimeSeries, lag: int) -> None:
-    """Raise unless ``x`` and ``y`` are equally long and ``lag`` is at least
-    1 and leaves aligned samples."""
-    if len(x) != len(y):
-        raise LengthMismatch(
-            f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
-        )
-    if lag < 1:
-        raise InvalidConfig(f"lag must be >= 1, got {lag}")
-    if lag >= len(y):
-        raise LagTooLarge(f"lag {lag} leaves no aligned samples for length {len(y)}")
-
-
 def _cmi(
     a: np.ndarray, b: np.ndarray | None, c: np.ndarray, m: int
 ) -> tuple[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
@@ -315,7 +300,8 @@ def transfer_entropy(x: TimeSeries, y: TimeSeries, lag: int, spec: BinningSpec) 
     value equals the conditional mutual information
     ``I(x[t - lag]; y[t] | y[t - lag])`` of the aligned empirical joint
     distribution, so it is nonnegative up to rounding (clamped to 0) and
-    bounded above by ``min(H(X), H(Y))`` over the aligned window.
+    bounded above by ``min(H(X), H(Y))`` over the aligned window. Input
+    faults raise as ``timeseries._check_pair`` says.
     """
     _check_pair(x, y, lag)
     return _te_from_codes(spec.digitize(x), spec.digitize(y), lag, spec.bin_count)

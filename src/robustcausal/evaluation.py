@@ -99,67 +99,54 @@ class ErrorRateCurve:
         return "\n".join(lines) + "\n"
 
 
+def _no_parent_bins(surrogate: SurrogateConfig) -> None:
+    """Raise for ``reuse_parent_bins``: only an ensemble has a parent record."""
+    if surrogate.reuse_parent_bins:
+        raise InvalidConfig("reuse_parent_bins needs an ensemble's parent record")
+
+
 def monte_carlo_rates(
     kind: str,
     lengths: list[int],
     ratios: list[float],
     n_trials: int,
-    rng_seed: int,
-    n_surrogates: int = 100,
-    confidence: float = 0.95,
+    surrogate: SurrogateConfig,
 ) -> ErrorRateCurve:
     """Estimate FNR and FPR of the TE link test on the bivariate benchmark.
 
     ``kind`` is "bivariate-linear" or "bivariate-nonlinear". Per trial a fresh sample of the
     requested length is generated with signal m = ratio and noise eps = 1,
-    then the gated TE link test runs at lag 1 (miss -> false negative) and
-    lag 2 (fire -> false positive). X is i.i.d., so the lag-2 test is an
-    exact null and ``fpr`` estimates the test's size, 1 - ``confidence``,
-    at every length; only ``fnr`` is expected to fall with more data.
-    Trial RNG streams derive from (seed, length index, ratio index,
-    trial), so single points are reproducible in isolation.
+    then the TE link test with the settings of ``surrogate``, its ``bins``
+    included, runs at lag 1 (miss -> false negative) and lag 2 (fire ->
+    false positive). X is i.i.d., so the lag-2 test is an exact null and
+    ``fpr`` estimates the test's size, 1 - ``confidence``, at every length;
+    only ``fnr`` is expected to fall with more data. Trial RNG streams
+    derive from (``surrogate.rng_seed``, length index, ratio index, trial),
+    so single points are reproducible in isolation. A trial has no parent
+    record: ``reuse_parent_bins`` raises ``InvalidConfig``.
     """
     if kind not in ("bivariate-linear", "bivariate-nonlinear"):
         raise InvalidConfig(f"kind must be a bivariate system, got {kind!r}")
     if n_trials < 1:
         raise InvalidConfig(f"n_trials must be >= 1, got {n_trials}")
+    _no_parent_bins(surrogate)
     points = []
     for li, length in enumerate(lengths):
         for ri, ratio in enumerate(ratios):
-            misses = 0
-            false_alarms = 0
+            misses = false_alarms = 0
             for trial in range(n_trials):
-                data_seed = _derived_seed(rng_seed, li, ri, trial, 0)
-                test_seed = _derived_seed(rng_seed, li, ri, trial, 1)
-                d, _ = generate(
-                    SystemSpec(
-                        kind=kind,
-                        length=length,
-                        rng_seed=data_seed,
-                        signal=ratio,
-                        noise=1.0,
-                    )
-                )
-                spec = BinningSpec.from_dataset(d)
-                cfg = SurrogateConfig(
-                    rng_seed=test_seed,
-                    n_surrogates=n_surrogates,
-                    confidence=confidence,
-                )
+                data_seed = _derived_seed(surrogate.rng_seed, li, ri, trial, 0)
+                test_seed = _derived_seed(surrogate.rng_seed, li, ri, trial, 1)
+                d, _ = generate(SystemSpec(kind=kind, length=length, rng_seed=data_seed,
+                                           signal=ratio, noise=1.0))
+                spec = BinningSpec.from_dataset(d, bin_count=surrogate.bins)
+                cfg = replace(surrogate, rng_seed=test_seed)
                 x, y = d.get("X"), d.get("Y")
-                if not te_link_test(x, y, 1, spec, cfg).link:
-                    misses += 1
-                if te_link_test(x, y, 2, spec, cfg).link:
-                    false_alarms += 1
-            points.append(
-                ErrorRatePoint(
-                    data_length=length,
-                    m_over_eps=float(ratio),
-                    fnr=misses / n_trials,
-                    fpr=false_alarms / n_trials,
-                    n_trials=n_trials,
-                )
-            )
+                misses += not te_link_test(x, y, 1, spec, cfg).link
+                false_alarms += te_link_test(x, y, 2, spec, cfg).link
+            points.append(ErrorRatePoint(data_length=length, m_over_eps=float(ratio),
+                                         fnr=misses / n_trials, fpr=false_alarms / n_trials,
+                                         n_trials=n_trials))
     return ErrorRateCurve(kind=kind, points=tuple(points))
 
 
@@ -194,7 +181,9 @@ def bin_sensitivity_scan(
 ) -> BinSensitivityReport:
     """Rebuild the TE graph at bin counts center - radius .. center + radius,
     each with a copy of ``surrogate`` forcing that ``bins``, and report each
-    link set's Jaccard similarity to the center graph."""
+    link set's Jaccard similarity to the center graph; ``reuse_parent_bins``
+    raises ``InvalidConfig``, as ``d`` has no parent record."""
+    _no_parent_bins(surrogate)
     if radius < 0:
         raise InvalidConfig(f"radius must be >= 0, got {radius}")
     if center_bins - radius < 2:

@@ -38,8 +38,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidConfig, LengthMismatch, NonFinite, SingularDesign, TooShort
-from .timeseries import Dataset, TimeSeries
+from .errors import InvalidConfig, SingularDesign, TooShort
+from .timeseries import Dataset, TimeSeries, _check_pair
 
 __all__ = ["GrangerConfig", "GrangerResult", "granger_test"]
 
@@ -152,19 +152,11 @@ def granger_test(
 
     ``rss`` is the candidate's ``(rss_reduced, rss_full)`` from
     ``_candidate_fits``; without it the test fits its own, a stack of one.
+    Input faults raise as ``timeseries._check_pair`` says, as in the TE
+    tests; a lag that leaves no residual degrees of freedom, ``TooShort``.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(
-            f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
-        )
-    if lag < 1:
-        raise InvalidConfig(f"lag must be >= 1, got {lag}")
-    xv = x.values
-    yv = y.values
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
-        raise NonFinite("Granger test inputs must be finite")
-
-    l = yv.size
+    _check_pair(x, y, lag)
+    l = len(y)
     p = lag
     n_eff = l - p
     k = 1 if cfg.lagwise else p
@@ -177,7 +169,7 @@ def granger_test(
         )
 
     if rss is None:
-        reduced, full = _stacked_fits(np.stack([xv, yv]), p, cfg.lagwise, [0], [1])
+        reduced, full = _stacked_fits(np.stack([x.values, y.values]), p, cfg.lagwise, [0], [1])
         rss = reduced[1], full[0]
     rss_reduced, rss_full = rss
     singular = "regression design is numerically singular"

@@ -104,6 +104,16 @@ def candidate_keys(variables: tuple[str, ...], max_lag: int) -> list[LinkKey]:
     ]
 
 
+def _check_max_lag(max_lag: int, length: int) -> None:
+    """The rule for a graph on ``length`` points: ``1 <= max_lag < length/4``."""
+    if max_lag < 1:
+        raise InvalidConfig(f"max_lag must be >= 1, got {max_lag}")
+    if max_lag >= length / 4:
+        raise LagTooLarge(
+            f"max_lag {max_lag} is too large for length {length} (must stay below length/4)"
+        )
+
+
 def evaluate_candidates(
     d: Dataset,
     test: SurrogateConfig | GrangerConfig,
@@ -122,12 +132,7 @@ def evaluate_candidates(
     derives a spec from ``d``: Scott's rule, or the count ``test.bins`` forces.
     """
     validate_dataset(d)
-    if max_lag < 1:
-        raise InvalidConfig(f"max_lag must be >= 1, got {max_lag}")
-    if max_lag >= d.length / 4:
-        raise LagTooLarge(
-            f"max_lag {max_lag} is too large for length {d.length} (must stay below length/4)"
-        )
+    _check_max_lag(max_lag, d.length)
 
     if isinstance(test, SurrogateConfig):
         if spec is None:

@@ -58,8 +58,8 @@ from typing import Callable, ClassVar, Iterable
 import numpy as np
 
 from .errors import InvalidConfig
-from .estimators import BinningSpec, _check_pair, _cmi, _te_from_codes
-from .timeseries import TimeSeries, _rng
+from .estimators import BinningSpec, _cmi, _te_from_codes
+from .timeseries import TimeSeries, _check_pair, _rng
 
 __all__ = [
     "SurrogateConfig",
@@ -323,7 +323,8 @@ def te_link_test(
     failing the gate yields ``(link=False, te=0.0)`` without computing TE.
     When the gate passes, the TE is computed and the gate alone decides,
     unless ``cfg.te_surrogate_test`` is on, in which case the same surrogate
-    procedure is applied to the TE itself and that test decides.
+    procedure is applied to the TE itself and that test decides. Input
+    faults raise as ``timeseries._check_pair`` says.
     """
     _check_pair(x, y, lag)
     return _te_link_from_codes(

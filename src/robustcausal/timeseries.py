@@ -2,6 +2,7 @@
 
 A :class:`TimeSeries` is a named 1-D float array sampled at a uniform step.
 A :class:`Dataset` bundles several series observed on the same time axis.
+``validate_dataset`` checks a dataset, ``_check_pair`` a link test's pair.
 Preprocessing is limited to the two operations the downstream estimators
 expect: linear detrending and removal of a periodic (seasonal) mean cycle.
 """
@@ -17,6 +18,7 @@ from .errors import (
     CsvFormatError,
     DuplicateName,
     InvalidConfig,
+    LagTooLarge,
     LengthMismatch,
     NonFinite,
     TooShort,
@@ -128,9 +130,30 @@ def validate_dataset(d: Dataset) -> Dataset:
     if len(lengths) != 1:
         raise LengthMismatch(f"series lengths differ: {sorted(lengths)}")
     for s in d.series:
-        if not np.all(np.isfinite(s.values)):
-            raise NonFinite(f"series {s.name!r} contains NaN or infinite values")
+        _check_finite(s)
     return d
+
+
+def _check_finite(s: TimeSeries, extremes: tuple[float, float] | None = None) -> None:
+    """Raise ``NonFinite`` if ``s`` holds NaN or an infinity, read off its
+    ``extremes`` (min, max) when given: they are finite only if all are."""
+    if not np.isfinite(s.values if extremes is None else extremes).all():
+        raise NonFinite(f"series {s.name!r} contains NaN or infinite values")
+
+
+def _check_pair(x: TimeSeries, y: TimeSeries, lag: int) -> None:
+    """The input rule of every public link test: ``x`` and ``y`` are equally
+    long and finite, and ``lag`` is at least 1 and leaves aligned samples."""
+    if len(x) != len(y):
+        raise LengthMismatch(
+            f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
+        )
+    if lag < 1:
+        raise InvalidConfig(f"lag must be >= 1, got {lag}")
+    if lag >= len(y):
+        raise LagTooLarge(f"lag {lag} leaves no aligned samples for length {len(y)}")
+    _check_finite(x)
+    _check_finite(y)
 
 
 def detrend_linear(s: TimeSeries) -> TimeSeries:

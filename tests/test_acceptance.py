@@ -161,9 +161,8 @@ def test_criterion_06_error_rate_ordering(acceptance_report):
         "bivariate-linear",
         [100, 1000],
         ratios,
-        n_trials=n,
-        rng_seed=2026,
-        confidence=confidence,
+        n,
+        SurrogateConfig(rng_seed=2026, confidence=confidence),
     )
 
     def margin_ok(attr):

@@ -460,6 +460,9 @@ _ENSEMBLE = ("--subsamples", "5", "--sub-length", "100")
           ("confidence-1.5", "analyze", ("--confidence", "1.5"), "confidence must be"),
           ("gc-alpha-2", "analyze", ("--method", "gc", "--gc-alpha", "2"), "alpha must be"),
           ("max-lag-0", "analyze", ("--max-lag", "0"), "max_lag"),
+          ("max-lag-4-sub-length-16", "analyze",
+           ("--subsamples", "5", "--sub-length", "16", "--max-lag", "4"),
+           "--max-lag with --sub-length: max_lag 4 is too large for length 16"),
           ("sensitivity-surrogates-1", "sensitivity", ("--surrogates", "1"),
            "n_surrogates must be"),
           ("bins-0", "analyze", ("--bins", "0"), "bins must be >= 2"),

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from robustcausal import evaluation, significance
 from robustcausal.errors import InvalidConfig
 from robustcausal.evaluation import (
     bin_sensitivity_scan,
@@ -94,7 +96,7 @@ def test_jaccard_edge_cases():
 
 def test_monte_carlo_smoke_and_csv():
     curve = monte_carlo_rates(
-        "bivariate-linear", [60], [1.0], n_trials=4, rng_seed=0, n_surrogates=20
+        "bivariate-linear", [60], [1.0], 4, SurrogateConfig(rng_seed=0, n_surrogates=20)
     )
     assert curve.kind == "bivariate-linear"
     p = curve.point(60, 1.0)
@@ -112,14 +114,55 @@ def test_monte_carlo_rejects_unknown_kind():
     # maps its short spellings before calling.
     for kind in ("cubic", "linear", "nonlinear", "B"):
         with pytest.raises(InvalidConfig):
-            monte_carlo_rates(kind, [60], [1.0], n_trials=2, rng_seed=0)
+            monte_carlo_rates(kind, [60], [1.0], 2, SurrogateConfig(rng_seed=0))
 
 
 def test_strong_signal_beats_weak_signal():
     weak, strong = monte_carlo_rates(
-        "bivariate-linear", [400], [0.2, 3.0], n_trials=30, rng_seed=5, n_surrogates=40
+        "bivariate-linear", [400], [0.2, 3.0], 30, SurrogateConfig(rng_seed=5, n_surrogates=40)
     ).points
     assert weak.fnr > strong.fnr
+
+
+def test_te_stage_setting_reaches_the_trials():
+    # The TE stage reuses the gate's bank, so a stage link implies a gate
+    # link: with the stage on, no point misses less or fires more often.
+    gate = SurrogateConfig(rng_seed=4, n_surrogates=30)
+    args = ("bivariate-linear", [80, 300], [0.2, 0.5], 10)
+    loose = monte_carlo_rates(*args, gate).points
+    strict = monte_carlo_rates(*args, replace(gate, te_surrogate_test=True)).points
+    assert all(s.fnr >= g.fnr and s.fpr <= g.fpr for g, s in zip(loose, strict))
+    assert strict != loose
+
+
+def test_forced_bins_reach_every_trial(monkeypatch):
+    link_test = significance._te_link_from_codes
+    bin_counts = []
+
+    def recorded(cx, cy, lag, n_bins, *args):
+        bin_counts.append(n_bins)
+        return link_test(cx, cy, lag, n_bins, *args)
+
+    monkeypatch.setattr(significance, "_te_link_from_codes", recorded)
+    sur = SurrogateConfig(rng_seed=2, n_surrogates=10, bins=7)
+    monte_carlo_rates("bivariate-linear", [60, 90], [0.5, 1.0], 3, sur)
+    assert bin_counts == [7] * (2 * 2 * 3 * 2)  # lengths x ratios x trials x lags
+
+
+def test_reuse_parent_bins_is_rejected_before_any_work(monkeypatch):
+    # Neither study has a parent record whose binning it could reuse.
+    d, _ = generate(SystemSpec(kind="B", length=200, rng_seed=3))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the settings were checked")
+
+    monkeypatch.setattr(evaluation, "generate", unreachable)
+    monkeypatch.setattr(evaluation, "build_graph", unreachable)
+    sur = SurrogateConfig(rng_seed=1, reuse_parent_bins=True)
+    with pytest.raises(InvalidConfig, match="reuse_parent_bins"):
+        monte_carlo_rates("bivariate-linear", [60], [1.0], 2, sur)
+    with pytest.raises(InvalidConfig, match="reuse_parent_bins"):
+        bin_sensitivity_scan(d, 6, 1, max_lag=2, surrogate=sur)
 
 
 def test_bin_sensitivity_scan_shape():

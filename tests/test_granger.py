@@ -9,6 +9,7 @@ from robustcausal import granger, graph
 
 from robustcausal.errors import (
     InvalidConfig,
+    LagTooLarge,
     LengthMismatch,
     SingularDesign,
     TooShort,
@@ -136,6 +137,8 @@ def test_argument_validation():
         granger_test(x, y, 0, GrangerConfig())
     with pytest.raises(LengthMismatch):
         granger_test(x, _series("y", np.arange(49.0)), 1, GrangerConfig())
+    with pytest.raises(LagTooLarge):  # as in the TE tests, not TooShort
+        granger_test(x, y, 50, GrangerConfig())
     with pytest.raises(InvalidConfig):
         GrangerConfig(alpha=1.5)
 

@@ -381,8 +381,8 @@ def test_stopping_early_changes_no_ensemble_or_rate_curve(monkeypatch):
 
     def run():
         res = analyze_ensemble(d, ens, sur, max_lag=2)
-        curve = monte_carlo_rates("bivariate-linear", [60, 120], [0.3, 1.0], n_trials=5,
-                                  rng_seed=1, n_surrogates=30)
+        curve = monte_carlo_rates("bivariate-linear", [60, 120], [0.3, 1.0], 5,
+                                  SurrogateConfig(rng_seed=1, n_surrogates=30))
         return res.decisions.tobytes(), res.statistics.tobytes(), curve.to_csv()
 
     monkeypatch.setattr(significance, "_surrogate_test", recorded)

@@ -12,6 +12,9 @@ from robustcausal.errors import (
     TooShort,
     WindowTooLong,
 )
+from robustcausal.estimators import BinningSpec, transfer_entropy
+from robustcausal.granger import GrangerConfig, granger_test
+from robustcausal.significance import SurrogateConfig, te_link_test
 from robustcausal.timeseries import (
     Dataset,
     PreprocessSpec,
@@ -129,6 +132,30 @@ def test_validate_rejects_nonfinite():
         validate_dataset(Dataset((_series("a", [1, np.nan, 3]), ok)))
     with pytest.raises(NonFinite):
         validate_dataset(Dataset((_series("a", [1, np.inf, 3]), ok)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("which", ["x", "y"])
+@pytest.mark.parametrize(
+    "check", ["te_link_test", "transfer_entropy", "granger_test", "from_dataset", "forced_bins"]
+)
+def test_a_nonfinite_value_in_either_series_raises_nonfinite(check, which, bad):
+    # One finiteness rule, with the message of validate_dataset, guards
+    # every public link test and the binning.
+    rng = np.random.default_rng(3)
+    values = {"x": rng.normal(size=60), "y": rng.normal(size=60)}
+    spec = BinningSpec.from_dataset(Dataset(tuple(_series(n, v) for n, v in values.items())))
+    values[which][17] = bad
+    x, y = _series("x", values["x"]), _series("y", values["y"])
+    calls = {
+        "te_link_test": lambda: te_link_test(x, y, 2, spec, SurrogateConfig(rng_seed=1)),
+        "transfer_entropy": lambda: transfer_entropy(x, y, 2, spec),
+        "granger_test": lambda: granger_test(x, y, 2, GrangerConfig()),
+        "from_dataset": lambda: BinningSpec.from_dataset(Dataset((x, y))),
+        "forced_bins": lambda: BinningSpec.from_dataset(Dataset((x, y)), bin_count=4),
+    }
+    with pytest.raises(NonFinite, match=f"series '{which}' contains NaN or infinite values"):
+        calls[check]()
 
 
 def test_validate_rejects_single_series():
