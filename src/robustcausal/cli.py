@@ -326,11 +326,11 @@ def _load_input(s: dict, seed: int | None):
     """Preprocessed dataset from --input CSV or an inline-generated --system."""
     if (s["input"] is None) == (s["system"] is None):
         raise UsageError("exactly one of --input or --system is required")
+    spec = _checked(PreprocessSpec, detrend=s["detrend"], season_period=s["deseasonalize_period"])
     if s["input"] is not None:
         d = read_dataset_csv(s["input"])
     else:
         d, _ = generate(_system_spec(s, seed))
-    spec = PreprocessSpec(detrend=s["detrend"], season_period=s["deseasonalize_period"])
     if spec.detrend or spec.season_period is not None:
         d = apply_preprocess(d, spec)
     return d
@@ -402,8 +402,9 @@ def cmd_analyze(s: dict, config: dict) -> int:
 def cmd_evaluate(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
     surrogate = _surrogate_config(s, seed)
-    for length in s["lengths"]:  # each length's system, as the trials build it
-        _checked(SystemSpec, kind=s["kind"], length=length, rng_seed=seed, signal=s["ratios"][0])
+    for length in s["lengths"]:  # each grid point's system, as the trials build it
+        for ratio in s["ratios"]:
+            _checked(SystemSpec, kind=s["kind"], length=length, rng_seed=seed, signal=ratio)
     curve = monte_carlo_rates(s["kind"], s["lengths"], s["ratios"], s["trials"], surrogate)
     out = Path(s["out"])
     csv_path = out if out.suffix.lower() == ".csv" else out / "error_rates.csv"

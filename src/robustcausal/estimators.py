@@ -8,8 +8,8 @@ Per variable, Scott's rule gives a bin width ``3.5 * std / l**(1/3)`` and a
 count ``ceil((max - min) / width)``; the system-wide count is the minimum
 over variables. Each variable then gets its own equally spaced edges over
 its observed range, rightmost edge inclusive. A constant variable is left
-out of the minimum, and all its samples share one bin. A NaN or an
-infinity raises ``NonFinite`` (``timeseries._check_finite``).
+out of the minimum, and all its samples share one bin. Every series is
+finite, since a ``TimeSeries`` with a NaN or an infinity cannot be built.
 
 Estimators
 ----------
@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateBins, EmptyHistogram, InvalidConfig, ZeroVariance
-from .timeseries import Dataset, TimeSeries, _check_finite, _check_pair
+from .timeseries import Dataset, TimeSeries, _check_pair
 
 __all__ = [
     "BinningSpec",
@@ -143,14 +143,8 @@ class BinningSpec:
         A constant variable does not abort the derivation: it is skipped for
         the count minimum and gets synthetic edges around its single value
         (all its samples land in one bin, so its entropy is zero). Without a
-        forced count at least one variable must still vary. A NaN or an
-        infinity raises ``NonFinite``, read off each variable's range.
+        forced count at least one variable must still vary.
         """
-        ranges = []
-        for s in d.series:
-            lo, hi = float(s.values.min()), float(s.values.max())
-            _check_finite(s, (lo, hi))
-            ranges.append((s.name, lo, hi))
         if bin_count is None:
             counts = []
             for s in d.series:
@@ -166,10 +160,11 @@ class BinningSpec:
                 raise DegenerateBins(f"bin_count must be >= 2, got {bin_count}")
             m = int(bin_count)
         edges = {}
-        for name, lo, hi in ranges:
+        for s in d.series:
+            lo, hi = float(s.values.min()), float(s.values.max())
             if hi == lo:
                 lo, hi = lo - 0.5, hi + 0.5
-            edges[name] = np.linspace(lo, hi, m + 1)
+            edges[s.name] = np.linspace(lo, hi, m + 1)
         return cls(m, edges)
 
     def digitize(self, s: TimeSeries) -> np.ndarray:

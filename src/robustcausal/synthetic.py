@@ -145,8 +145,8 @@ class SystemSpec:
     (B and C output ``length - burn_in`` points after the transient is
     dropped; A and the bivariate kinds output exactly ``length``).
     ``burn_in`` is read by B and C only. ``signal`` and ``noise`` are the
-    bivariate coefficients m (required) and eps, read by the bivariate
-    kinds only.
+    bivariate coefficients m (required, finite) and eps (finite, > 0), read
+    by the bivariate kinds only.
     """
 
     kind: str
@@ -170,8 +170,10 @@ class SystemSpec:
         if self.kind.startswith("bivariate"):
             if self.signal is None:
                 raise InvalidConfig(f"kind {self.kind!r} needs a signal coefficient")
-            if self.noise <= 0:
-                raise InvalidConfig(f"noise coefficient must be > 0, got {self.noise}")
+            if not np.isfinite(self.signal):
+                raise InvalidConfig(f"signal coefficient must be finite, got {self.signal}")
+            if not (np.isfinite(self.noise) and self.noise > 0):
+                raise InvalidConfig(f"noise coefficient must be finite and > 0, got {self.noise}")
 
 
 # Magnitude beyond which the quadratic recursion has irreversibly left the

@@ -1,6 +1,7 @@
 """Core time-series containers, validation, preprocessing, and CSV I/O.
 
-A :class:`TimeSeries` is a named 1-D float array sampled at a uniform step.
+A :class:`TimeSeries` is a named 1-D array of finite floats sampled at a
+uniform step: a NaN or an infinity raises ``NonFinite`` where it is built.
 A :class:`Dataset` bundles several series observed on the same time axis.
 ``validate_dataset`` checks a dataset, ``_check_pair`` a link test's pair.
 Preprocessing is limited to the two operations the downstream estimators
@@ -52,7 +53,8 @@ def _derived_seed(*parts: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """A named, uniformly sampled sequence of float values."""
+    """A named, uniformly sampled sequence of finite float values, read-only:
+    copied only when the array handed in is writeable, so a window stays a view."""
 
     name: str
     values: np.ndarray
@@ -63,7 +65,15 @@ class TimeSeries:
             raise InvalidConfig(f"series {self.name!r} must be 1-D, got shape {values.shape}")
         if values.size < 1:
             raise TooShort(f"series {self.name!r} is empty")
+        if not np.isfinite(values).all():
+            raise NonFinite(f"series {self.name!r} contains NaN or infinite values")
+        if values.flags.writeable:
+            values = values.copy()
+            values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    def __reduce__(self):  # a pickled series, as sent to a worker, is built again
+        return TimeSeries, (self.name, self.values)
 
     def __len__(self) -> int:
         return self.values.size
@@ -114,8 +124,6 @@ def validate_dataset(d: Dataset) -> Dataset:
         if two series share a name.
     LengthMismatch
         if series lengths differ.
-    NonFinite
-        if any value is NaN or infinite.
     InvalidConfig
         if fewer than two series are present.
     """
@@ -129,21 +137,13 @@ def validate_dataset(d: Dataset) -> Dataset:
     lengths = {len(s) for s in d.series}
     if len(lengths) != 1:
         raise LengthMismatch(f"series lengths differ: {sorted(lengths)}")
-    for s in d.series:
-        _check_finite(s)
     return d
-
-
-def _check_finite(s: TimeSeries, extremes: tuple[float, float] | None = None) -> None:
-    """Raise ``NonFinite`` if ``s`` holds NaN or an infinity, read off its
-    ``extremes`` (min, max) when given: they are finite only if all are."""
-    if not np.isfinite(s.values if extremes is None else extremes).all():
-        raise NonFinite(f"series {s.name!r} contains NaN or infinite values")
 
 
 def _check_pair(x: TimeSeries, y: TimeSeries, lag: int) -> None:
     """The input rule of every public link test: ``x`` and ``y`` are equally
-    long and finite, and ``lag`` is at least 1 and leaves aligned samples."""
+    long, and ``lag`` is at least 1 and leaves aligned samples. Both are
+    finite, as every ``TimeSeries`` is."""
     if len(x) != len(y):
         raise LengthMismatch(
             f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
@@ -152,8 +152,6 @@ def _check_pair(x: TimeSeries, y: TimeSeries, lag: int) -> None:
         raise InvalidConfig(f"lag must be >= 1, got {lag}")
     if lag >= len(y):
         raise LagTooLarge(f"lag {lag} leaves no aligned samples for length {len(y)}")
-    _check_finite(x)
-    _check_finite(y)
 
 
 def detrend_linear(s: TimeSeries) -> TimeSeries:
@@ -174,14 +172,19 @@ def detrend_linear(s: TimeSeries) -> TimeSeries:
     return TimeSeries(s.name, v - (intercept + slope * i))
 
 
+def _check_period(period: int) -> None:
+    """The seasonal period rule: at least 2, as 1 would remove only the mean."""
+    if period < 2:
+        raise InvalidConfig(f"season period must be >= 2, got {period}")
+
+
 def deseasonalize(s: TimeSeries, period: int) -> TimeSeries:
     """Subtract the mean of each phase class (indices equal mod ``period``).
 
     The final cycle may be incomplete; each phase mean is taken over however
-    many samples that phase has. ``period=1`` degenerates to mean removal.
+    many samples that phase has. ``period`` is at least 2 (``_check_period``).
     """
-    if period < 1:
-        raise InvalidConfig(f"period must be >= 1, got {period}")
+    _check_period(period)
     n = len(s)
     if n < period:
         raise TooShort(
@@ -205,10 +208,8 @@ class PreprocessSpec:
     season_period: int | None = None
 
     def __post_init__(self):
-        if self.season_period is not None and self.season_period < 2:
-            raise InvalidConfig(
-                f"season_period must be >= 2 when deseasonalizing, got {self.season_period}"
-            )
+        if self.season_period is not None:
+            _check_period(self.season_period)
 
 
 def apply_preprocess(d: Dataset, spec: PreprocessSpec) -> Dataset:

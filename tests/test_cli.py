@@ -443,7 +443,11 @@ _ENSEMBLE = ("--subsamples", "5", "--sub-length", "100")
       for name, system, named in [
           ("bivariate-without-m", ("--system", "bivariate-linear", "--length", "200"),
            "needs a signal coefficient"),
-          ("b-not-above-burn-in", ("--system", "B", "--length", "100"), "must exceed burn_in")]
+          ("b-not-above-burn-in", ("--system", "B", "--length", "100"), "must exceed burn_in"),
+          ("m-nan", ("--system", "bivariate-linear", "--length", "50", "--m", "nan"),
+           "signal coefficient must be finite"),
+          ("eps-inf", ("--system", "bivariate-linear", "--length", "50", "--m", "0.5",
+                       "--eps", "inf"), "noise coefficient must be finite")]
       for command in ("generate", "analyze", "sensitivity")),
     # Test and ensemble settings are checked before the input is read: the
     # input file ("F") does not exist.
@@ -469,14 +473,17 @@ _ENSEMBLE = ("--subsamples", "5", "--sub-length", "100")
           ("bins-1", "analyze", ("--bins", "1"), "bins must be >= 2"),
           ("sensitivity-radius--1", "sensitivity", ("--radius", "-1"), "--radius must be"),
           ("sensitivity-center-3-radius-2", "sensitivity", ("--center", "3", "--radius", "2"),
-           "dips below 2 bins")]),
+           "dips below 2 bins"),
+          ("deseasonalize-1", "analyze", ("--deseasonalize", "1"), "season period must be >= 2")]),
     # evaluate checks its trials' settings and systems before the first trial.
     *(pytest.param(("evaluate", "--trials", "2", *settings), named, id=name)
       for name, settings, named in [
           ("evaluate-surrogates-1", ("--surrogates", "1"), "n_surrogates must be"),
           ("evaluate-confidence-1.5", ("--confidence", "1.5"), "confidence must be"),
           ("evaluate-lengths-0", ("--lengths", "100,0", "--ratios", "1.0"),
-           "length must be >= 1")]),
+           "length must be >= 1"),
+          ("evaluate-ratio-nan", ("--lengths", "60", "--ratios", "0.5,nan"),
+           "signal coefficient must be finite")]),
 ])
 def test_system_settings_the_system_rejects_are_usage_errors(tmp_path, capsys, argv, named):
     # Settings that a system, a test or the ensemble rejects are usage

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,8 +87,11 @@ def test_deseasonalize_idempotent():
 
 def test_deseasonalize_rejects_bad_period():
     s = _series("x", np.arange(30.0))
-    with pytest.raises(InvalidConfig):
-        deseasonalize(s, 0)
+    for period in (0, 1):
+        with pytest.raises(InvalidConfig, match="season period must be >= 2"):
+            deseasonalize(s, period)
+    with pytest.raises(InvalidConfig, match="season period must be >= 2"):
+        PreprocessSpec(season_period=1)
     with pytest.raises(TooShort):
         deseasonalize(s, 31)
 
@@ -140,22 +146,60 @@ def test_validate_rejects_nonfinite():
     "check", ["te_link_test", "transfer_entropy", "granger_test", "from_dataset", "forced_bins"]
 )
 def test_a_nonfinite_value_in_either_series_raises_nonfinite(check, which, bad):
-    # One finiteness rule, with the message of validate_dataset, guards
-    # every public link test and the binning.
+    # No link test or binning call can receive a non-finite series: building
+    # one raises NonFinite naming it, and a write to the array a finite
+    # series was built from, or through its values, does not reach it.
     rng = np.random.default_rng(3)
     values = {"x": rng.normal(size=60), "y": rng.normal(size=60)}
-    spec = BinningSpec.from_dataset(Dataset(tuple(_series(n, v) for n, v in values.items())))
-    values[which][17] = bad
     x, y = _series("x", values["x"]), _series("y", values["y"])
+    spec = BinningSpec.from_dataset(Dataset((x, y)))
     calls = {
-        "te_link_test": lambda: te_link_test(x, y, 2, spec, SurrogateConfig(rng_seed=1)),
+        "te_link_test": lambda: te_link_test(x, y, 2, spec, SurrogateConfig(rng_seed=1)).te,
         "transfer_entropy": lambda: transfer_entropy(x, y, 2, spec),
-        "granger_test": lambda: granger_test(x, y, 2, GrangerConfig()),
-        "from_dataset": lambda: BinningSpec.from_dataset(Dataset((x, y))),
-        "forced_bins": lambda: BinningSpec.from_dataset(Dataset((x, y)), bin_count=4),
+        "granger_test": lambda: granger_test(x, y, 2, GrangerConfig()).f_statistic,
+        "from_dataset": lambda: BinningSpec.from_dataset(Dataset((x, y))).edges[which],
+        "forced_bins": lambda: BinningSpec.from_dataset(Dataset((x, y)), bin_count=4).edges[which],
     }
+    before = calls[check]()
+    values[which][17] = bad
     with pytest.raises(NonFinite, match=f"series '{which}' contains NaN or infinite values"):
-        calls[check]()
+        _series(which, values[which])
+    with pytest.raises(ValueError):
+        (x if which == "x" else y).values[17] = bad
+    np.testing.assert_array_equal(calls[check](), before)
+    assert np.isfinite(before).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_a_series_is_finite_by_construction(tmp_path, bad):
+    # A list, an ndarray, dataclasses.replace and a CSV cell all build
+    # through the one rule, with the same message.
+    match = "series 'Y' contains NaN or infinite values"
+    with pytest.raises(NonFinite, match=match):
+        TimeSeries("Y", [1.0, bad, 3.0])
+    with pytest.raises(NonFinite, match=match):
+        TimeSeries("Y", np.array([1.0, 2.0, bad]))
+    with pytest.raises(NonFinite, match=match):
+        replace(TimeSeries("Y", [1.0, 2.0]), values=[bad, 2.0])
+    path = tmp_path / "d.csv"
+    path.write_text(f"X,Y\n1.0,2.0\n3.0,{bad}\n")
+    with pytest.raises(NonFinite, match=match):
+        read_dataset_csv(path)
+
+
+def test_series_values_are_read_only_and_windows_are_views():
+    source = np.arange(10.0)
+    s = TimeSeries("x", source)
+    for series in (s, pickle.loads(pickle.dumps(s))):
+        with pytest.raises(ValueError):
+            series.values[0] = 1.0
+    source[0] = np.nan  # a write to the caller's array does not reach the series
+    assert s.values[0] == 0.0
+    d = Dataset((s, TimeSeries("y", np.arange(10.0) * 2)))
+    w = d.window(3, 4)
+    for name in d.names:
+        assert np.shares_memory(w.get(name).values, d.get(name).values)
+        assert not w.get(name).values.flags.writeable
 
 
 def test_validate_rejects_single_series():
