@@ -38,7 +38,7 @@ from .granger import GrangerConfig
 from .graph import (CausalLink, LaggedCausalGraph, LinkKey, build_graph, candidate_keys,
                     evaluate_candidates)
 from .significance import SurrogateConfig
-from .timeseries import Dataset, _derived_seed, _rng, validate_dataset
+from .timeseries import Dataset, _derived_seed, _rng
 
 __all__ = [
     "EnsembleConfig",
@@ -89,8 +89,7 @@ def _required_count(threshold: float, n: int) -> int:
 
 
 def draw_subsamples(d: Dataset, cfg: EnsembleConfig) -> list[Dataset]:
-    """Draw the configured contiguous windows from a validated dataset."""
-    validate_dataset(d)
+    """Draw the configured contiguous windows from a dataset."""
     l = d.length
     q = cfg.subsample_length
     if q >= l:
@@ -220,7 +219,6 @@ def analyze_ensemble(
     ``test.reuse_parent_bins`` the TE discretization derived on the full
     sample is reused for every window instead of re-derived per window.
     """
-    validate_dataset(d)
     te = isinstance(test, SurrogateConfig)
     parent_spec = None
     if te and test.reuse_parent_bins:

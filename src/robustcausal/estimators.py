@@ -66,7 +66,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateBins, EmptyHistogram, InvalidConfig, ZeroVariance
+from .errors import (DegenerateBins, EmptyHistogram, InvalidConfig, VariableMismatch,
+                     ZeroVariance)
 from .timeseries import Dataset, TimeSeries, _check_pair
 
 __all__ = [
@@ -172,9 +173,13 @@ class BinningSpec:
 
         Bins are half-open on the right except the last, which includes its
         right edge. Values outside the edge span are clipped into the
-        nearest end bin.
+        nearest end bin. Raises ``VariableMismatch`` for a series the spec
+        has no edges for.
         """
-        e = self.edges[s.name]
+        try:
+            e = self.edges[s.name]
+        except KeyError:
+            raise VariableMismatch(f"binning spec has no edges for series {s.name!r}") from None
         idx = np.searchsorted(e, s.values, side="right") - 1
         return np.clip(idx, 0, self.bin_count - 1)
 

@@ -19,7 +19,7 @@ from .errors import InvalidConfig, LagTooLarge, UnknownFormat, VariableMismatch
 from .estimators import BinningSpec
 from .granger import GrangerConfig, _candidate_fits, granger_test
 from .significance import SurrogateConfig, _name_key, _te_link_from_codes
-from .timeseries import Dataset, validate_dataset
+from .timeseries import Dataset
 
 __all__ = [
     "CausalLink",
@@ -131,7 +131,6 @@ def evaluate_candidates(
     subsample window reusing the full sample's discretization), else
     derives a spec from ``d``: Scott's rule, or the count ``test.bins`` forces.
     """
-    validate_dataset(d)
     _check_max_lag(max_lag, d.length)
 
     if isinstance(test, SurrogateConfig):

@@ -2,8 +2,8 @@
 
 A :class:`TimeSeries` is a named 1-D array of finite floats sampled at a
 uniform step: a NaN or an infinity raises ``NonFinite`` where it is built.
-A :class:`Dataset` bundles several series observed on the same time axis.
-``validate_dataset`` checks a dataset, ``_check_pair`` a link test's pair.
+A :class:`Dataset` bundles series on one time axis and runs ``validate_dataset``
+when it is built; ``_check_pair`` checks a link test's pair of loose series.
 Preprocessing is limited to the two operations the downstream estimators
 expect: linear detrending and removal of a periodic (seasonal) mean cycle.
 """
@@ -81,12 +81,14 @@ class TimeSeries:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A collection of equally long series on a shared time axis."""
+    """Equally long series on a shared time axis, valid by construction
+    (``validate_dataset``); a pickle restores one that was valid when sent."""
 
     series: tuple[TimeSeries, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "series", tuple(self.series))
+        validate_dataset(self)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -94,7 +96,7 @@ class Dataset:
 
     @property
     def length(self) -> int:
-        return len(self.series[0]) if self.series else 0
+        return len(self.series[0])
 
     def get(self, name: str) -> TimeSeries:
         for s in self.series:
@@ -116,16 +118,17 @@ class Dataset:
 
 
 def validate_dataset(d: Dataset) -> Dataset:
-    """Check dataset invariants and return the dataset unchanged.
+    """The dataset rules, in this order; run only by ``Dataset.__post_init__``,
+    so every dataset has passed them. Returns the dataset unchanged.
 
     Raises
     ------
+    InvalidConfig
+        if fewer than two series are present.
     DuplicateName
         if two series share a name.
     LengthMismatch
         if series lengths differ.
-    InvalidConfig
-        if fewer than two series are present.
     """
     if len(d.series) < 2:
         raise InvalidConfig("a dataset needs at least 2 series")
@@ -270,8 +273,7 @@ def read_dataset_csv(path) -> Dataset:
                 ) from None
     if not columns[0]:
         raise CsvFormatError(f"{path}: no data rows")
-    series = tuple(TimeSeries(n, np.array(c)) for n, c in zip(names, columns))
-    return validate_dataset(Dataset(series))
+    return Dataset(TimeSeries(n, np.array(c)) for n, c in zip(names, columns))
 
 
 def write_dataset_csv(d: Dataset, path) -> None:

@@ -14,6 +14,7 @@ from robustcausal.errors import (
     InvalidConfig,
     LagTooLarge,
     LengthMismatch,
+    VariableMismatch,
     ZeroVariance,
 )
 from robustcausal.estimators import (
@@ -26,6 +27,8 @@ from robustcausal.estimators import (
     transfer_entropy,
     variable_bin_count,
 )
+from robustcausal.graph import build_graph
+from robustcausal.significance import SurrogateConfig, te_link_test
 from robustcausal.timeseries import Dataset, TimeSeries
 
 
@@ -111,21 +114,35 @@ def test_binning_spec_edges_span_observed_range():
 
 
 def test_digitize_rightmost_edge_inclusive():
-    d = Dataset((_series("a", [0.0, 1.0, 2.0, 3.0]),))
+    d = Dataset((_series("a", [0.0, 1.0, 2.0, 3.0]), _series("b", [3.0, 1.0, 2.0, 0.0])))
     spec = BinningSpec.from_dataset(d, bin_count=3)
     codes = spec.digitize(d.series[0])
     np.testing.assert_array_equal(codes, [0, 1, 2, 2])
 
 
 def test_digitize_clips_out_of_range_values():
-    spec = BinningSpec.from_dataset(Dataset((_series("a", [0.0, 1.0, 2.0]),)), bin_count=2)
+    d = Dataset((_series("a", [0.0, 1.0, 2.0]), _series("b", [5.0, 3.0, 4.0])))
+    spec = BinningSpec.from_dataset(d, bin_count=2)
     outside = _series("a", [-5.0, 7.0])
     np.testing.assert_array_equal(spec.digitize(outside), [0, 1])
 
 
+def test_digitize_names_a_series_the_spec_has_no_edges_for():
+    rng = np.random.default_rng(3)
+    x, y, q = (_series(n, rng.normal(size=60)) for n in ("x", "y", "q"))
+    spec = BinningSpec.from_dataset(Dataset((x, y)), bin_count=3)
+    cfg = SurrogateConfig(rng_seed=1, n_surrogates=5)
+    for call in (lambda: te_link_test(q, y, 1, spec, cfg),
+                 lambda: transfer_entropy(x, q, 1, spec),
+                 lambda: build_graph(Dataset((x, q)), cfg, 2, spec=spec)):
+        with pytest.raises(VariableMismatch, match="no edges for series 'q'"):
+            call()
+
+
 def test_binning_spec_rejects_single_bin():
+    d = Dataset((_series("a", [0.0, 1.0, 2.0]), _series("b", [5.0, 3.0, 4.0])))
     with pytest.raises(DegenerateBins):
-        BinningSpec.from_dataset(Dataset((_series("a", [0.0, 1.0, 2.0]),)), bin_count=1)
+        BinningSpec.from_dataset(d, bin_count=1)
 
 
 def test_binning_spec_constant_variable():

@@ -115,21 +115,20 @@ def test_apply_preprocess_order_and_fields():
 
 
 def test_apply_preprocess_noop_copies_values():
-    d = Dataset((_series("a", [1.0, 2.0, 3.0]),))
+    d = Dataset((_series("a", [1.0, 2.0, 3.0]), _series("b", [3.0, 1.0, 2.0])))
     out = apply_preprocess(d, PreprocessSpec())
-    np.testing.assert_array_equal(out.series[0].values, d.series[0].values)
+    for a, b in zip(out.series, d.series):
+        np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_validate_rejects_duplicate_names():
-    d = Dataset((_series("a", [1, 2, 3]), _series("a", [4, 5, 6])))
-    with pytest.raises(DuplicateName):
-        validate_dataset(d)
+    with pytest.raises(DuplicateName, match="duplicate series name 'a'"):
+        Dataset((_series("a", [1, 2, 3]), _series("a", [4, 5, 6])))
 
 
 def test_validate_rejects_length_mismatch():
-    d = Dataset((_series("a", [1, 2, 3]), _series("b", [4, 5])))
-    with pytest.raises(LengthMismatch):
-        validate_dataset(d)
+    with pytest.raises(LengthMismatch, match=r"series lengths differ: \[2, 3\]"):
+        Dataset((_series("a", [1, 2, 3]), _series("b", [4, 5])))
 
 
 def test_validate_rejects_nonfinite():
@@ -207,6 +206,40 @@ def test_validate_rejects_single_series():
         validate_dataset(Dataset((_series("a", [1, 2, 3]),)))
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(shapes=st.lists(st.tuples(st.text(alphabet="ab", max_size=2), st.integers(1, 4)), max_size=4))
+def test_a_dataset_is_valid_by_construction(shapes):
+    # building raises the first rule broken, in validate_dataset's order, or
+    # gives a dataset whose windows and pickle copies keep its names
+    names = [n for n, _ in shapes]
+    lengths = sorted({l for _, l in shapes})
+    series = tuple(TimeSeries(n, np.arange(float(l)) + i) for i, (n, l) in enumerate(shapes))
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if len(series) < 2:
+        expected = InvalidConfig, "a dataset needs at least 2 series"
+    elif repeated:
+        expected = DuplicateName, f"duplicate series name {repeated[0]!r}"
+    elif len(lengths) > 1:
+        expected = LengthMismatch, f"series lengths differ: {lengths}"
+    else:
+        expected = None
+    if expected is not None:
+        with pytest.raises(expected[0]) as info:
+            Dataset(series)
+        assert str(info.value) == expected[1]
+        return
+    d = Dataset(series)
+    assert d.names == tuple(names) and d.length == lengths[0]
+    for start in range(d.length):
+        for length in range(1, d.length - start + 1):
+            w = d.window(start, length)
+            assert w.names == d.names and w.length == length
+    back = pickle.loads(pickle.dumps(d))
+    assert back.names == d.names
+    for a, b in zip(back.series, d.series):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
 def test_dataset_window_and_get():
     d = Dataset((_series("a", np.arange(10.0)), _series("b", np.arange(10.0) * 2)))
     w = d.window(3, 4)
@@ -238,16 +271,22 @@ def test_csv_round_trip(tmp_path):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(
-    names=st.lists(st.one_of(st.just("t"), st.text(max_size=5)), min_size=2, max_size=4, unique=True),
+    names=st.lists(st.one_of(st.just("t"), st.text(max_size=5)), min_size=2, max_size=4),
     length=st.integers(1, 5),
     data=st.data(),
 )
 def test_csv_round_trip_is_lossless(tmp_path_factory, names, length, data):
-    # whatever the writer accepts reads back with the same names and floats
+    # whatever the writer accepts reads back with the same names and floats;
+    # a repeated name is refused when the dataset is built, not by the reader
     values = data.draw(
         arrays(np.float64, (len(names), length), elements=st.floats(allow_nan=False, allow_infinity=False))
     )
-    d = Dataset(tuple(TimeSeries(n, v) for n, v in zip(names, values)))
+    series = tuple(TimeSeries(n, v) for n, v in zip(names, values))
+    if len(set(names)) < len(names):
+        with pytest.raises(DuplicateName):
+            Dataset(series)
+        return
+    d = Dataset(series)
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     if (names[0] == "t" or names[0].startswith("\ufeff")
             or any(n == "" or n != n.strip() for n in names)):
