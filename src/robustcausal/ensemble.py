@@ -143,13 +143,19 @@ def link_frequencies(decisions: np.ndarray, statistics: np.ndarray, *,
                      variables: tuple[str, ...], max_lag: int, method: str) -> LinkFrequencyTable:
     """Count the votes of each column of a vote matrix (see ``EnsembleResult``).
 
-    A mean strength adds the voting windows' statistics in window order from
-    0.0 and divides by the count, bit for bit a per-link running sum.
+    The matrix needs at least one row and a column per candidate key, and
+    ``statistics`` its shape; else ``InvalidConfig``. A mean strength adds
+    the voting windows' statistics in window order from 0.0 and divides by
+    the count, bit for bit a per-link running sum.
     """
-    sums = np.zeros(decisions.shape[1])
+    keys = candidate_keys(variables, max_lag)
+    shape = decisions.shape
+    if len(shape) != 2 or not shape[0] or shape[1] != len(keys) or statistics.shape != shape:
+        raise InvalidConfig(f"a vote matrix needs >= 1 row and {len(keys)} columns, one per "
+                            f"candidate; got decisions {shape}, statistics {statistics.shape}")
+    sums = np.zeros(len(keys))
     for row in np.where(decisions, statistics, 0.0):
         sums += row  # + 0.0 leaves a sum begun at 0.0 unchanged
-    keys = candidate_keys(variables, max_lag)
     counts = {key: int(n) for key, n in zip(keys, decisions.sum(axis=0)) if n}
     means = {key: float(total) / counts[key] for key, total in zip(keys, sums) if key in counts}
     return LinkFrequencyTable(tuple(variables), max_lag, method, len(decisions), counts, means)
@@ -170,12 +176,8 @@ class EnsembleResult:
     """Everything one ensemble run produces: ``robust`` is the full graph's
     consistency-filtered counterpart, voted from ``frequencies``.
 
-    ``decisions`` (bool) and ``statistics`` (float64) are the vote matrix:
-    a row per window in draw order, a column per candidate in the order of
-    ``candidate_keys(frequencies.variables, frequencies.max_lag)``, which
-    keeps the dataset's variable order. A cell holds the window's decision
-    and statistic (TE bits or Granger F) whether significant or not; a TE
-    candidate that fails the MI gate holds 0.0.
+    ``decisions`` and ``statistics`` are the vote matrix: row j is window
+    j's ``evaluate_candidates`` row, windows in draw order.
     """
 
     full_graph: LaggedCausalGraph
@@ -192,15 +194,12 @@ def _subsample_graph(
     max_lag: int,
     spec: BinningSpec | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One window's row of the vote matrix: the decision and the statistic
-    of every candidate, tested exactly as on the full sample.
+    """One window's row of the vote matrix, tested exactly as on the full sample.
 
     A named module-level function: the pool pickles it by reference, and
     ``benchmarks/layer_trace.py`` times window tests through it.
     """
-    candidates = evaluate_candidates(window, test, max_lag, spec=spec)
-    return (np.array([c.significant for c in candidates], dtype=bool),
-            np.array([c.strength for c in candidates], dtype=np.float64))
+    return evaluate_candidates(window, test, max_lag, spec=spec)
 
 
 def analyze_ensemble(

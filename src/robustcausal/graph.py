@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidConfig, LagTooLarge, UnknownFormat, VariableMismatch
 from .estimators import BinningSpec
 from .granger import GrangerConfig, _candidate_fits, granger_test
@@ -120,16 +122,17 @@ def evaluate_candidates(
     max_lag: int = 4,
     *,
     spec: BinningSpec | None = None,
-) -> list[CausalLink]:
-    """Test every ordered pair at every lag 1..max_lag and record the outcome
-    as a link whose ``significant`` flag holds the decision.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The record's vote row: ``(decisions, statistics)``, a bool and a
+    float64 array with a cell per key of ``candidate_keys(d.names, max_lag)``.
 
-    The test config picks the method: a ``SurrogateConfig`` runs the gated
-    surrogate TE link test on each candidate (strength = TE in bits), a
-    ``GrangerConfig`` the lagwise or cumulative Granger F-test (strength =
-    F statistic). The TE path bins with ``spec`` when one is given (a
-    subsample window reusing the full sample's discretization), else
-    derives a spec from ``d``: Scott's rule, or the count ``test.bins`` forces.
+    A cell holds the decision and statistic of its candidate, kept or not:
+    a ``SurrogateConfig`` runs the gated surrogate TE link test (TE in bits;
+    ``(False, 0.0)`` where the MI gate fails), a ``GrangerConfig`` the
+    lagwise or cumulative Granger F-test (F statistic). The TE path bins
+    with ``spec`` when one is given (a subsample window reusing the full
+    sample's discretization), else derives a spec from ``d``: Scott's rule,
+    or the count ``test.bins`` forces.
     """
     _check_max_lag(max_lag, d.length)
 
@@ -157,10 +160,8 @@ def evaluate_candidates(
             f"test must be a SurrogateConfig or a GrangerConfig, got {type(test).__name__}"
         )
 
-    return [
-        CausalLink(src, tgt, lag, *decide(src, tgt, lag))
-        for src, tgt, lag in candidate_keys(d.names, max_lag)
-    ]
+    statistics, decisions = zip(*(decide(*key) for key in candidate_keys(d.names, max_lag)))
+    return np.array(decisions, dtype=bool), np.array(statistics, dtype=np.float64)
 
 
 def build_graph(
@@ -170,10 +171,10 @@ def build_graph(
     *,
     spec: BinningSpec | None = None,
 ) -> LaggedCausalGraph:
-    """Build the graph of significant links among all candidates; the test
-    config picks the method and the graph's label."""
-    candidates = evaluate_candidates(d, test, max_lag, spec=spec)
-    links = tuple(c for c in candidates if c.significant)
+    """Build the graph of the kept candidates; the test config picks the
+    method and the graph's label."""
+    row = zip(candidate_keys(d.names, max_lag), *evaluate_candidates(d, test, max_lag, spec=spec))
+    links = tuple(CausalLink(*key, float(statistic)) for key, kept, statistic in row if kept)
     return LaggedCausalGraph(tuple(d.names), links, max_lag, test.method)
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from robustcausal.estimators import BinningSpec
 from robustcausal.granger import GrangerConfig
 from robustcausal.graph import candidate_keys, evaluate_candidates, export_graph
 from robustcausal.significance import SurrogateConfig
-from robustcausal.timeseries import Dataset, TimeSeries
+from robustcausal.timeseries import Dataset, TimeSeries, _derived_seed
 
 
 def _series(name, values):
@@ -165,6 +166,19 @@ def test_vote_counts_and_means_match_a_dict_loop_bit_for_bit(seed, n_windows, n_
         assert type(mean) is float and mean.hex() == means[key].hex(), key
 
 
+@pytest.mark.parametrize("decisions_shape, statistics_shape", [
+    ((3, 11), (3, 11)), ((3, 13), (3, 13)), ((0, 12), (0, 12)), ((12,), (12,)),
+    ((1, 3, 12), (1, 3, 12)), ((3, 12), (3, 11)),
+], ids=["short", "over", "no-rows", "1-d", "3-d", "statistics-short"])
+def test_link_frequencies_rejects_a_vote_matrix_of_the_wrong_shape(decisions_shape,
+                                                                   statistics_shape):
+    # ("U", "V") at max lag 6 has 12 candidate keys; a matrix that is not
+    # windows x 12, or statistics of another shape, must not be counted.
+    with pytest.raises(InvalidConfig, match="12 columns"):
+        link_frequencies(np.ones(decisions_shape, dtype=bool), np.ones(statistics_shape),
+                         variables=("U", "V"), max_lag=6, method="te")
+
+
 def test_frequency_table_csv_lists_candidates():
     freq = _vote({("U", "V", 1): {0, 1}}, 2)
     text = freq.to_csv()
@@ -265,17 +279,30 @@ def test_analyze_ensemble_reports_all_parts():
 
 
 def test_vote_matrix_rows_are_the_window_tests():
-    # Row j holds window j's outcome of every candidate, in candidate_keys
-    # order over the dataset's variable order, non-significant ones included.
-    d = _dataset(7, names=("B", "A", "C"), l=300)
+    # Row j is window j's evaluate_candidates row, bit for bit, under the
+    # config analyze_ensemble derives for the window (TE: its own surrogate
+    # seed), in candidate_keys order over the dataset's variable order,
+    # non-significant candidates included. TE and GC alike.
+    rng = np.random.default_rng(7)
+    a, c = rng.normal(size=300), rng.normal(size=300)
+    b = np.concatenate(([0.0], 0.8 * a[:-1])) + 0.5 * rng.normal(size=300)
+    d = Dataset((_series("B", b), _series("A", a), _series("C", c)))
     cfg = EnsembleConfig(4, 90, rng_seed=3)
-    res = analyze_ensemble(d, cfg, GrangerConfig(), max_lag=2)
-    assert res.frequencies.variables == ("B", "A", "C")
-    for j, window in enumerate(draw_subsamples(d, cfg)):
-        candidates = evaluate_candidates(window, GrangerConfig(), 2)
-        assert [(c.source, c.target, c.lag) for c in candidates] == candidate_keys(d.names, 2)
-        assert res.decisions[j].tolist() == [c.significant for c in candidates]
-        assert res.statistics[j].tolist() == [c.strength for c in candidates]
+    for test in (SurrogateConfig(rng_seed=5, n_surrogates=20), GrangerConfig()):
+        res = analyze_ensemble(d, cfg, test, max_lag=2)
+        assert res.frequencies.variables == ("B", "A", "C")
+        assert res.decisions.shape == (4, len(candidate_keys(d.names, 2)))
+        assert res.decisions.any() and not res.decisions.all()
+        for j, window in enumerate(draw_subsamples(d, cfg)):
+            window_test = test
+            if test.method == "te":
+                window_test = replace(test, rng_seed=_derived_seed(test.rng_seed, 0x5B5B, j))
+            decisions, statistics = evaluate_candidates(window, window_test, 2)
+            assert res.decisions[j].tolist() == decisions.tolist(), (test.method, j)
+            assert res.statistics[j].tobytes() == statistics.tobytes(), (test.method, j)
+            if test.method == "te":
+                # a TE cell that is not kept failed the MI gate: (False, 0.0)
+                assert (statistics[~decisions] == 0.0).all(), j
 
 
 def test_ensemble_config_validation():

@@ -169,12 +169,13 @@ def test_shared_reduced_fit_matches_unshared_tests(lagwise):
     d, _ = generate(SystemSpec(kind="B", length=400, rng_seed=8))
     cfg = GrangerConfig(lagwise=lagwise)
     for data in (d, d.window(50, 200)):
-        shared = evaluate_candidates(data, cfg, max_lag=4)
-        assert [(c.source, c.target, c.lag) for c in shared] == candidate_keys(data.names, 4)
-        for c in shared:
-            alone = granger_test(data.get(c.source), data.get(c.target), c.lag, cfg)
-            assert c.strength.hex() == alone.f_statistic.hex(), c
-            assert c.significant == alone.link, c
+        keys = candidate_keys(data.names, 4)
+        decisions, statistics = evaluate_candidates(data, cfg, max_lag=4)
+        assert decisions.shape == statistics.shape == (len(keys),)
+        for (src, tgt, lag), kept, statistic in zip(keys, decisions, statistics):
+            alone = granger_test(data.get(src), data.get(tgt), lag, cfg)
+            assert statistic.hex() == alone.f_statistic.hex(), (src, tgt, lag)
+            assert kept == alone.link, (src, tgt, lag)
 
 
 def test_shared_reduced_fit_keeps_singular_design_errors():
@@ -247,8 +248,8 @@ def test_stacked_fits_match_unshared_tests(kinds, length, lag_share, lagwise, se
     with mock.patch.object(graph, "granger_test", wraps=granger_test) as spy, \
             mock.patch.object(granger, "_STACK_ELEMENT_CAP", stack_cap):
         if failure is None:
-            got = evaluate_candidates(d, cfg, max_lag)
-            assert [(c.strength.hex(), c.significant) for c in got] == expected
+            decisions, statistics = evaluate_candidates(d, cfg, max_lag)
+            assert [(s.hex(), bool(k)) for s, k in zip(statistics, decisions)] == expected
         else:
             with pytest.raises(SingularDesign) as raised:
                 evaluate_candidates(d, cfg, max_lag)

@@ -44,8 +44,9 @@ def test_candidate_count_is_pairs_times_lags():
     keys = candidate_keys(d.names, 3)
     assert len(keys) == 3 * 2 * 3
     for test in (SurrogateConfig(rng_seed=3, n_surrogates=20), GrangerConfig()):
-        results = evaluate_candidates(d, test, max_lag=3)
-        assert [(c.source, c.target, c.lag) for c in results] == keys
+        decisions, statistics = evaluate_candidates(d, test, max_lag=3)
+        assert decisions.dtype == bool and statistics.dtype == np.float64
+        assert decisions.shape == statistics.shape == (len(keys),)
         ens = analyze_ensemble(d, EnsembleConfig(3, 60, rng_seed=1), test, max_lag=3)
         assert ens.full_graph.method == ens.robust.method == test.method
         rows = [row.split(",")[:3] for row in ens.frequencies.to_csv().splitlines()[1:]]
@@ -227,5 +228,19 @@ def test_graph_does_not_depend_on_column_order(seed, order):
     for test in (SurrogateConfig(rng_seed=seed, n_surrogates=10), GrangerConfig()):
         g = build_graph(d, test, max_lag=2)
         assert build_graph(shuffled, test, max_lag=2).links == g.links
-        candidates = evaluate_candidates(d, test, max_lag=2)
-        assert set(g.links) == {c for c in candidates if c.significant}
+        # the vote row, mapped by candidate key, is the same cell for cell
+        row = _row_by_key(d, test, 2)
+        assert _row_by_key(shuffled, test, 2) == row
+        # and the graph holds exactly its kept cells, with their statistics
+        kept = {key: cell for key, cell in row.items() if cell[0]}
+        assert {(l.source, l.target, l.lag): (True, np.float64(l.strength).tobytes())
+                for l in g.links} == kept
+        assert all(type(l.strength) is float for l in g.links)
+
+
+def _row_by_key(d, test, max_lag):
+    """``evaluate_candidates``' row as {key: (decision, statistic bytes)}."""
+    decisions, statistics = evaluate_candidates(d, test, max_lag)
+    return {key: (bool(kept), statistic.tobytes())
+            for key, kept, statistic in zip(candidate_keys(d.names, max_lag), decisions,
+                                            statistics, strict=True)}
