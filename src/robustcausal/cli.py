@@ -360,8 +360,7 @@ def _surrogate_config(s: dict, seed: int) -> SurrogateConfig:
     return _checked(SurrogateConfig, rng_seed=seed, n_surrogates=s["n_surrogates"],
                     confidence=s["confidence"],
                     te_surrogate_test=s.get("te_surrogate_test") == "on",
-                    bins=None if s.get("bins", "auto") == "auto" else s["bins"],
-                    reuse_parent_bins=s.get("reuse_parent_bins", False))
+                    bins=None if s.get("bins", "auto") == "auto" else s["bins"])
 
 
 def cmd_analyze(s: dict, config: dict) -> int:
@@ -374,7 +373,8 @@ def cmd_analyze(s: dict, config: dict) -> int:
             raise UsageError("--sub-length is required when --subsamples is set")
         ens_cfg = _checked(EnsembleConfig, n_subsamples=s["n_subsamples"],
                            subsample_length=s["subsample_length"], rng_seed=seed,
-                           mode=s["mode"], threshold=s["threshold"])
+                           mode=s["mode"], threshold=s["threshold"],
+                           reuse_parent_bins=s["reuse_parent_bins"])
         try:
             _check_max_lag(s["max_lag"], s["subsample_length"])
         except LagTooLarge as exc:

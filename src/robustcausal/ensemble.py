@@ -38,7 +38,7 @@ from .granger import GrangerConfig
 from .graph import (CausalLink, LaggedCausalGraph, LinkKey, build_graph, candidate_keys,
                     evaluate_candidates)
 from .significance import SurrogateConfig
-from .timeseries import Dataset, _derived_seed, _rng
+from .timeseries import Dataset, _check_count, _derived_seed, _rng
 
 __all__ = [
     "EnsembleConfig",
@@ -55,21 +55,20 @@ SUBSAMPLE_MODES = ("random-continuous", "fixed-overlap", "nonoverlapping")
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """How to draw subsamples and how strict the consistency vote is."""
+    """How to draw subsamples, how strict the consistency vote is, and
+    (``reuse_parent_bins``) whether every window of a TE ensemble is binned
+    with the discretization derived once on the full record."""
 
     n_subsamples: int
     subsample_length: int
     rng_seed: int
     mode: str = "random-continuous"
     threshold: float = 0.9
+    reuse_parent_bins: bool = False
 
     def __post_init__(self):
-        if self.n_subsamples < 1:
-            raise InvalidConfig(f"n_subsamples must be >= 1, got {self.n_subsamples}")
-        if self.subsample_length < 2:
-            raise InvalidConfig(
-                f"subsample_length must be >= 2, got {self.subsample_length}"
-            )
+        _check_count("n_subsamples", self.n_subsamples, 1)
+        _check_count("subsample_length", self.subsample_length, 2)
         if self.mode not in SUBSAMPLE_MODES:
             raise InvalidConfig(
                 f"mode must be one of {SUBSAMPLE_MODES}, got {self.mode!r}"
@@ -215,12 +214,15 @@ def analyze_ensemble(
     The test config picks the method, as in ``build_graph``. Each window's
     TE surrogate streams derive from (surrogate seed, window index), so
     results are reproducible and independent of ``workers``. With
-    ``test.reuse_parent_bins`` the TE discretization derived on the full
-    sample is reused for every window instead of re-derived per window.
+    ``cfg.reuse_parent_bins`` the TE discretization derived on the full
+    sample is reused for every window; with a ``GrangerConfig`` it raises
+    ``InvalidConfig`` before any window is drawn.
     """
     te = isinstance(test, SurrogateConfig)
     parent_spec = None
-    if te and test.reuse_parent_bins:
+    if cfg.reuse_parent_bins:
+        if not te:
+            raise InvalidConfig("reuse_parent_bins needs a TE test: a Granger test bins nothing")
         parent_spec = BinningSpec.from_dataset(d, bin_count=test.bins)
     full_graph = build_graph(d, test, max_lag, spec=parent_spec)
 

@@ -99,12 +99,6 @@ class ErrorRateCurve:
         return "\n".join(lines) + "\n"
 
 
-def _no_parent_bins(surrogate: SurrogateConfig) -> None:
-    """Raise for ``reuse_parent_bins``: only an ensemble has a parent record."""
-    if surrogate.reuse_parent_bins:
-        raise InvalidConfig("reuse_parent_bins needs an ensemble's parent record")
-
-
 def monte_carlo_rates(
     kind: str,
     lengths: list[int],
@@ -122,14 +116,12 @@ def monte_carlo_rates(
     ``fpr`` estimates the test's size, 1 - ``confidence``, at every length;
     only ``fnr`` is expected to fall with more data. Trial RNG streams
     derive from (``surrogate.rng_seed``, length index, ratio index, trial),
-    so single points are reproducible in isolation. A trial has no parent
-    record: ``reuse_parent_bins`` raises ``InvalidConfig``.
+    so single points are reproducible in isolation.
     """
     if kind not in ("bivariate-linear", "bivariate-nonlinear"):
         raise InvalidConfig(f"kind must be a bivariate system, got {kind!r}")
     if n_trials < 1:
         raise InvalidConfig(f"n_trials must be >= 1, got {n_trials}")
-    _no_parent_bins(surrogate)
     points = []
     for li, length in enumerate(lengths):
         for ri, ratio in enumerate(ratios):
@@ -181,9 +173,7 @@ def bin_sensitivity_scan(
 ) -> BinSensitivityReport:
     """Rebuild the TE graph at bin counts center - radius .. center + radius,
     each with a copy of ``surrogate`` forcing that ``bins``, and report each
-    link set's Jaccard similarity to the center graph; ``reuse_parent_bins``
-    raises ``InvalidConfig``, as ``d`` has no parent record."""
-    _no_parent_bins(surrogate)
+    link set's Jaccard similarity to the center graph."""
     if radius < 0:
         raise InvalidConfig(f"radius must be >= 0, got {radius}")
     if center_bins - radius < 2:

@@ -132,7 +132,8 @@ def evaluate_candidates(
     lagwise or cumulative Granger F-test (F statistic). The TE path bins
     with ``spec`` when one is given (a subsample window reusing the full
     sample's discretization), else derives a spec from ``d``: Scott's rule,
-    or the count ``test.bins`` forces.
+    or the count ``test.bins`` forces. A Granger test bins nothing, so a
+    ``spec`` with a ``GrangerConfig`` raises ``InvalidConfig``.
     """
     _check_max_lag(max_lag, d.length)
 
@@ -149,6 +150,8 @@ def evaluate_candidates(
             return res.te, res.link
 
     elif isinstance(test, GrangerConfig):
+        if spec is not None:
+            raise InvalidConfig("a Granger test bins nothing: it takes no spec")
         fits = _candidate_fits(d, max_lag, test.lagwise)
 
         def decide(src: str, tgt: str, lag: int) -> tuple[float, bool]:

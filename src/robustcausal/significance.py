@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .estimators import BinningSpec, _cmi, _te_from_codes
-from .timeseries import TimeSeries, _check_pair, _rng
+from .timeseries import TimeSeries, _check_count, _check_pair, _rng
 
 __all__ = [
     "SurrogateConfig",
@@ -90,10 +90,8 @@ class SurrogateConfig:
     which roughly squares the false-positive rate of the combined decision.
     A graph built with this config is labelled ``method`` "te".
 
-    ``bins`` forces the bin count, else Scott's rule derives it per record;
-    with ``reuse_parent_bins`` an ensemble derives it once, on the full
-    record, for every window. A ``spec`` passed explicitly to ``build_graph``
-    wins over ``bins``.
+    ``bins`` forces the bin count, else Scott's rule derives it per record.
+    A ``spec`` passed explicitly to ``build_graph`` wins over ``bins``.
     """
 
     method: ClassVar[str] = "te"
@@ -103,15 +101,13 @@ class SurrogateConfig:
     confidence: float = 0.95
     te_surrogate_test: bool = False
     bins: int | None = None
-    reuse_parent_bins: bool = False
 
     def __post_init__(self):
-        if self.n_surrogates < 2:
-            raise InvalidConfig(f"n_surrogates must be >= 2, got {self.n_surrogates}")
+        _check_count("n_surrogates", self.n_surrogates, 2)
         if not 0.0 < self.confidence < 1.0:
             raise InvalidConfig(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.bins is not None and self.bins < 2:
-            raise InvalidConfig(f"bins must be >= 2, got {self.bins}")
+        if self.bins is not None:
+            _check_count("bins", self.bins, 2)
 
 
 @dataclass(frozen=True)

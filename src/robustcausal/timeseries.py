@@ -11,6 +11,7 @@ expect: linear detrending and removal of a periodic (seasonal) mean cycle.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,15 @@ def _derived_seed(*parts: int) -> int:
     """Scalar 32-bit seed derived from integer parts, each masked to 32 bits."""
     ss = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
     return int(ss.generate_state(1, np.uint32)[0])
+
+
+def _check_count(field: str, value, minimum: int) -> None:
+    """The rule of a config's count field: an integer (a numpy one too, not
+    a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidConfig(f"{field} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidConfig(f"{field} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustcausal import graph
+from robustcausal import ensemble, graph
 from robustcausal.ensemble import (
     SUBSAMPLE_MODES,
     EnsembleConfig,
@@ -224,9 +224,10 @@ def _exported(result):
 def test_analyze_ensemble_deterministic_and_worker_independent(method, mode, reuse_parent_bins,
                                                                 seed):
     d = _dataset(seed, names=("A", "B", "C"), l=240)
-    cfg = EnsembleConfig(3, 80, rng_seed=seed, mode=mode, threshold=0.6)
-    test = (SurrogateConfig(rng_seed=seed + 1, n_surrogates=20,
-                            reuse_parent_bins=reuse_parent_bins)
+    # only a TE ensemble bins its windows, so only it can reuse the parent's bins
+    cfg = EnsembleConfig(3, 80, rng_seed=seed, mode=mode, threshold=0.6,
+                         reuse_parent_bins=reuse_parent_bins and method == "te")
+    test = (SurrogateConfig(rng_seed=seed + 1, n_surrogates=20)
             if method == "te" else GrangerConfig())
     result = analyze_ensemble(d, cfg, test, max_lag=2, workers=1)
     assert result.decisions.dtype == bool and result.statistics.dtype == np.float64
@@ -238,7 +239,7 @@ def test_analyze_ensemble_deterministic_and_worker_independent(method, mode, reu
 
 def test_analyze_ensemble_reuse_parent_bins_mode_runs(monkeypatch):
     d = _dataset(5, names=("A", "B"), l=300)
-    cfg = EnsembleConfig(5, 90, rng_seed=2)
+    sur = SurrogateConfig(rng_seed=11, n_surrogates=30, bins=5)
     derive = BinningSpec.from_dataset.__func__
     link_test = graph._te_link_from_codes
     derived, bin_counts = [], set()
@@ -253,8 +254,8 @@ def test_analyze_ensemble_reuse_parent_bins_mode_runs(monkeypatch):
 
     monkeypatch.setattr(BinningSpec, "from_dataset", classmethod(counted))
     monkeypatch.setattr(graph, "_te_link_from_codes", recorded)
-    for reuse, derivations in ((True, 1), (False, 1 + cfg.n_subsamples)):
-        sur = SurrogateConfig(rng_seed=11, n_surrogates=30, bins=5, reuse_parent_bins=reuse)
+    for reuse, derivations in ((True, 1), (False, 1 + 5)):
+        cfg = EnsembleConfig(5, 90, rng_seed=2, reuse_parent_bins=reuse)
         derived.clear()
         bin_counts.clear()
         res = analyze_ensemble(d, cfg, sur, max_lag=2)
@@ -263,6 +264,23 @@ def test_analyze_ensemble_reuse_parent_bins_mode_runs(monkeypatch):
         assert bin_counts == {5}, reuse
         again = analyze_ensemble(d, cfg, sur, max_lag=2)
         assert res.frequencies.counts == again.frequencies.counts
+
+
+def test_parent_bins_are_an_ensemble_setting(monkeypatch):
+    # A test config has no parent record, so it has no reuse_parent_bins.
+    # An ensemble has one, and a Granger ensemble, which bins nothing,
+    # refuses the setting before it draws a window.
+    with pytest.raises(TypeError, match="reuse_parent_bins"):
+        SurrogateConfig(rng_seed=1, reuse_parent_bins=True)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the settings were checked")
+
+    monkeypatch.setattr(ensemble, "draw_subsamples", unreachable)
+    monkeypatch.setattr(ensemble, "build_graph", unreachable)
+    cfg = EnsembleConfig(5, 60, rng_seed=1, reuse_parent_bins=True)
+    with pytest.raises(InvalidConfig, match="reuse_parent_bins"):
+        analyze_ensemble(_dataset(3, l=200), cfg, GrangerConfig(), max_lag=2)
 
 
 def test_analyze_ensemble_reports_all_parts():
@@ -281,14 +299,21 @@ def test_analyze_ensemble_reports_all_parts():
 def test_vote_matrix_rows_are_the_window_tests():
     # Row j is window j's evaluate_candidates row, bit for bit, under the
     # config analyze_ensemble derives for the window (TE: its own surrogate
-    # seed), in candidate_keys order over the dataset's variable order,
+    # seed; with reuse_parent_bins, the spec derived on the full record),
+    # in candidate_keys order over the dataset's variable order,
     # non-significant candidates included. TE and GC alike.
     rng = np.random.default_rng(7)
     a, c = rng.normal(size=300), rng.normal(size=300)
     b = np.concatenate(([0.0], 0.8 * a[:-1])) + 0.5 * rng.normal(size=300)
     d = Dataset((_series("B", b), _series("A", a), _series("C", c)))
-    cfg = EnsembleConfig(4, 90, rng_seed=3)
-    for test in (SurrogateConfig(rng_seed=5, n_surrogates=20), GrangerConfig()):
+    windowed = EnsembleConfig(4, 90, rng_seed=3)
+    te = SurrogateConfig(rng_seed=5, n_surrogates=20)
+    parent_spec = BinningSpec.from_dataset(d, bin_count=te.bins)
+    window_bins = {BinningSpec.from_dataset(w).bin_count for w in draw_subsamples(d, windowed)}
+    assert parent_spec.bin_count not in window_bins  # reuse changes every window's bins
+    for test, cfg, spec in ((te, windowed, None),
+                            (te, replace(windowed, reuse_parent_bins=True), parent_spec),
+                            (GrangerConfig(), windowed, None)):
         res = analyze_ensemble(d, cfg, test, max_lag=2)
         assert res.frequencies.variables == ("B", "A", "C")
         assert res.decisions.shape == (4, len(candidate_keys(d.names, 2)))
@@ -297,12 +322,29 @@ def test_vote_matrix_rows_are_the_window_tests():
             window_test = test
             if test.method == "te":
                 window_test = replace(test, rng_seed=_derived_seed(test.rng_seed, 0x5B5B, j))
-            decisions, statistics = evaluate_candidates(window, window_test, 2)
+            decisions, statistics = evaluate_candidates(window, window_test, 2, spec=spec)
             assert res.decisions[j].tolist() == decisions.tolist(), (test.method, j)
             assert res.statistics[j].tobytes() == statistics.tobytes(), (test.method, j)
             if test.method == "te":
                 # a TE cell that is not kept failed the MI gate: (False, 0.0)
                 assert (statistics[~decisions] == 0.0).all(), j
+
+
+@pytest.mark.parametrize("config, field", [
+    (lambda v: SurrogateConfig(rng_seed=0, n_surrogates=v), "n_surrogates"),
+    (lambda v: SurrogateConfig(rng_seed=0, bins=v), "bins"),
+    (lambda v: EnsembleConfig(v, 100, rng_seed=0), "n_subsamples"),
+    (lambda v: EnsembleConfig(3, v, rng_seed=0), "subsample_length"),
+], ids=["n_surrogates", "bins", "n_subsamples", "subsample_length"])
+def test_config_counts_are_integers(config, field):
+    # A count that is a bool or not integral is refused, not truncated or
+    # left to fail later with a bare TypeError; numpy integers are counts.
+    for bad in (True, 5.7, 80.5, 5.0, "5", np.float64(6.0)):
+        with pytest.raises(InvalidConfig, match=field):
+            config(bad)
+    with pytest.raises(InvalidConfig, match=f"{field} must be >= "):
+        config(np.int64(0))
+    assert getattr(config(np.int64(3)), field) == 3
 
 
 def test_ensemble_config_validation():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from robustcausal import evaluation, significance
+from robustcausal import significance
 from robustcausal.errors import InvalidConfig
 from robustcausal.evaluation import (
     bin_sensitivity_scan,
@@ -147,22 +147,6 @@ def test_forced_bins_reach_every_trial(monkeypatch):
     sur = SurrogateConfig(rng_seed=2, n_surrogates=10, bins=7)
     monte_carlo_rates("bivariate-linear", [60, 90], [0.5, 1.0], 3, sur)
     assert bin_counts == [7] * (2 * 2 * 3 * 2)  # lengths x ratios x trials x lags
-
-
-def test_reuse_parent_bins_is_rejected_before_any_work(monkeypatch):
-    # Neither study has a parent record whose binning it could reuse.
-    d, _ = generate(SystemSpec(kind="B", length=200, rng_seed=3))
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("ran before the settings were checked")
-
-    monkeypatch.setattr(evaluation, "generate", unreachable)
-    monkeypatch.setattr(evaluation, "build_graph", unreachable)
-    sur = SurrogateConfig(rng_seed=1, reuse_parent_bins=True)
-    with pytest.raises(InvalidConfig, match="reuse_parent_bins"):
-        monte_carlo_rates("bivariate-linear", [60], [1.0], 2, sur)
-    with pytest.raises(InvalidConfig, match="reuse_parent_bins"):
-        bin_sensitivity_scan(d, 6, 1, max_lag=2, surrogate=sur)
 
 
 def test_bin_sensitivity_scan_shape():

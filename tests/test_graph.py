@@ -10,6 +10,7 @@ from robustcausal.errors import (
     UnknownFormat,
     VariableMismatch,
 )
+from robustcausal.estimators import BinningSpec
 from robustcausal.graph import (
     CausalLink,
     LaggedCausalGraph,
@@ -92,6 +93,16 @@ def test_unknown_method_rejected():
     d = _noise_dataset(4)
     for test in ("te", "gc", "magic", GrangerResult(1.0, 0.5, False, 1.0, 1.0, 1, 10)):
         _assert_test_config_rejected(d, test)
+
+
+def test_granger_test_refuses_a_binning_spec():
+    # A Granger test bins nothing: a spec handed to it would be dropped.
+    d = _noise_dataset(5)
+    spec = BinningSpec.from_dataset(d)
+    with pytest.raises(InvalidConfig, match="Granger"):
+        evaluate_candidates(d, GrangerConfig(), 2, spec=spec)
+    with pytest.raises(InvalidConfig, match="Granger"):
+        build_graph(d, GrangerConfig(), 2, spec=spec)
 
 
 def test_graph_validation_rules():
