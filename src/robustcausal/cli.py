@@ -307,8 +307,8 @@ def _beside(out: Path, name: str) -> Path:
 
 
 def _checked(config: Callable, **settings):
-    """``config(**settings)``: a config object, such as a ``SystemSpec``.
-    Settings it rejects are usage errors."""
+    """``config(**settings)``: a config object, such as a ``SystemSpec``, or a
+    study, such as ``monte_carlo_rates``. Settings it rejects are usage errors."""
     try:
         return config(**settings)
     except InvalidConfig as exc:
@@ -401,11 +401,9 @@ def cmd_analyze(s: dict, config: dict) -> int:
 
 def cmd_evaluate(s: dict, config: dict) -> int:
     seed = _require_seed(s["seed"])
-    surrogate = _surrogate_config(s, seed)
-    for length in s["lengths"]:  # each grid point's system, as the trials build it
-        for ratio in s["ratios"]:
-            _checked(SystemSpec, kind=s["kind"], length=length, rng_seed=seed, signal=ratio)
-    curve = monte_carlo_rates(s["kind"], s["lengths"], s["ratios"], s["trials"], surrogate)
+    curve = _checked(monte_carlo_rates, kind=s["kind"], lengths=s["lengths"],
+                     ratios=s["ratios"], n_trials=s["trials"],
+                     surrogate=_surrogate_config(s, seed))
     out = Path(s["out"])
     csv_path = out if out.suffix.lower() == ".csv" else out / "error_rates.csv"
     _write(csv_path, curve.to_csv())

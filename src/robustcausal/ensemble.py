@@ -38,7 +38,7 @@ from .granger import GrangerConfig
 from .graph import (CausalLink, LaggedCausalGraph, LinkKey, build_graph, candidate_keys,
                     evaluate_candidates)
 from .significance import SurrogateConfig
-from .timeseries import Dataset, _check_count, _derived_seed, _rng
+from .timeseries import Dataset, _check_count, _check_level, _derived_seed, _rng
 
 __all__ = [
     "EnsembleConfig",
@@ -77,8 +77,7 @@ class EnsembleConfig:
             raise InvalidConfig(
                 f"fixed-overlap mode draws exactly 3 windows, got n_subsamples={self.n_subsamples}"
             )
-        if not 0.0 < self.threshold <= 1.0:
-            raise InvalidConfig(f"threshold must be in (0, 1], got {self.threshold}")
+        _check_level("threshold", self.threshold, closed=True)
 
 
 def _required_count(threshold: float, n: int) -> int:
@@ -162,8 +161,7 @@ def link_frequencies(decisions: np.ndarray, statistics: np.ndarray, *,
 
 def robust_graph(freq: LinkFrequencyTable, threshold: float = 0.9) -> LaggedCausalGraph:
     """Keep the links whose appearance count reaches ceil(threshold * n)."""
-    if not 0.0 < threshold <= 1.0:
-        raise InvalidConfig(f"threshold must be in (0, 1], got {threshold}")
+    _check_level("threshold", threshold, closed=True)
     required = _required_count(threshold, freq.n_subsamples)
     links = tuple(CausalLink(*key, freq.mean_strengths[key])
                   for key, count in freq.counts.items() if count >= required)
@@ -218,6 +216,7 @@ def analyze_ensemble(
     sample is reused for every window; with a ``GrangerConfig`` it raises
     ``InvalidConfig`` before any window is drawn.
     """
+    _check_count("workers", workers, 1)
     te = isinstance(test, SurrogateConfig)
     parent_spec = None
     if cfg.reuse_parent_bins:

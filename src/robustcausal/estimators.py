@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import (DegenerateBins, EmptyHistogram, InvalidConfig, VariableMismatch,
                      ZeroVariance)
-from .timeseries import Dataset, TimeSeries, _check_pair
+from .timeseries import Dataset, TimeSeries, _check_count, _check_pair
 
 __all__ = [
     "BinningSpec",
@@ -127,8 +127,7 @@ class BinningSpec:
     edges: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if self.bin_count < 2:
-            raise DegenerateBins(f"bin_count must be >= 2, got {self.bin_count}")
+        _check_count("bin_count", self.bin_count, 2, below=DegenerateBins)
         for name, e in self.edges.items():
             e = np.asarray(e, dtype=float)
             if e.shape != (self.bin_count + 1,):
@@ -157,9 +156,8 @@ class BinningSpec:
                 raise ZeroVariance("every variable in the dataset is constant")
             m = min(counts)
         else:
-            if bin_count < 2:
-                raise DegenerateBins(f"bin_count must be >= 2, got {bin_count}")
-            m = int(bin_count)
+            _check_count("bin_count", bin_count, 2, below=DegenerateBins)
+            m = bin_count
         edges = {}
         for s in d.series:
             lo, hi = float(s.values.min()), float(s.values.max())

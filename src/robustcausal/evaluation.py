@@ -38,7 +38,7 @@ from .estimators import BinningSpec
 from .graph import LaggedCausalGraph, build_graph
 from .significance import SurrogateConfig, te_link_test
 from .synthetic import SystemSpec, generate
-from .timeseries import Dataset, _derived_seed
+from .timeseries import Dataset, _check_count, _derived_seed
 
 __all__ = [
     "ensemble_error_binomial",
@@ -56,9 +56,9 @@ def ensemble_error_binomial(e_s: float, n: int, k_min: int) -> float:
     analyses commit an error of per-subsample probability ``e_s``."""
     if not 0.0 <= e_s <= 1.0:
         raise InvalidConfig(f"per-subsample rate must be in [0, 1], got {e_s}")
-    if n < 1:
-        raise InvalidConfig(f"n must be >= 1, got {n}")
-    if not 1 <= k_min <= n:
+    _check_count("n", n, 1)
+    _check_count("k_min", k_min, 1)
+    if k_min > n:
         raise InvalidConfig(f"k_min must be in 1..{n}, got {k_min}")
     # by the regularized incomplete beta function: summed C(n, i) terms
     # overflow a float from n = 1030 on. scipy.special is imported here, on
@@ -116,29 +116,29 @@ def monte_carlo_rates(
     ``fpr`` estimates the test's size, 1 - ``confidence``, at every length;
     only ``fnr`` is expected to fall with more data. Trial RNG streams
     derive from (``surrogate.rng_seed``, length index, ratio index, trial),
-    so single points are reproducible in isolation.
+    so single points are reproducible in isolation. Each grid point's
+    ``SystemSpec`` is built, and so checked, before the first trial.
     """
     if kind not in ("bivariate-linear", "bivariate-nonlinear"):
         raise InvalidConfig(f"kind must be a bivariate system, got {kind!r}")
-    if n_trials < 1:
-        raise InvalidConfig(f"n_trials must be >= 1, got {n_trials}")
+    _check_count("n_trials", n_trials, 1)
+    grid = {(li, ri): SystemSpec(kind=kind, length=length, rng_seed=0, signal=ratio, noise=1.0)
+            for li, length in enumerate(lengths) for ri, ratio in enumerate(ratios)}
     points = []
-    for li, length in enumerate(lengths):
-        for ri, ratio in enumerate(ratios):
-            misses = false_alarms = 0
-            for trial in range(n_trials):
-                data_seed = _derived_seed(surrogate.rng_seed, li, ri, trial, 0)
-                test_seed = _derived_seed(surrogate.rng_seed, li, ri, trial, 1)
-                d, _ = generate(SystemSpec(kind=kind, length=length, rng_seed=data_seed,
-                                           signal=ratio, noise=1.0))
-                spec = BinningSpec.from_dataset(d, bin_count=surrogate.bins)
-                cfg = replace(surrogate, rng_seed=test_seed)
-                x, y = d.get("X"), d.get("Y")
-                misses += not te_link_test(x, y, 1, spec, cfg).link
-                false_alarms += te_link_test(x, y, 2, spec, cfg).link
-            points.append(ErrorRatePoint(data_length=length, m_over_eps=float(ratio),
-                                         fnr=misses / n_trials, fpr=false_alarms / n_trials,
-                                         n_trials=n_trials))
+    for (li, ri), system in grid.items():
+        misses = false_alarms = 0
+        for trial in range(n_trials):
+            data_seed = _derived_seed(surrogate.rng_seed, li, ri, trial, 0)
+            test_seed = _derived_seed(surrogate.rng_seed, li, ri, trial, 1)
+            d, _ = generate(replace(system, rng_seed=data_seed))
+            spec = BinningSpec.from_dataset(d, bin_count=surrogate.bins)
+            cfg = replace(surrogate, rng_seed=test_seed)
+            x, y = d.get("X"), d.get("Y")
+            misses += not te_link_test(x, y, 1, spec, cfg).link
+            false_alarms += te_link_test(x, y, 2, spec, cfg).link
+        points.append(ErrorRatePoint(data_length=system.length, m_over_eps=float(system.signal),
+                                     fnr=misses / n_trials, fpr=false_alarms / n_trials,
+                                     n_trials=n_trials))
     return ErrorRateCurve(kind=kind, points=tuple(points))
 
 
@@ -174,8 +174,8 @@ def bin_sensitivity_scan(
     """Rebuild the TE graph at bin counts center - radius .. center + radius,
     each with a copy of ``surrogate`` forcing that ``bins``, and report each
     link set's Jaccard similarity to the center graph."""
-    if radius < 0:
-        raise InvalidConfig(f"radius must be >= 0, got {radius}")
+    _check_count("center_bins", center_bins, 2)
+    _check_count("radius", radius, 0)
     if center_bins - radius < 2:
         raise InvalidConfig(
             f"center {center_bins} with radius {radius} dips below 2 bins"

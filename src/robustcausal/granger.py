@@ -38,8 +38,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidConfig, SingularDesign, TooShort
-from .timeseries import Dataset, TimeSeries, _check_pair
+from .errors import SingularDesign, TooShort
+from .timeseries import Dataset, TimeSeries, _check_level, _check_pair
 
 __all__ = ["GrangerConfig", "GrangerResult", "granger_test"]
 
@@ -62,8 +62,7 @@ class GrangerConfig:
     lagwise: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidConfig(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_level("alpha", self.alpha)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import InvalidConfig, LagTooLarge, UnknownFormat, VariableMismatch
 from .estimators import BinningSpec
 from .granger import GrangerConfig, _candidate_fits, granger_test
 from .significance import SurrogateConfig, _name_key, _te_link_from_codes
-from .timeseries import Dataset
+from .timeseries import Dataset, _check_count
 
 __all__ = [
     "CausalLink",
@@ -60,8 +60,7 @@ class LaggedCausalGraph:
     method: str
 
     def __post_init__(self):
-        if self.max_lag < 1:
-            raise InvalidConfig(f"max_lag must be >= 1, got {self.max_lag}")
+        _check_count("max_lag", self.max_lag, 1)
         variables = tuple(sorted(self.variables))
         if len(set(variables)) != len(variables):
             raise InvalidConfig("graph variables must be unique")
@@ -75,7 +74,8 @@ class LaggedCausalGraph:
                 )
             if link.source == link.target:
                 raise InvalidConfig(f"self-link on {link.source!r} is not allowed")
-            if not 1 <= link.lag <= self.max_lag:
+            _check_count(f"link {link.source}->{link.target} lag", link.lag, 1)
+            if link.lag > self.max_lag:
                 raise InvalidConfig(
                     f"link {link.source}->{link.target} lag {link.lag} outside 1..{self.max_lag}"
                 )
@@ -107,9 +107,8 @@ def candidate_keys(variables: tuple[str, ...], max_lag: int) -> list[LinkKey]:
 
 
 def _check_max_lag(max_lag: int, length: int) -> None:
-    """The rule for a graph on ``length`` points: ``1 <= max_lag < length/4``."""
-    if max_lag < 1:
-        raise InvalidConfig(f"max_lag must be >= 1, got {max_lag}")
+    """The rule for a graph on ``length`` points: a count, ``1 <= max_lag < length/4``."""
+    _check_count("max_lag", max_lag, 1)
     if max_lag >= length / 4:
         raise LagTooLarge(
             f"max_lag {max_lag} is too large for length {length} (must stay below length/4)"
@@ -176,7 +175,8 @@ def build_graph(
 ) -> LaggedCausalGraph:
     """Build the graph of the kept candidates; the test config picks the
     method and the graph's label."""
-    row = zip(candidate_keys(d.names, max_lag), *evaluate_candidates(d, test, max_lag, spec=spec))
+    decisions, statistics = evaluate_candidates(d, test, max_lag, spec=spec)
+    row = zip(candidate_keys(d.names, max_lag), decisions, statistics)
     links = tuple(CausalLink(*key, float(statistic)) for key, kept, statistic in row if kept)
     return LaggedCausalGraph(tuple(d.names), links, max_lag, test.method)
 

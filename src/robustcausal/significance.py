@@ -57,9 +57,8 @@ from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .errors import InvalidConfig
 from .estimators import BinningSpec, _cmi, _te_from_codes
-from .timeseries import TimeSeries, _check_count, _check_pair, _rng
+from .timeseries import TimeSeries, _check_count, _check_level, _check_pair, _rng
 
 __all__ = [
     "SurrogateConfig",
@@ -104,8 +103,7 @@ class SurrogateConfig:
 
     def __post_init__(self):
         _check_count("n_surrogates", self.n_surrogates, 2)
-        if not 0.0 < self.confidence < 1.0:
-            raise InvalidConfig(f"confidence must be in (0, 1), got {self.confidence}")
+        _check_level("confidence", self.confidence)
         if self.bins is not None:
             _check_count("bins", self.bins, 2)
 

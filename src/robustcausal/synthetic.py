@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NonFinite
-from .timeseries import Dataset, TimeSeries, _rng
+from .timeseries import Dataset, TimeSeries, _check_count, _rng
 
 __all__ = ["SystemSpec", "GroundTruth", "TrueLink", "generate", "SYSTEM_KINDS"]
 
@@ -159,10 +159,8 @@ class SystemSpec:
     def __post_init__(self):
         if self.kind not in SYSTEM_KINDS:
             raise InvalidConfig(f"unknown system kind {self.kind!r}, expected one of {SYSTEM_KINDS}")
-        if self.length < 1:
-            raise InvalidConfig(f"length must be >= 1, got {self.length}")
-        if self.burn_in < 0:
-            raise InvalidConfig(f"burn_in must be >= 0, got {self.burn_in}")
+        _check_count("length", self.length, 1)
+        _check_count("burn_in", self.burn_in, 0)
         if self.kind in ("B", "C") and self.length <= self.burn_in:
             raise InvalidConfig(
                 f"length {self.length} must exceed burn_in {self.burn_in} for kind {self.kind!r}"

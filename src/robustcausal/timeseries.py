@@ -52,13 +52,23 @@ def _derived_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
-def _check_count(field: str, value, minimum: int) -> None:
-    """The rule of a config's count field: an integer (a numpy one too, not
-    a bool) of at least ``minimum``."""
+def _check_count(field: str, value, minimum: int, below: type = InvalidConfig) -> None:
+    """The package's one rule for a count setting: an integer (a numpy one
+    too, not a bool), else ``InvalidConfig``, of at least ``minimum``, else
+    ``below``. Both messages name ``field``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidConfig(f"{field} must be an integer, got {value!r}")
     if value < minimum:
-        raise InvalidConfig(f"{field} must be >= {minimum}, got {value}")
+        raise below(f"{field} must be >= {minimum}, got {value}")
+
+
+def _check_level(field: str, value, closed: bool = False) -> None:
+    """The package's one rule for a level setting: a real number (a numpy
+    one too, not a bool) in (0, 1), or in (0, 1] when ``closed``; else
+    ``InvalidConfig`` naming ``field``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (0.0 < value < 1.0 or closed and value == 1.0)):
+        raise InvalidConfig(f"{field} must be in (0, {'1]' if closed else '1)'}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +165,13 @@ def validate_dataset(d: Dataset) -> Dataset:
 
 def _check_pair(x: TimeSeries, y: TimeSeries, lag: int) -> None:
     """The input rule of every public link test: ``x`` and ``y`` are equally
-    long, and ``lag`` is at least 1 and leaves aligned samples. Both are
-    finite, as every ``TimeSeries`` is."""
+    long, and ``lag`` is a count of at least 1 that leaves aligned samples.
+    Both are finite, as every ``TimeSeries`` is."""
     if len(x) != len(y):
         raise LengthMismatch(
             f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}"
         )
-    if lag < 1:
-        raise InvalidConfig(f"lag must be >= 1, got {lag}")
+    _check_count("lag", lag, 1)
     if lag >= len(y):
         raise LagTooLarge(f"lag {lag} leaves no aligned samples for length {len(y)}")
 
@@ -185,19 +194,14 @@ def detrend_linear(s: TimeSeries) -> TimeSeries:
     return TimeSeries(s.name, v - (intercept + slope * i))
 
 
-def _check_period(period: int) -> None:
-    """The seasonal period rule: at least 2, as 1 would remove only the mean."""
-    if period < 2:
-        raise InvalidConfig(f"season period must be >= 2, got {period}")
-
-
 def deseasonalize(s: TimeSeries, period: int) -> TimeSeries:
     """Subtract the mean of each phase class (indices equal mod ``period``).
 
     The final cycle may be incomplete; each phase mean is taken over however
-    many samples that phase has. ``period`` is at least 2 (``_check_period``).
+    many samples that phase has. ``period`` is a count of at least 2, as 1
+    would remove only the mean.
     """
-    _check_period(period)
+    _check_count("season period", period, 2)
     n = len(s)
     if n < period:
         raise TooShort(
@@ -222,7 +226,7 @@ class PreprocessSpec:
 
     def __post_init__(self):
         if self.season_period is not None:
-            _check_period(self.season_period)
+            _check_count("season period", self.season_period, 2)
 
 
 def apply_preprocess(d: Dataset, spec: PreprocessSpec) -> Dataset:
