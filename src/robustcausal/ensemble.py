@@ -38,7 +38,7 @@ from .granger import GrangerConfig
 from .graph import (CausalLink, LaggedCausalGraph, LinkKey, build_graph, candidate_keys,
                     evaluate_candidates)
 from .significance import SurrogateConfig
-from .timeseries import Dataset, _check_count, _check_level, _derived_seed, _rng
+from .timeseries import Dataset, _check_count, _check_integer, _check_level, _derived_seed, _rng
 
 __all__ = [
     "EnsembleConfig",
@@ -69,6 +69,7 @@ class EnsembleConfig:
     def __post_init__(self):
         _check_count("n_subsamples", self.n_subsamples, 1)
         _check_count("subsample_length", self.subsample_length, 2)
+        _check_integer("rng_seed", self.rng_seed)
         if self.mode not in SUBSAMPLE_MODES:
             raise InvalidConfig(
                 f"mode must be one of {SUBSAMPLE_MODES}, got {self.mode!r}"

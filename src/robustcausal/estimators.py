@@ -31,16 +31,22 @@ that evaluates the statistic with each shuffled source in place of A, as
 often as a caller asks for a further chunk of rows. ``count`` counts many
 rows in one offset ``bincount`` and takes their row entropies at once
 (``_entropy_bits_rows``). The flat index of that ``bincount`` is built in
-place in a scratch buffer that each thread owns (``threading.local``), so
-concurrent callers never share it.
-The buffer only grows, up to ``_INDEX_BUFFER_CAP`` (2**20) elements, 8 MB
-of ``intp`` per thread: a bank is counted in chunks of rows small enough
-for that cap and for ``_BATCH_CELL_BUDGET`` (2**16) histogram cells, 512 KB
-of counts plus 512 KB of ``p * log2(p)`` terms, and only a single row
-longer than the cap makes the buffer larger. Chunking does not change any
-row's value. Each row's (A, B) marginal, its counts summed over C, is an
-``einsum`` over the last axis of the integer counts; integer sums are
-exact, so it equals the ``sum`` over C element for element.
+place in a scratch buffer, and the link test draws its shuffled rows into
+another (``_scratch_buffer``). Each thread owns its buffers
+(``threading.local``), so concurrent callers never share one. Each only
+grows, so a run of tests allocates it once, where a fresh array above
+glibc's default ``mmap`` threshold of 128 KiB (a 1000-point record's chunk
+of 30 rows is 240 KB) can cost a fresh mapping and its page faults every
+time. The index buffer grows up to ``_INDEX_BUFFER_CAP`` (2**20) elements,
+8 MB of ``intp`` per thread: a bank is counted in chunks of rows small
+enough for that cap and for ``_BATCH_CELL_BUDGET`` (2**16) histogram cells,
+512 KB of counts plus 512 KB of ``p * log2(p)`` terms, and only a single
+row longer than the cap makes the buffer larger. The bank buffer holds the
+largest bank drawn on its thread, ``n_surrogates`` times the record
+length. Chunking does not change any row's value. Each row's (A, B)
+marginal, its counts summed over C, is an ``einsum`` over the last axis of
+the integer counts; integer sums are exact, so it equals the ``sum`` over
+C element for element.
 
 All rows of a batch count the same aligned samples, so they share one
 total N. Each count n is looked up in ``_plogp_table(N)``, the terms
@@ -195,12 +201,15 @@ _INDEX_BUFFER_CAP = 1 << 20
 _scratch = threading.local()
 
 
-def _index_buffer(size: int) -> np.ndarray:
+def _scratch_buffer(name: str, size: int) -> np.ndarray:
     """The first ``size`` elements of this thread's grow-only ``intp``
-    scratch buffer, for the row bank's flat histogram index."""
-    buf = getattr(_scratch, "index", None)
+    scratch buffer ``name``, the package's one kind of scratch memory:
+    ``"index"`` holds a row bank's flat histogram index (``_cmi``),
+    ``"bank"`` the shuffled source codes of a link test (``significance``)."""
+    buf = getattr(_scratch, name, None)
     if buf is None or buf.size < size:
-        buf = _scratch.index = np.empty(size, dtype=np.intp)
+        buf = np.empty(size, dtype=np.intp)
+        setattr(_scratch, name, buf)
     return buf[:size]
 
 
@@ -266,7 +275,7 @@ def _cmi(
         for start in range(0, n_rows, chunk):
             part = rows[start : start + chunk]
             n_part = part.shape[0]
-            flat = _index_buffer(n_part * n).reshape(n_part, n)
+            flat = _scratch_buffer("index", n_part * n).reshape(n_part, n)
             np.multiply(part, nb * m, out=flat)
             flat += base
             flat += (np.arange(n_part) * cells)[:, None]

@@ -31,6 +31,7 @@ the consistency vote drops a real link.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 from .errors import InvalidConfig
@@ -54,8 +55,8 @@ __all__ = [
 def ensemble_error_binomial(e_s: float, n: int, k_min: int) -> float:
     """Probability that at least ``k_min`` of ``n`` independent subsample
     analyses commit an error of per-subsample probability ``e_s``."""
-    if not 0.0 <= e_s <= 1.0:
-        raise InvalidConfig(f"per-subsample rate must be in [0, 1], got {e_s}")
+    if isinstance(e_s, bool) or not isinstance(e_s, numbers.Real) or not 0.0 <= e_s <= 1.0:
+        raise InvalidConfig(f"per-subsample rate must be in [0, 1], got {e_s!r}")
     _check_count("n", n, 1)
     _check_count("k_min", k_min, 1)
     if k_min > n:
@@ -122,6 +123,7 @@ def monte_carlo_rates(
     if kind not in ("bivariate-linear", "bivariate-nonlinear"):
         raise InvalidConfig(f"kind must be a bivariate system, got {kind!r}")
     _check_count("n_trials", n_trials, 1)
+    n_trials = int(n_trials)  # plain rates: a numpy count makes numpy floats
     grid = {(li, ri): SystemSpec(kind=kind, length=length, rng_seed=0, signal=ratio, noise=1.0)
             for li, length in enumerate(lengths) for ri, ratio in enumerate(ratios)}
     points = []
@@ -136,9 +138,9 @@ def monte_carlo_rates(
             x, y = d.get("X"), d.get("Y")
             misses += not te_link_test(x, y, 1, spec, cfg).link
             false_alarms += te_link_test(x, y, 2, spec, cfg).link
-        points.append(ErrorRatePoint(data_length=system.length, m_over_eps=float(system.signal),
-                                     fnr=misses / n_trials, fpr=false_alarms / n_trials,
-                                     n_trials=n_trials))
+        points.append(ErrorRatePoint(data_length=int(system.length),
+                                     m_over_eps=float(system.signal), fnr=misses / n_trials,
+                                     fpr=false_alarms / n_trials, n_trials=n_trials))
     return ErrorRateCurve(kind=kind, points=tuple(points))
 
 

@@ -11,12 +11,16 @@ The test statistic is
 
     F = ((RSS_reduced - RSS_full) / k) / (RSS_full / (N - params_full))
 
-with k restrictions, referred to the F(k, N - params_full) distribution;
-the p-value comes from ``scipy.special.fdtrc``, the survival function
-``scipy.stats.f.sf`` wraps, so ``scipy.stats`` is never imported.
-``scipy.special`` itself is imported on first use, inside ``granger_test``:
-it takes about half of the CLI's start-up, and ``generate``, ``--help``
-and usage errors never compute a p-value.
+with k restrictions, referred to the F(k, N - params_full) distribution.
+A link is a p-value below alpha, the p-value being ``scipy.special.fdtrc``,
+the survival function ``scipy.stats.f.sf`` wraps (so ``scipy.stats`` is
+never imported). The decision needs no p-value: ``_critical.f_bracket``
+brackets, in pure Python, the F at which the p-value is alpha, and an F
+above the bracket is a link and one at or below it is none, as the p-value
+would decide. Only an F inside the bracket, within 1e-9 of the critical
+value, is decided by ``fdtrc`` itself (``_f_link``). So ``scipy.special``,
+which takes longer to import than the rest of the CLI's start-up, is
+imported only then, or when a caller reads ``GrangerResult.p_value``.
 
 One fit path: ``_stacked_fits`` fits every model by the normal equations,
 in stacks of designs of one shape; each batched call runs the same BLAS or
@@ -33,11 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import ClassVar
 
 import numpy as np
 
+from ._critical import exceeds, f_bracket
 from .errors import SingularDesign, TooShort
 from .timeseries import Dataset, TimeSeries, _check_level, _check_pair
 
@@ -67,15 +73,33 @@ class GrangerConfig:
 
 @dataclass(frozen=True)
 class GrangerResult:
-    """Outcome of one Granger link test."""
+    """Outcome of one Granger link test; ``p_value`` is computed when it is
+    first read."""
 
     f_statistic: float
-    p_value: float
     link: bool
     rss_full: float
     rss_reduced: float
     df_num: int
     df_den: int
+
+    @cached_property
+    def p_value(self) -> float:
+        return _p_value(self.df_num, self.df_den, self.f_statistic)
+
+
+def _p_value(k: int, df: int, f_statistic: float) -> float:
+    """The F-test's p-value; 0 for an infinite F statistic."""
+    from scipy import special
+
+    return float(special.fdtrc(k, df, f_statistic)) if math.isfinite(f_statistic) else 0.0
+
+
+def _f_link(k: int, df: int, f_statistic: float, alpha: float) -> bool:
+    """``_p_value(k, df, f_statistic) < alpha``, which is computed only for
+    an F inside the bracket around the critical value."""
+    return exceeds(f_statistic, f_bracket(k, df, alpha),
+                   lambda: _p_value(k, df, f_statistic) < alpha)
 
 
 def _stacked_rss(designs: np.ndarray, targets: np.ndarray) -> list[float | None]:
@@ -187,13 +211,9 @@ def granger_test(
         f_statistic = math.inf if numerator > 0.0 else 0.0
     else:
         f_statistic = numerator / denominator
-    from scipy import special
-
-    p_value = float(special.fdtrc(k, df_den, f_statistic)) if math.isfinite(f_statistic) else 0.0
     return GrangerResult(
         f_statistic=f_statistic,
-        p_value=p_value,
-        link=p_value < cfg.alpha,
+        link=_f_link(k, df_den, f_statistic, cfg.alpha),
         rss_full=rss_full,
         rss_reduced=rss_reduced,
         df_num=k,

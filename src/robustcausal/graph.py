@@ -196,13 +196,13 @@ def export_graph(g: LaggedCausalGraph, fmt: str = "json") -> str:
     if fmt == "json":
         payload = {
             "method": g.method,
-            "max_lag": g.max_lag,
+            "max_lag": int(g.max_lag),
             "variables": list(g.variables),
             "links": [
                 {
                     "source": l.source,
                     "target": l.target,
-                    "lag": l.lag,
+                    "lag": int(l.lag),
                     "strength": l.strength,
                     "significant": l.significant,
                 }

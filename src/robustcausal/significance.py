@@ -9,7 +9,11 @@ independent realizations. The observed value is compared against the
 surrogate population with a one-sided, one-sample t-test: with surrogate
 mean ``mu`` and sample standard deviation ``s``, the statistic
 ``(observed - mu) / s`` must exceed the Student-t critical value at the
-configured confidence level (df = n_surrogates - 1).
+configured confidence level (df = n_surrogates - 1). That value is
+``scipy.special.stdtrit``'s, but a test imports scipy only for a statistic
+within 1e-9 of it: ``_critical.t_bracket`` gives a bracket around the
+quantile in pure Python, and a statistic outside it is decided by the
+bracket alone (``_t_exceeds``), as scipy's value would decide it.
 
 A transfer-entropy link test is gated: TE is only computed if the mutual
 information between the lag-aligned source and target is itself
@@ -27,14 +31,15 @@ the test asks whether the full bank could still pass. Surrogate values are
 at least 0, and for a fixed sum of the rows not yet counted the t statistic
 is largest when they are all equal, so its largest reachable value has a
 closed form in the counted rows' mean and spread (``_t_ceiling``). Once
-that is below the critical value, by a margin for rounding, the test stops
-and is not significant, as the full bank would be: every decision, and with
-it every written output, is that of the full-n test. No upper bound on the
-values is needed, and none is used: the t-maximising completion always lies
-below the counted mean. ``SignificanceResult.rows`` says how many rows were
-counted; a stopped test describes them by its mean, spread and statistic.
-A gate that passes has counted all n rows, and the TE stage counts the same
-chunks with the same stop.
+that is below the lower end of the critical value's bracket, by a margin
+for rounding, the test stops and is not significant, as the full bank
+would be: every decision, and with it every written output, is that of the
+full-n test. No upper bound on the values is needed, and none is used: the
+t-maximising completion always lies below the counted mean.
+``SignificanceResult.rows`` says how many rows were counted; a stopped
+test describes them by its mean, spread and statistic. A gate that passes
+has counted all n rows, and the TE stage counts the same chunks with the
+same stop.
 
 Determinism
 -----------
@@ -57,8 +62,10 @@ from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .estimators import BinningSpec, _cmi, _te_from_codes
-from .timeseries import TimeSeries, _check_count, _check_level, _check_pair, _rng
+from ._critical import exceeds, t_bracket
+from .estimators import BinningSpec, _cmi, _scratch_buffer, _te_from_codes
+from .timeseries import (TimeSeries, _check_count, _check_integer, _check_level, _check_pair,
+                         _rng)
 
 __all__ = [
     "SurrogateConfig",
@@ -102,6 +109,7 @@ class SurrogateConfig:
     bins: int | None = None
 
     def __post_init__(self):
+        _check_integer("rng_seed", self.rng_seed)
         _check_count("n_surrogates", self.n_surrogates, 2)
         _check_level("confidence", self.confidence)
         if self.bins is not None:
@@ -151,12 +159,20 @@ def _t_critical(confidence: float, df: int) -> float:
     """Student-t quantile ``t.ppf(confidence, df)``, by the special
     function it wraps, so that ``scipy.stats`` is never imported.
 
-    ``scipy.special`` is imported here, on the first cache miss, not with
-    the module: it takes about half of the CLI's start-up, and
-    ``generate``, ``--help`` and usage errors never need a quantile."""
+    A test asks for it only for a statistic inside the band of
+    ``_critical.t_bracket``; elsewhere the bracket decides alone, as this
+    value would. ``scipy.special`` is imported here, on the first call, not
+    with the module: it takes longer than the rest of the CLI's start-up."""
     from scipy import special
 
     return float(special.stdtrit(df, confidence))
+
+
+def _t_exceeds(statistic: float, confidence: float, df: int) -> bool:
+    """``statistic > _t_critical(confidence, df)``, which is computed only
+    for a statistic inside the bracket around it."""
+    return exceeds(statistic, t_bracket(confidence, df),
+                   lambda: statistic > _t_critical(confidence, df))
 
 
 def _moments(s: np.ndarray) -> tuple[float, float]:
@@ -178,8 +194,8 @@ def _decide(observed: float, surrogates: np.ndarray, confidence: float) -> Signi
             return SignificanceResult(observed, mu, s, math.inf, True, n)
         return SignificanceResult(observed, mu, s, 0.0, False, n)
     statistic = (observed - mu) / s
-    crit = _t_critical(confidence, n - 1)
-    return SignificanceResult(observed, mu, s, statistic, statistic > crit, n)
+    significant = _t_exceeds(statistic, confidence, n - 1)
+    return SignificanceResult(observed, mu, s, statistic, significant, n)
 
 
 def _checkpoints(n: int) -> list[int]:
@@ -221,8 +237,10 @@ def _surrogate_test(
 
     Surrogate values are at least 0. After each chunk but the last, the
     test stops, not significant, once ``_t_ceiling`` shows that no values
-    of the rows not yet counted can lift the full bank's t to a positive
-    critical value; otherwise it is ``_decide`` on all ``n`` values.
+    of the rows not yet counted can lift the full bank's t to the lower end
+    ``lo`` of the critical value's bracket, when ``lo`` is positive; ``lo``
+    is at most the critical value, so no test that could pass stops.
+    Otherwise it is ``_decide`` on all ``n`` values.
 
     The bound is exact arithmetic on the counted values. The full bank's t
     in floats can exceed it only by its rounding, about ``eps * observed /
@@ -231,26 +249,31 @@ def _surrogate_test(
     s_k above ``_SPREAD_FLOOR * observed`` that stays below ``_T_MARGIN``
     for banks of up to 10**8 rows.
     """
-    crit = _t_critical(confidence, n - 1)
+    lo = t_bracket(confidence, n - 1)[0]
     values = np.empty(n)
     k = 0
     for rows in chunks:
         count(rows, values[k : k + rows.shape[0]])
         k += rows.shape[0]
-        if k == n or crit <= 0.0:
+        if k == n or lo <= 0.0:
             continue
         mean, m2 = _moments(values[:k])
         s = math.sqrt(m2 / (k - 1))
-        if s > _SPREAD_FLOOR * observed and _t_ceiling(observed, mean, m2, k, n) < crit - _T_MARGIN:
+        if s > _SPREAD_FLOOR * observed and _t_ceiling(observed, mean, m2, k, n) < lo - _T_MARGIN:
             return SignificanceResult(observed, mean, s, (observed - mean) / s, False, k)
     return _decide(observed, values, confidence)
 
 
-def _shuffled_source_rows(cx: np.ndarray, n_rows: int, rng: np.random.Generator) -> np.ndarray:
-    """n_rows independent full-length permutations of the source codes."""
-    tiles = np.tile(cx, (n_rows, 1))
-    rng.permuted(tiles, axis=1, out=tiles)
-    return tiles
+def _shuffled_source_rows(
+    cx: np.ndarray, n_rows: int, rng: np.random.Generator, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """n_rows independent full-length permutations of the source codes,
+    written to ``out`` (n_rows x cx.size, C-contiguous) when it is given."""
+    if out is None:
+        out = np.empty((n_rows, cx.size), cx.dtype)
+    out[...] = cx
+    rng.permuted(out, axis=1, out=out)
+    return out
 
 
 def _te_stage(
@@ -285,21 +308,26 @@ def _te_link_from_codes(
     One shuffle ensemble of the full source is drawn per (pair, lag), chunk
     by chunk as the MI gate asks for it, and shared by the MI gate and the
     TE test. The chunks come from one stream in order, so the rows drawn
-    are a prefix of the whole ensemble.
+    are a prefix of the whole ensemble. They are drawn into this thread's
+    scratch bank (``estimators._scratch_buffer``), which the next test on
+    the thread overwrites; no result refers to it.
     """
+    n = cfg.n_surrogates
     keep = cx.size - lag
     rng = _rng(cfg.rng_seed, key_x, key_y, lag)
+    rows = _scratch_buffer("bank", n * cx.size).reshape(n, cx.size)
     bank: list[np.ndarray] = []
 
     def draw():
         start = 0
-        for stop in _checkpoints(cfg.n_surrogates):
-            bank.append(_shuffled_source_rows(cx, stop - start, rng)[:, :keep])
+        for stop in _checkpoints(n):
+            out = rows[start:stop]
+            bank.append(_shuffled_source_rows(cx, stop - start, rng, out=out)[:, :keep])
             yield bank[-1]
             start = stop
 
     gate = _cmi(cx[:keep], None, cy[lag:], m)
-    mi_res = _surrogate_test(*gate, draw(), cfg.n_surrogates, cfg.confidence)
+    mi_res = _surrogate_test(*gate, draw(), n, cfg.confidence)
     if not mi_res.significant:
         return TeLinkResult(False, 0.0, mi_res, None)
     if not cfg.te_surrogate_test:

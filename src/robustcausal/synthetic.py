@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NonFinite
-from .timeseries import Dataset, TimeSeries, _check_count, _rng
+from .timeseries import Dataset, TimeSeries, _check_count, _check_integer, _rng
 
 __all__ = ["SystemSpec", "GroundTruth", "TrueLink", "generate", "SYSTEM_KINDS"]
 
@@ -160,6 +160,7 @@ class SystemSpec:
         if self.kind not in SYSTEM_KINDS:
             raise InvalidConfig(f"unknown system kind {self.kind!r}, expected one of {SYSTEM_KINDS}")
         _check_count("length", self.length, 1)
+        _check_integer("rng_seed", self.rng_seed)
         _check_count("burn_in", self.burn_in, 0)
         if self.kind in ("B", "C") and self.length <= self.burn_in:
             raise InvalidConfig(

@@ -52,12 +52,18 @@ def _derived_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+def _check_integer(field: str, value) -> None:
+    """An integer (a numpy one too, not a bool), else ``InvalidConfig``
+    naming ``field``: the rule for a seed, and the first half of a count's."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidConfig(f"{field} must be an integer, got {value!r}")
+
+
 def _check_count(field: str, value, minimum: int, below: type = InvalidConfig) -> None:
     """The package's one rule for a count setting: an integer (a numpy one
     too, not a bool), else ``InvalidConfig``, of at least ``minimum``, else
     ``below``. Both messages name ``field``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidConfig(f"{field} must be an integer, got {value!r}")
+    _check_integer(field, value)
     if value < minimum:
         raise below(f"{field} must be >= {minimum}, got {value}")
 

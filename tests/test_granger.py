@@ -3,9 +3,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from robustcausal import granger, graph
+from robustcausal._critical import f_bracket
 
 from robustcausal.errors import (
     InvalidConfig,
@@ -162,6 +163,32 @@ def test_p_value_equals_scipy_stats_f_survival():
                     res = granger_test(x, y, lag, GrangerConfig(lagwise=lagwise))
                     want = float(stats.f.sf(res.f_statistic, res.df_num, res.df_den))
                     assert res.p_value == want, (l, gain, lag, lagwise)
+
+
+def test_f_bracket_holds_the_scipy_critical_value():
+    # fdtrc falls through alpha inside the bracket: above it every F is a
+    # link by scipy's p-value, at or below it none is
+    for k in range(1, 9):
+        for df in list(range(5, 60)) + list(range(60, 1001, 10)):
+            for alpha in (0.01, 0.025, 0.05, 0.075, 0.1):
+                lo, hi = f_bracket(k, df, alpha)
+                assert special.fdtrc(k, df, hi) < alpha <= special.fdtrc(k, df, lo), (k, df, alpha)
+
+
+@pytest.mark.parametrize("k, df, alpha", [(1, 195, 0.05), (4, 191, 0.05), (2, 994, 0.01),
+                                          (8, 5, 0.1)])
+def test_f_at_the_scipy_critical_value_decides_as_scipy(monkeypatch, k, df, alpha):
+    crit = float(stats.f.isf(alpha, k, df))
+    lo, hi = f_bracket(k, df, alpha)
+    # the critical value and its neighbours lie inside the band, where the
+    # p-value decides
+    for f in (np.nextafter(crit, -np.inf), crit, np.nextafter(crit, np.inf)):
+        assert lo < f < hi
+        assert granger._f_link(k, df, float(f), alpha) == (special.fdtrc(k, df, f) < alpha)
+    # outside the band the bracket decides alone
+    monkeypatch.setattr(granger, "_p_value", None)
+    assert granger._f_link(k, df, hi * (1 + 1e-12), alpha)
+    assert not granger._f_link(k, df, lo, alpha)
 
 
 @pytest.mark.parametrize("lagwise", [True, False], ids=["lagwise", "cumulative"])

@@ -91,7 +91,7 @@ def test_te_graph_requires_surrogate_config():
 def test_unknown_method_rejected():
     # Method names and objects that are not test configs pick no method.
     d = _noise_dataset(4)
-    for test in ("te", "gc", "magic", GrangerResult(1.0, 0.5, False, 1.0, 1.0, 1, 10)):
+    for test in ("te", "gc", "magic", GrangerResult(1.0, False, 1.0, 1.0, 1, 10)):
         _assert_test_config_rejected(d, test)
 
 

@@ -1,10 +1,11 @@
-"""Every count and level setting of the library follows one of two rules.
+"""Every count and level setting of the library follows one of two rules,
+and every seed a third.
 
 A count is an integer (a numpy one too, not a bool) at or above its
 minimum; a level is a real number in (0, 1), or in (0, 1] for a vote
-threshold. A violation raises ``InvalidConfig`` naming the field, or the
-entry point's own type for a value below the minimum (``DegenerateBins``
-for a bin count).
+threshold; a seed is an integer of any value. A violation raises
+``InvalidConfig`` naming the field, or the entry point's own type for a
+value below the minimum (``DegenerateBins`` for a bin count).
 """
 
 import re
@@ -23,7 +24,7 @@ from robustcausal.granger import GrangerConfig, granger_test
 from robustcausal.graph import (CausalLink, LaggedCausalGraph, build_graph, export_graph,
                                 import_graph)
 from robustcausal.significance import SurrogateConfig, te_link_test
-from robustcausal.synthetic import SystemSpec
+from robustcausal.synthetic import SystemSpec, generate
 from robustcausal.timeseries import Dataset, PreprocessSpec, TimeSeries, deseasonalize
 
 _RNG = np.random.default_rng(23)
@@ -155,3 +156,51 @@ def test_evaluate_with_a_zero_length_is_a_usage_error(tmp_path, capsys):
     assert main(["evaluate", "--lengths", "0", "--seed", "1", "--out", str(out)]) == 2
     assert "length must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+# entry point -> the call with its seed at v
+SEEDS = {
+    "SurrogateConfig": lambda v: SurrogateConfig(rng_seed=v),
+    "EnsembleConfig": lambda v: EnsembleConfig(3, 40, rng_seed=v),
+    "SystemSpec": lambda v: SystemSpec(kind="A", length=50, rng_seed=v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, np.float64(2.0), "3", None], ids=repr)
+@pytest.mark.parametrize("entry", SEEDS)
+def test_a_seed_that_is_not_an_integer_is_refused(entry, bad):
+    # int() of a float or bool seed would quietly reuse the stream of another
+    with pytest.raises(InvalidConfig, match=re.escape("rng_seed must be an integer")):
+        SEEDS[entry](bad)
+
+
+@pytest.mark.parametrize("entry", SEEDS)
+def test_a_numpy_integer_seed_is_accepted(entry):
+    assert SEEDS[entry](np.int64(7)) == SEEDS[entry](7)
+
+
+@pytest.mark.parametrize("seed, key", [(2, 2), (np.uint32(2), 2), (-1, 2**32 - 1)], ids=repr)
+def test_a_valid_seed_derives_the_same_streams(seed, key):
+    d, _ = generate(SystemSpec(kind="A", length=20, rng_seed=seed))
+    for i, s in enumerate(d.series):
+        assert s.values.tobytes() == np.random.default_rng([key, i]).standard_normal(20).tobytes()
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.5", None], ids=repr)
+def test_a_binomial_rate_that_is_not_a_number_is_refused(bad):
+    with pytest.raises(InvalidConfig, match=re.escape("per-subsample rate must be in [0, 1]")):
+        ensemble_error_binomial(bad, 10, 9)
+
+
+def test_a_graph_with_numpy_integer_lags_exports_plain_json():
+    g = LaggedCausalGraph(("X", "Y"), (CausalLink("X", "Y", np.int64(1), 0.5),), np.int64(2), "te")
+    plain = LaggedCausalGraph(("X", "Y"), (CausalLink("X", "Y", 1, 0.5),), 2, "te")
+    assert export_graph(g) == export_graph(plain)
+    assert import_graph(export_graph(g)) == plain
+
+
+def test_a_numpy_trial_count_writes_plain_rates():
+    curve = monte_carlo_rates("bivariate-linear", [np.int64(60)], [1.0], np.int64(2), _TE)
+    assert curve.to_csv() == monte_carlo_rates("bivariate-linear", [60], [1.0], 2, _TE).to_csv()
+    assert "np." not in curve.to_csv()
+    assert type(curve.points[0].fnr) is float and type(curve.points[0].n_trials) is int

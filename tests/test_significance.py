@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from robustcausal import estimators, significance
+from robustcausal._critical import t_bracket
 from robustcausal.ensemble import EnsembleConfig, analyze_ensemble
 from robustcausal.errors import InvalidConfig, LagTooLarge, LengthMismatch
 from robustcausal.estimators import BinningSpec, _cmi, transfer_entropy
@@ -22,6 +24,7 @@ from robustcausal.significance import (
     _surrogate_test,
     _t_ceiling,
     _t_critical,
+    _t_exceeds,
     te_link_test,
 )
 from robustcausal.timeseries import Dataset, TimeSeries
@@ -60,6 +63,11 @@ def test_shuffle_deterministic_per_stream():
     a = _shuffled_source_rows(codes, 5, np.random.default_rng(42))
     b = _shuffled_source_rows(codes, 5, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
+    # rows drawn into a slice of a larger buffer are the same rows
+    buffer = np.full((8, 30), -1)
+    c = _shuffled_source_rows(codes, 5, np.random.default_rng(42), out=buffer[2:7])
+    assert c.base is buffer and (buffer[[0, 1, 7]] == -1).all()
+    assert a.tobytes() == c.tobytes()
 
 
 def test_mi_gate_detects_strong_dependence():
@@ -213,6 +221,64 @@ def test_concurrent_threads_equal_a_sequential_run():
         assert (got.link, np.float64(got.te).tobytes()) == (want.link, np.float64(want.te).tobytes())
 
 
+def _link_bits(res):
+    """Everything a TE link test returns, as bytes and flags."""
+    tests = [res.mi_test] + ([res.te_test] if res.te_test is not None else [])
+    return (res.link, np.float64(res.te).tobytes()) + tuple(
+        (_bits(t), t.rows) for t in tests)
+
+
+_SCRATCH_CFG = SurrogateConfig(rng_seed=3, n_surrogates=40, te_surrogate_test=True)
+
+
+@functools.cache
+def _scratch_cases():
+    cases = []
+    for l, seed in ((1000, 60), (200, 61)):
+        x, y = _coupled_pair(seed, l=l, lag=2, gain=0.3)
+        spec = BinningSpec.from_dataset(Dataset((x, y)))
+        cases += [(x, y, lag, spec) for lag in (1, 2, 3)]
+    return cases
+
+
+def _scratch_run(i):
+    x, y, lag, spec = _scratch_cases()[i]
+    return _link_bits(te_link_test(x, y, lag, spec, _SCRATCH_CFG))
+
+
+@functools.cache
+def _scratch_fresh(i):
+    # a thread starts with no scratch buffers
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(_scratch_run, i).result(timeout=120)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(order=st.lists(st.integers(0, 5), min_size=2, max_size=10))
+def test_scratch_buffers_leave_no_trace_between_tests(order):
+    # a test on a 1000-point record grows the bank and index buffers that a
+    # 200-point one then reuses, and back: the order of the tests on a
+    # thread, serial or beside another thread, changes no bit of a result
+    fresh = [_scratch_fresh(i) for i in range(6)]
+    # gates that stop early, and gates that pass into the TE stage
+    assert {bits[2][1] for bits in fresh} == {12, 40}
+    assert [len(bits) for bits in fresh].count(4) == 2
+    assert [_scratch_run(i) for i in order] == [fresh[i] for i in order]
+
+    halves = (order, order[::-1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(lambda half: [_scratch_run(i) for i in half], half)
+                       for half in halves]
+            concurrent = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for half, got in zip(halves, concurrent):
+        assert got == [fresh[i] for i in half]
+
+
 def test_decide_degenerate_spread_rules():
     flat = np.zeros(20)
     hit = _decide(1.0, flat, 0.95)
@@ -247,13 +313,35 @@ def test_te_link_argument_validation():
         te_link_test(x, _series("y", np.arange(39.0)), 1, spec, cfg)
 
 
+_CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
+_DFS = list(range(1, 301)) + [499, 999, 4999, 100_000]
+
+
 def test_t_critical_equals_scipy_stats_quantile():
-    confidences = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
-    dfs = list(range(1, 301)) + [499, 999, 4999, 100_000]
-    for confidence in confidences:
-        for df in dfs:
+    for confidence in _CONFIDENCES:
+        for df in _DFS:
             assert _t_critical(confidence, df) == float(stats.t.ppf(confidence, df)), (
                 confidence, df)
+
+
+def test_t_bracket_holds_the_scipy_quantile():
+    for confidence in _CONFIDENCES:
+        for df in _DFS:
+            lo, hi = t_bracket(confidence, df)
+            assert lo < _t_critical(confidence, df) < hi, (confidence, df)
+
+
+@pytest.mark.parametrize("confidence, df", [(0.95, 99), (0.8, 29), (0.999, 4999), (0.5, 9)])
+def test_t_at_the_scipy_quantile_decides_as_scipy(monkeypatch, confidence, df):
+    crit = _t_critical(confidence, df)
+    lo, hi = t_bracket(confidence, df)
+    # the quantile and its neighbours lie inside the band, where scipy decides
+    for statistic in (np.nextafter(crit, -np.inf), crit, np.nextafter(crit, np.inf)):
+        assert lo < statistic < hi
+        assert _t_exceeds(float(statistic), confidence, df) == (statistic > crit)
+    # outside the band the bracket decides alone
+    monkeypatch.setattr(significance, "_t_critical", None)
+    assert _t_exceeds(hi + 1e-12, confidence, df) and not _t_exceeds(lo, confidence, df)
 
 
 def _copy_values(rows, out):
