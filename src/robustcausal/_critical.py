@@ -1,22 +1,29 @@
-"""Brackets around the critical values of the t and F tests, in pure Python.
+"""The t, F and binomial distributions: the one module that calls scipy.
 
 A link test decides by comparing its statistic with a critical value: the
-surrogate t-test with the Student-t quantile ``scipy.special.stdtrit``, the
-Granger F-test with the point where ``scipy.special.fdtrc`` falls below
-alpha. Importing ``scipy.special`` takes longer than the rest of the CLI's
-start-up and about 20 MB of memory, so the critical values are computed
-here, from a regularized incomplete beta function, and each is returned as
-a bracket ``(lo, hi)``: the pure-Python value widened by ``_BAND`` of its
-size (of 1 below 1) on either side.
+surrogate t-test with the Student-t quantile ``scipy.special.stdtrit``
+(``t_exceeds``), the Granger F-test with the point where the p-value
+``scipy.special.fdtrc`` (``f_p_value``) falls below alpha (``f_exceeds``).
+Importing ``scipy.special`` takes longer than the rest of the CLI's start-up
+and about 20 MB of memory, so the critical values are computed here, from a
+regularized incomplete beta function, and each is returned as a bracket
+``(lo, hi)``: the pure-Python value widened on either side by ``_BAND`` of
+its size (of 1 below 1), or by ``eps * df`` of it where that is wider: the
+continued fraction loses about ``eps * df / (k * F)`` relative.
 
-The callers keep scipy's decisions bit for bit (``exceeds``): a statistic
-above ``hi`` passes, one at or below ``lo`` fails, and only one inside the
-band is decided by the scipy function itself, which is imported then and
-only then. That holds while scipy's value lies in the band. The tests check
-it for the t quantile at confidence 0.5-0.999 and df 1-100000 (the largest
-distance found was 4e-13 relative, at df 100000) and for the F value at k
-1-8, df 5-1000 and alpha 0.01-0.1 (5e-14). The continued fraction loses
-about ``eps * df / (k * F)`` relative, so the distance grows with df.
+``t_exceeds`` and ``f_exceeds`` keep scipy's decisions bit for bit: a
+statistic above ``hi`` passes, one at or below ``lo`` fails, and only one
+inside the band is decided by the scipy function itself, which is imported
+then and only then (``_special``). That holds while scipy's value lies in
+the band. The tests check it for the t quantile at confidence 1e-100 and
+0.01-0.999 over df 1-300, 499, 999, 4999, 100000, 1e8 and 1e9, and for the
+F value at k 1-8 and alpha 0.01-0.1 over df 5-1000, 1e8 and 1e9, and at
+alpha 1e-80, 1e-100 and 1e-150 over df 5-1000. Below a tail probability of
+``_ALPHA_MIN`` (1e-150) no bracket is built and scipy decides every
+statistic.
+
+``binomial_tail`` is the binomial upper tail, the same incomplete beta; the
+tests check it against ``scipy.special.bdtrc`` for n 1-1100.
 
 The incomplete beta is the continued fraction of Numerical Recipes (Press
 et al., 3rd ed., section 6.4), evaluated by the modified Lentz method; the
@@ -27,11 +34,18 @@ k F)``, and the t distribution's two-sided tail is that of F(1, df) at t².
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
-from typing import Callable
 
-# Half-width of a bracket, relative to the value (absolute below 1).
+# Least half-width of a bracket, relative to the value (absolute below 1).
 _BAND = 1e-9
+# Below this tail probability scipy's own stdtrit and fdtrc lose digits
+# (stdtrit at 1e-170 and df 3, fdtrc at 1e-300), so no bracket is built.
+_ALPHA_MIN = 1e-150
+# The search for a critical F stays within exp(+-_LOG_F_MAX), where every
+# crossing of a tail of at least _ALPHA_MIN lies (the highest, at k = df =
+# 1, is about exp(690)).
+_LOG_F_MAX = 700.0
 
 _TINY = 1e-300
 _CF_EPS = 1e-16
@@ -100,55 +114,95 @@ def _f_sf(k: int, df: int, f: float) -> tuple[float, float]:
 
 
 def _f_isf(k: int, df: int, alpha: float) -> float:
-    """The F with ``_f_sf(k, df, F) == alpha``: Newton's method on ``log F``,
-    kept inside a bracket by bisection."""
-    lo, hi = -math.inf, math.inf
+    """The F with ``_f_sf(k, df, F) == alpha``, by Newton's method on ``log
+    sf`` against ``log F``, kept inside a bracket by bisection; nan for an
+    alpha below ``_ALPHA_MIN`` or a search that does not settle. On ``log
+    sf`` a step keeps its reach however small alpha is: the tail falls as a
+    power of F."""
+    if alpha < _ALPHA_MIN:
+        return math.nan
+    target = math.log(alpha)
+    lo, hi = -_LOG_F_MAX, _LOG_F_MAX
     u = 0.0
     for _ in range(200):
         sf, slope = _f_sf(k, df, math.exp(u))
         if sf == alpha:
-            break
+            return math.exp(u)
         if sf > alpha:
             lo = u
         else:
             hi = u
-        new = u + (sf - alpha) / slope if slope > 0.0 else math.nan
+        # d(log sf)/du is -slope / sf
+        new = u + (math.log(sf) - target) * sf / slope if sf > 0.0 and slope > 0.0 else math.nan
         if not lo < new < hi:
-            # off the bracket: bisect it, or step out of its open side
-            new = (lo + hi) / 2.0 if math.isfinite(hi - lo) else u + math.copysign(1.0, sf - alpha)
-        done = abs(new - u) <= 1e-15 * max(1.0, abs(u))
+            new = (lo + hi) / 2.0
+        if abs(new - u) <= 1e-15 * max(1.0, abs(u)):
+            return math.exp(new)
         u = new
-        if done:
-            break
-    return math.exp(u)
+    return math.nan
 
 
-def exceeds(statistic: float, bracket: tuple[float, float], exact: Callable[[], bool]) -> bool:
-    """Whether ``statistic`` is above the critical value that ``bracket``
-    holds: the bracket decides outside itself, ``exact()`` inside."""
-    lo, hi = bracket
-    if statistic > hi:
-        return True
-    if statistic <= lo:
-        return False
-    return exact()
-
-
-def _bracket(value: float) -> tuple[float, float]:
-    width = _BAND * max(abs(value), 1.0)
+def _bracket(value: float, df: int) -> tuple[float, float]:
+    """``value`` widened by ``_BAND``, or by ``eps * df`` where that is wider,
+    of its size (of 1 below 1); nan, a value not found, widens to the whole
+    line."""
+    if math.isnan(value):
+        return -math.inf, math.inf
+    width = max(_BAND, sys.float_info.epsilon * df) * max(abs(value), 1.0)
     return value - width, value + width
 
 
 @lru_cache(maxsize=256)
 def f_bracket(k: int, df: int, alpha: float) -> tuple[float, float]:
     """A bracket around the F where ``fdtrc(k, df, F) == alpha``."""
-    return _bracket(_f_isf(k, df, alpha))
+    return _bracket(_f_isf(k, df, alpha), df)
 
 
 @lru_cache(maxsize=64)
 def t_bracket(confidence: float, df: int) -> tuple[float, float]:
     """A bracket around the Student-t quantile ``stdtrit(df, confidence)``."""
     if confidence == 0.5:
-        return _bracket(0.0)
+        return _bracket(0.0, df)
     tail = min(confidence, 1.0 - confidence)
-    return _bracket(math.copysign(math.sqrt(_f_isf(1, df, 2.0 * tail)), confidence - 0.5))
+    return _bracket(math.copysign(math.sqrt(_f_isf(1, df, 2.0 * tail)), confidence - 0.5), df)
+
+
+def _special():
+    """``scipy.special``, imported on the first call, not with the module."""
+    from scipy import special
+
+    return special
+
+
+def t_exceeds(statistic: float, confidence: float, df: int) -> bool:
+    """``statistic > stdtrit(df, confidence)``: the bracket decides outside
+    itself, scipy inside."""
+    lo, hi = t_bracket(confidence, df)
+    if statistic > hi:
+        return True
+    if statistic <= lo:
+        return False
+    return statistic > float(_special().stdtrit(df, confidence))
+
+
+def f_p_value(k: int, df: int, f: float) -> float:
+    """The F-test's p-value ``fdtrc(k, df, f)``; 0 for an infinite ``f``."""
+    return float(_special().fdtrc(k, df, f)) if math.isfinite(f) else 0.0
+
+
+def f_exceeds(f: float, k: int, df: int, alpha: float) -> bool:
+    """``f_p_value(k, df, f) < alpha``: the bracket decides outside itself,
+    scipy inside."""
+    lo, hi = f_bracket(k, df, alpha)
+    if f > hi:
+        return True
+    if f <= lo:
+        return False
+    return f_p_value(k, df, f) < alpha
+
+
+def binomial_tail(k: int, n: int, p: float) -> float:
+    """The probability of at least ``k`` (>= 1) successes in ``n`` trials of
+    probability ``p``: ``I_p(k, n - k + 1)``, as ``bdtrc(k - 1, n, p)``."""
+    p = float(p)
+    return _betainc(float(k), float(n - k + 1), p, 1.0 - p)

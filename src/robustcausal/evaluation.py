@@ -34,6 +34,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, replace
 
+from ._critical import binomial_tail
 from .errors import InvalidConfig
 from .estimators import BinningSpec
 from .graph import LaggedCausalGraph, build_graph
@@ -62,11 +63,8 @@ def ensemble_error_binomial(e_s: float, n: int, k_min: int) -> float:
     if k_min > n:
         raise InvalidConfig(f"k_min must be in 1..{n}, got {k_min}")
     # by the regularized incomplete beta function: summed C(n, i) terms
-    # overflow a float from n = 1030 on. scipy.special is imported here, on
-    # first use: it takes about half of the CLI's start-up.
-    from scipy import special
-
-    return float(special.bdtrc(k_min - 1, n, e_s))
+    # overflow a float from n = 1030 on
+    return binomial_tail(k_min, n, e_s)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,8 @@ The test statistic is
     F = ((RSS_reduced - RSS_full) / k) / (RSS_full / (N - params_full))
 
 with k restrictions, referred to the F(k, N - params_full) distribution.
-A link is a p-value below alpha, the p-value being ``scipy.special.fdtrc``,
-the survival function ``scipy.stats.f.sf`` wraps (so ``scipy.stats`` is
-never imported). The decision needs no p-value: ``_critical.f_bracket``
-brackets, in pure Python, the F at which the p-value is alpha, and an F
-above the bracket is a link and one at or below it is none, as the p-value
-would decide. Only an F inside the bracket, within 1e-9 of the critical
-value, is decided by ``fdtrc`` itself (``_f_link``). So ``scipy.special``,
-which takes longer to import than the rest of the CLI's start-up, is
-imported only then, or when a caller reads ``GrangerResult.p_value``.
+A link is a p-value below alpha, as ``_critical.f_exceeds`` decides it;
+``GrangerResult.p_value`` is ``_critical.f_p_value``.
 
 One fit path: ``_stacked_fits`` fits every model by the normal equations,
 in stacks of designs of one shape; each batched call runs the same BLAS or
@@ -43,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._critical import exceeds, f_bracket
+from ._critical import f_exceeds, f_p_value
 from .errors import SingularDesign, TooShort
 from .timeseries import Dataset, TimeSeries, _check_level, _check_pair
 
@@ -85,21 +78,7 @@ class GrangerResult:
 
     @cached_property
     def p_value(self) -> float:
-        return _p_value(self.df_num, self.df_den, self.f_statistic)
-
-
-def _p_value(k: int, df: int, f_statistic: float) -> float:
-    """The F-test's p-value; 0 for an infinite F statistic."""
-    from scipy import special
-
-    return float(special.fdtrc(k, df, f_statistic)) if math.isfinite(f_statistic) else 0.0
-
-
-def _f_link(k: int, df: int, f_statistic: float, alpha: float) -> bool:
-    """``_p_value(k, df, f_statistic) < alpha``, which is computed only for
-    an F inside the bracket around the critical value."""
-    return exceeds(f_statistic, f_bracket(k, df, alpha),
-                   lambda: _p_value(k, df, f_statistic) < alpha)
+        return f_p_value(self.df_num, self.df_den, self.f_statistic)
 
 
 def _stacked_rss(designs: np.ndarray, targets: np.ndarray) -> list[float | None]:
@@ -213,7 +192,7 @@ def granger_test(
         f_statistic = numerator / denominator
     return GrangerResult(
         f_statistic=f_statistic,
-        link=_f_link(k, df_den, f_statistic, cfg.alpha),
+        link=f_exceeds(f_statistic, k, df_den, cfg.alpha),
         rss_full=rss_full,
         rss_reduced=rss_reduced,
         df_num=k,

@@ -9,11 +9,8 @@ independent realizations. The observed value is compared against the
 surrogate population with a one-sided, one-sample t-test: with surrogate
 mean ``mu`` and sample standard deviation ``s``, the statistic
 ``(observed - mu) / s`` must exceed the Student-t critical value at the
-configured confidence level (df = n_surrogates - 1). That value is
-``scipy.special.stdtrit``'s, but a test imports scipy only for a statistic
-within 1e-9 of it: ``_critical.t_bracket`` gives a bracket around the
-quantile in pure Python, and a statistic outside it is decided by the
-bracket alone (``_t_exceeds``), as scipy's value would decide it.
+configured confidence level (df = n_surrogates - 1), as
+``_critical.t_exceeds`` decides it.
 
 A transfer-entropy link test is gated: TE is only computed if the mutual
 information between the lag-aligned source and target is itself
@@ -57,12 +54,11 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from ._critical import exceeds, t_bracket
+from ._critical import t_bracket, t_exceeds
 from .estimators import BinningSpec, _cmi, _scratch_buffer, _te_from_codes
 from .timeseries import (TimeSeries, _check_count, _check_integer, _check_level, _check_pair,
                          _rng)
@@ -154,27 +150,6 @@ def _name_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-@lru_cache(maxsize=64)
-def _t_critical(confidence: float, df: int) -> float:
-    """Student-t quantile ``t.ppf(confidence, df)``, by the special
-    function it wraps, so that ``scipy.stats`` is never imported.
-
-    A test asks for it only for a statistic inside the band of
-    ``_critical.t_bracket``; elsewhere the bracket decides alone, as this
-    value would. ``scipy.special`` is imported here, on the first call, not
-    with the module: it takes longer than the rest of the CLI's start-up."""
-    from scipy import special
-
-    return float(special.stdtrit(df, confidence))
-
-
-def _t_exceeds(statistic: float, confidence: float, df: int) -> bool:
-    """``statistic > _t_critical(confidence, df)``, which is computed only
-    for a statistic inside the bracket around it."""
-    return exceeds(statistic, t_bracket(confidence, df),
-                   lambda: statistic > _t_critical(confidence, df))
-
-
 def _moments(s: np.ndarray) -> tuple[float, float]:
     """Mean and sum of squared deviations of ``s``, by the reductions of
     ``s.mean()`` and ``s.std(ddof=1)``, so bit for bit the same."""
@@ -194,7 +169,7 @@ def _decide(observed: float, surrogates: np.ndarray, confidence: float) -> Signi
             return SignificanceResult(observed, mu, s, math.inf, True, n)
         return SignificanceResult(observed, mu, s, 0.0, False, n)
     statistic = (observed - mu) / s
-    significant = _t_exceeds(statistic, confidence, n - 1)
+    significant = t_exceeds(statistic, confidence, n - 1)
     return SignificanceResult(observed, mu, s, statistic, significant, n)
 
 

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from robustcausal import significance
+from robustcausal._critical import binomial_tail
 from robustcausal.errors import InvalidConfig
 from robustcausal.evaluation import (
     bin_sensitivity_scan,
@@ -70,6 +72,23 @@ def test_binomial_miss_is_complement():
             assert miss == pytest.approx(
                 1.0 - ensemble_error_binomial(1.0 - e, 10, k), rel=1e-9
             )
+
+
+def test_binomial_tail_matches_scipy_bdtrc():
+    # every k of every n up to 100 and of every 31st n to 1100 (summed
+    # C(n, i) terms overflow from 1030); bound fixed before the first run:
+    # 1e-11 relative where bdtrc is above 1e-100, below it both under 1e-99
+    ns = list(range(1, 101)) + list(range(101, 1101, 31)) + [1029, 1030, 1100]
+    ps = (0.0, 1e-12, 1e-6, 0.001, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999, 1 - 1e-9, 1.0)
+    for n in ns:
+        k = np.arange(1, n + 1)
+        for p in ps:
+            want = special.bdtrc(k - 1, n, p)
+            got = np.array([binomial_tail(int(i), n, p) for i in k])
+            big = want > 1e-100
+            assert np.all(np.abs(got - want)[big] <= 1e-11 * want[big]), (n, p)
+            assert np.all(got[~big] < 1e-99) and np.all(want[~big] < 1e-99), (n, p)
+    assert binomial_tail(3, 10, 0.0) == 0.0 and binomial_tail(3, 10, 1.0) == 1.0
 
 
 def test_binomial_validation():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats
 
-from robustcausal import granger, graph
-from robustcausal._critical import f_bracket
+from robustcausal import _critical, granger, graph
+from robustcausal._critical import f_bracket, f_exceeds
 
 from robustcausal.errors import (
     InvalidConfig,
@@ -165,14 +165,31 @@ def test_p_value_equals_scipy_stats_f_survival():
                     assert res.p_value == want, (l, gain, lag, lagwise)
 
 
+_BRACKET_DFS = list(range(5, 60)) + list(range(60, 1001, 10))
+
+
 def test_f_bracket_holds_the_scipy_critical_value():
     # fdtrc falls through alpha inside the bracket: above it every F is a
     # link by scipy's p-value, at or below it none is
     for k in range(1, 9):
-        for df in list(range(5, 60)) + list(range(60, 1001, 10)):
+        for df in _BRACKET_DFS + [10**8, 10**9]:
             for alpha in (0.01, 0.025, 0.05, 0.075, 0.1):
                 lo, hi = f_bracket(k, df, alpha)
                 assert special.fdtrc(k, df, hi) < alpha <= special.fdtrc(k, df, lo), (k, df, alpha)
+
+
+def test_f_bracket_holds_the_scipy_critical_value_at_small_alpha():
+    # the tail falls as a power of F, so the search runs on log sf; below
+    # 1e-150 the bracket is the whole line and fdtrc decides every F
+    for alpha in (1e-80, 1e-100, 1e-150, 1e-300):
+        for k in range(1, 9):
+            for df in _BRACKET_DFS:
+                lo, hi = f_bracket(k, df, alpha)
+                assert hi == np.inf or special.fdtrc(k, df, hi) < alpha, (k, df, alpha)
+                assert lo == -np.inf or alpha <= special.fdtrc(k, df, lo), (k, df, alpha)
+    assert f_bracket(1, 195, 1e-300) == (-np.inf, np.inf)
+    # an F the p-value rejects at 1e-100 (fdtrc is 1.3e-89 here)
+    assert not f_exceeds(1351.0, 1, 195, 1e-100)
 
 
 @pytest.mark.parametrize("k, df, alpha", [(1, 195, 0.05), (4, 191, 0.05), (2, 994, 0.01),
@@ -184,11 +201,11 @@ def test_f_at_the_scipy_critical_value_decides_as_scipy(monkeypatch, k, df, alph
     # p-value decides
     for f in (np.nextafter(crit, -np.inf), crit, np.nextafter(crit, np.inf)):
         assert lo < f < hi
-        assert granger._f_link(k, df, float(f), alpha) == (special.fdtrc(k, df, f) < alpha)
+        assert f_exceeds(float(f), k, df, alpha) == (special.fdtrc(k, df, f) < alpha)
     # outside the band the bracket decides alone
-    monkeypatch.setattr(granger, "_p_value", None)
-    assert granger._f_link(k, df, hi * (1 + 1e-12), alpha)
-    assert not granger._f_link(k, df, lo, alpha)
+    monkeypatch.setattr(_critical, "_special", None)
+    assert f_exceeds(hi * (1 + 1e-12), k, df, alpha)
+    assert not f_exceeds(lo, k, df, alpha)
 
 
 @pytest.mark.parametrize("lagwise", [True, False], ids=["lagwise", "cumulative"])

@@ -117,13 +117,16 @@ _SYSTEM_B = ("--system", "B", "--length", "300", "--seed", "1")
                       "--surrogates", "5", "--seed", "1", "--out", "ev"), 0, id="evaluate"),
     pytest.param(_cli("sensitivity", *_SYSTEM_B, "--radius", "1", "--max-lag", "1",
                       "--surrogates", "5", "--out", "sens"), 0, id="sensitivity"),
+    pytest.param("from robustcausal.evaluation import ensemble_error_binomial\n"
+                 "ensemble_error_binomial(0.1, 1100, 900)", None, id="ensemble-error-binomial"),
 ])
 def test_import_budget(tmp_path, statement, code):
     # scipy.special, with the array-API layer it pulls in, takes longer to
     # import than the rest of the CLI and about 20 MB, and no command needs
-    # it: the link tests decide by pure-Python brackets around their
-    # critical values (robustcausal._critical) and import it only for a
-    # statistic within 1e-9 of one. scipy.stats is never imported.
+    # it: robustcausal._critical decides the link tests by pure-Python
+    # brackets around their critical values, importing it only for a
+    # statistic within 1e-9 of one, and computes the binomial tail in pure
+    # Python. scipy.stats is never imported.
     src = str(Path(robustcausal.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

@@ -6,10 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
-from robustcausal import estimators, significance
-from robustcausal._critical import t_bracket
+from robustcausal import _critical, estimators, significance
+from robustcausal._critical import t_bracket, t_exceeds
 from robustcausal.ensemble import EnsembleConfig, analyze_ensemble
 from robustcausal.errors import InvalidConfig, LagTooLarge, LengthMismatch
 from robustcausal.estimators import BinningSpec, _cmi, transfer_entropy
@@ -23,8 +23,6 @@ from robustcausal.significance import (
     _shuffled_source_rows,
     _surrogate_test,
     _t_ceiling,
-    _t_critical,
-    _t_exceeds,
     te_link_test,
 )
 from robustcausal.timeseries import Dataset, TimeSeries
@@ -313,35 +311,38 @@ def test_te_link_argument_validation():
         te_link_test(x, _series("y", np.arange(39.0)), 1, spec, cfg)
 
 
-_CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
-_DFS = list(range(1, 301)) + [499, 999, 4999, 100_000]
+_CONFIDENCES = (1e-100, 0.01, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
+_DFS = list(range(1, 301)) + [499, 999, 4999, 100_000, 10**8, 10**9]
 
 
 def test_t_critical_equals_scipy_stats_quantile():
+    # the scipy.stats quantile itself fails and the next float up passes, so
+    # the value t_exceeds compares with is the quantile's, bit for bit
     for confidence in _CONFIDENCES:
         for df in _DFS:
-            assert _t_critical(confidence, df) == float(stats.t.ppf(confidence, df)), (
-                confidence, df)
+            crit = float(stats.t.ppf(confidence, df))
+            assert not t_exceeds(crit, confidence, df), (confidence, df)
+            assert t_exceeds(float(np.nextafter(crit, np.inf)), confidence, df), (confidence, df)
 
 
 def test_t_bracket_holds_the_scipy_quantile():
     for confidence in _CONFIDENCES:
         for df in _DFS:
             lo, hi = t_bracket(confidence, df)
-            assert lo < _t_critical(confidence, df) < hi, (confidence, df)
+            assert lo < special.stdtrit(df, confidence) < hi, (confidence, df)
 
 
 @pytest.mark.parametrize("confidence, df", [(0.95, 99), (0.8, 29), (0.999, 4999), (0.5, 9)])
 def test_t_at_the_scipy_quantile_decides_as_scipy(monkeypatch, confidence, df):
-    crit = _t_critical(confidence, df)
+    crit = float(special.stdtrit(df, confidence))
     lo, hi = t_bracket(confidence, df)
     # the quantile and its neighbours lie inside the band, where scipy decides
     for statistic in (np.nextafter(crit, -np.inf), crit, np.nextafter(crit, np.inf)):
         assert lo < statistic < hi
-        assert _t_exceeds(float(statistic), confidence, df) == (statistic > crit)
+        assert t_exceeds(float(statistic), confidence, df) == (statistic > crit)
     # outside the band the bracket decides alone
-    monkeypatch.setattr(significance, "_t_critical", None)
-    assert _t_exceeds(hi + 1e-12, confidence, df) and not _t_exceeds(lo, confidence, df)
+    monkeypatch.setattr(_critical, "_special", None)
+    assert t_exceeds(hi + 1e-12, confidence, df) and not t_exceeds(lo, confidence, df)
 
 
 def _copy_values(rows, out):
