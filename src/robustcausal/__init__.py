@@ -6,41 +6,33 @@ against shuffled surrogates, and then filters the full-sample graph with a
 subsample-ensemble consistency vote: only links that keep reappearing
 across many shorter windows of the record survive.
 
-The public surface is each submodule's ``__all__``, re-exported here.
+The public surface is each submodule's ``__all__``, re-exported here on
+first access (PEP 562): importing the package or its CLI loads no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import (
-    ensemble,
-    errors,
-    estimators,
-    evaluation,
-    granger,
-    graph,
-    significance,
-    synthetic,
-    timeseries,
-)
-from .ensemble import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .estimators import *  # noqa: F401,F403
-from .evaluation import *  # noqa: F401,F403
-from .granger import *  # noqa: F401,F403
-from .graph import *  # noqa: F401,F403
-from .significance import *  # noqa: F401,F403
-from .synthetic import *  # noqa: F401,F403
-from .timeseries import *  # noqa: F401,F403
+_SUBMODULES = ("timeseries", "estimators", "significance", "granger", "graph", "ensemble",
+               "synthetic", "evaluation", "errors")
 
-__all__ = [
-    "__version__",
-    *timeseries.__all__,
-    *estimators.__all__,
-    *significance.__all__,
-    *granger.__all__,
-    *graph.__all__,
-    *ensemble.__all__,
-    *synthetic.__all__,
-    *evaluation.__all__,
-    *errors.__all__,
-]
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    # The first other name binds every submodule's ``__all__`` at once, so
+    # those lists stay the only lists of public names.
+    if "__all__" not in globals():
+        names = ["__version__"]
+        for module in map(__getattr__, _SUBMODULES):
+            globals().update((key, getattr(module, key)) for key in module.__all__)
+            names += module.__all__
+        globals()["__all__"] = names
+    if name in globals():
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__"), *_SUBMODULES})

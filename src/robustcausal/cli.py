@@ -25,6 +25,9 @@ that the run skips, set away from its default. Every run writes a
 versions, no timestamps); its ``config`` plus ``seed``, given as
 ``--config``, replays the run byte for byte.
 
+Building the parser loads no numpy: the module imports only the standard
+library, ``errors`` and ``_choices``, and each command imports what it runs.
+
 Exit codes: 0 success, 1 computation error, 2 usage error. The environment
 variable ``ROBUST_CAUSAL_THREADS`` caps worker parallelism.
 """
@@ -34,24 +37,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-import scipy
-
 from . import __version__
-from .ensemble import SUBSAMPLE_MODES, EnsembleConfig, analyze_ensemble
+from ._choices import SUBSAMPLE_MODES, SYSTEM_KINDS
 from .errors import InvalidConfig, LagTooLarge, RobustCausalError
-from .estimators import BinningSpec
-from .evaluation import bin_sensitivity_scan, monte_carlo_rates
-from .granger import GrangerConfig
-from .graph import _check_max_lag, build_graph, export_graph
-from .significance import SurrogateConfig
-from .synthetic import SYSTEM_KINDS, SystemSpec, generate
-from .timeseries import PreprocessSpec, apply_preprocess, read_dataset_csv, write_dataset_csv
 
 THREAD_ENV = "ROBUST_CAUSAL_THREADS"
 
@@ -113,6 +105,7 @@ def _ratios(raw) -> list:
     """Ratios as "a,b,c", a JSON list, or a range "lo..hi" (5 points) / "lo..hi:n"."""
     if not (isinstance(raw, str) and ".." in raw):
         return _list(raw, float)
+    import numpy as np
     span, _, count = raw.partition(":")
     lo, hi = map(float, span.split(".."))
     n = int(count or 5)
@@ -287,6 +280,9 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_manifest(path: Path, command: str, config: dict, seed) -> None:
+    import platform
+    import numpy as np
+    import scipy
     manifest = {
         "command": command,
         "config": config,
@@ -315,32 +311,35 @@ def _checked(config: Callable, **settings):
         raise UsageError(str(exc)) from None
 
 
-def _system_spec(s: dict, seed) -> SystemSpec:
-    """The benchmark system the settings describe."""
-    return _checked(SystemSpec, kind=s["system"], length=s["length"],
-                    rng_seed=_require_seed(seed), burn_in=s["burn_in"], signal=s["signal"],
-                    noise=s["noise"])
+def _generate(s: dict, seed):
+    """The dataset and ground truth of the benchmark system the settings describe."""
+    from .synthetic import SystemSpec, generate
+    return generate(_checked(SystemSpec, kind=s["system"], length=s["length"],
+                             rng_seed=_require_seed(seed), burn_in=s["burn_in"],
+                             signal=s["signal"], noise=s["noise"]))
 
 
 def _load_input(s: dict, seed: int | None):
     """Preprocessed dataset from --input CSV or an inline-generated --system."""
+    from .timeseries import PreprocessSpec, apply_preprocess, read_dataset_csv
     if (s["input"] is None) == (s["system"] is None):
         raise UsageError("exactly one of --input or --system is required")
     spec = _checked(PreprocessSpec, detrend=s["detrend"], season_period=s["deseasonalize_period"])
     if s["input"] is not None:
         d = read_dataset_csv(s["input"])
     else:
-        d, _ = generate(_system_spec(s, seed))
+        d, _ = _generate(s, seed)
     if spec.detrend or spec.season_period is not None:
         d = apply_preprocess(d, spec)
     return d
 
 
 def cmd_generate(s: dict, config: dict) -> int:
+    from .timeseries import write_dataset_csv
     seed = _require_seed(s["seed"])
     if s["system"] is None:
         raise UsageError("--system is required")
-    d, truth = generate(_system_spec(s, seed))
+    d, truth = _generate(s, seed)
 
     out = Path(s["out"] or f"system_{s['system']}.csv")
     csv_path = out if out.suffix.lower() == ".csv" else out / "data.csv"
@@ -356,7 +355,8 @@ def cmd_generate(s: dict, config: dict) -> int:
     return 0
 
 
-def _surrogate_config(s: dict, seed: int) -> SurrogateConfig:
+def _surrogate_config(s: dict, seed: int):
+    from .significance import SurrogateConfig
     return _checked(SurrogateConfig, rng_seed=seed, n_surrogates=s["n_surrogates"],
                     confidence=s["confidence"],
                     te_surrogate_test=s.get("te_surrogate_test") == "on",
@@ -364,6 +364,9 @@ def _surrogate_config(s: dict, seed: int) -> SurrogateConfig:
 
 
 def cmd_analyze(s: dict, config: dict) -> int:
+    from .ensemble import EnsembleConfig, analyze_ensemble
+    from .granger import GrangerConfig
+    from .graph import _check_max_lag, build_graph, export_graph
     ensemble = s["n_subsamples"] is not None
     seed = _require_seed(s["seed"]) if s["method"] == "te" or ensemble else s["seed"]
     test = (_surrogate_config(s, seed) if s["method"] == "te"
@@ -400,6 +403,7 @@ def cmd_analyze(s: dict, config: dict) -> int:
 
 
 def cmd_evaluate(s: dict, config: dict) -> int:
+    from .evaluation import monte_carlo_rates
     seed = _require_seed(s["seed"])
     curve = _checked(monte_carlo_rates, kind=s["kind"], lengths=s["lengths"],
                      ratios=s["ratios"], n_trials=s["trials"],
@@ -414,6 +418,9 @@ def cmd_evaluate(s: dict, config: dict) -> int:
 
 
 def cmd_sensitivity(s: dict, config: dict) -> int:
+    from .estimators import BinningSpec
+    from .evaluation import bin_sensitivity_scan
+    from .graph import export_graph
     seed = _require_seed(s["seed"])
     surrogate = _surrogate_config(s, seed)
     if s["radius"] < 0:

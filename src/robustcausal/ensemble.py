@@ -32,6 +32,7 @@ from functools import partial
 
 import numpy as np
 
+from ._choices import SUBSAMPLE_MODES
 from .errors import InvalidConfig, TooManyWindows, WindowTooLong
 from .estimators import BinningSpec
 from .granger import GrangerConfig
@@ -49,8 +50,6 @@ __all__ = [
     "robust_graph",
     "analyze_ensemble",
 ]
-
-SUBSAMPLE_MODES = ("random-continuous", "fixed-overlap", "nonoverlapping")
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._choices import SYSTEM_KINDS
 from .errors import InvalidConfig, NonFinite
-from .timeseries import Dataset, TimeSeries, _check_count, _check_integer, _rng
+from .timeseries import Dataset, TimeSeries, _check_count, _check_integer, _read_only, _rng
 
 __all__ = ["SystemSpec", "GroundTruth", "TrueLink", "generate", "SYSTEM_KINDS"]
-
-SYSTEM_KINDS = ("A", "B", "C", "bivariate-linear", "bivariate-nonlinear")
 
 _COUPLED_NAMES = ("X", "Y", "Z", "W")
 
@@ -223,7 +222,7 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
     """Simulate the configured system and return (dataset, ground truth)."""
     if spec.kind == "A":
         series = tuple(
-            TimeSeries(name, _rng(spec.rng_seed, i).standard_normal(spec.length))
+            TimeSeries(name, _read_only(_rng(spec.rng_seed, i).standard_normal(spec.length)))
             for i, name in enumerate(_COUPLED_NAMES)
         )
         return Dataset(series), GroundTruth(true_links=())
@@ -232,7 +231,7 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
         eta = [_rng(spec.rng_seed, i).standard_normal(spec.length) for i in range(4)]
         simulated = _simulate_coupled(spec.length, *eta, squared_z=spec.kind == "C")
         series = tuple(
-            TimeSeries(name, arr[spec.burn_in:])
+            TimeSeries(name, _read_only(arr[spec.burn_in:]))
             for name, arr in zip(_COUPLED_NAMES, simulated)
         )
         return Dataset(series), GroundTruth(true_links=_COUPLINGS, indirect_links=_INDIRECT)
@@ -246,6 +245,6 @@ def generate(spec: SystemSpec) -> tuple[Dataset, GroundTruth]:
     if spec.kind == "bivariate-nonlinear":
         driver = driver * driver
     y = m * driver + eps * eta
-    d = Dataset((TimeSeries("X", x_full[1:]), TimeSeries("Y", y)))
+    d = Dataset((TimeSeries("X", _read_only(x_full[1:])), TimeSeries("Y", _read_only(y))))
     truth = GroundTruth(true_links=(TrueLink("X", "Y", 1, m),))
     return d, truth

@@ -52,6 +52,12 @@ def _derived_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """Mark a fresh array, never written again, read-only: ``TimeSeries`` keeps it uncopied."""
+    values.flags.writeable = False
+    return values
+
+
 def _check_integer(field: str, value) -> None:
     """An integer (a numpy one too, not a bool), else ``InvalidConfig``
     naming ``field``: the rule for a seed, and the first half of a count's."""
@@ -197,7 +203,7 @@ def detrend_linear(s: TimeSeries) -> TimeSeries:
     v = s.values
     slope = float(np.dot(i_centered, v - v.mean()) / np.dot(i_centered, i_centered))
     intercept = float(v.mean() - slope * i.mean())
-    return TimeSeries(s.name, v - (intercept + slope * i))
+    return TimeSeries(s.name, _read_only(v - (intercept + slope * i)))
 
 
 def deseasonalize(s: TimeSeries, period: int) -> TimeSeries:
@@ -216,7 +222,7 @@ def deseasonalize(s: TimeSeries, period: int) -> TimeSeries:
     out = s.values.copy()
     for phase in range(period):
         out[phase::period] -= out[phase::period].mean()
-    return TimeSeries(s.name, out)
+    return TimeSeries(s.name, _read_only(out))
 
 
 @dataclass(frozen=True)
@@ -293,7 +299,7 @@ def read_dataset_csv(path) -> Dataset:
                 ) from None
     if not columns[0]:
         raise CsvFormatError(f"{path}: no data rows")
-    return Dataset(TimeSeries(n, np.array(c)) for n, c in zip(names, columns))
+    return Dataset(TimeSeries(n, _read_only(np.array(c))) for n, c in zip(names, columns))
 
 
 def write_dataset_csv(d: Dataset, path) -> None:

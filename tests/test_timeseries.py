@@ -18,6 +18,7 @@ from robustcausal.errors import (
 from robustcausal.estimators import BinningSpec, transfer_entropy
 from robustcausal.granger import GrangerConfig, granger_test
 from robustcausal.significance import SurrogateConfig, te_link_test
+from robustcausal.synthetic import SYSTEM_KINDS, SystemSpec, generate
 from robustcausal.timeseries import (
     Dataset,
     PreprocessSpec,
@@ -199,6 +200,31 @@ def test_series_values_are_read_only_and_windows_are_views():
     for name in d.names:
         assert np.shares_memory(w.get(name).values, d.get(name).values)
         assert not w.get(name).values.flags.writeable
+
+
+def test_producers_hand_their_fresh_arrays_to_the_series_uncopied(tmp_path, monkeypatch):
+    # every series a producer builds keeps the very array it was handed;
+    # a caller's writeable array is still copied
+    kept = []
+    post_init = TimeSeries.__post_init__
+
+    def recorded(self):
+        handed = self.values
+        post_init(self)
+        kept.append(self.values is handed)
+
+    monkeypatch.setattr(TimeSeries, "__post_init__", recorded)
+    for kind in SYSTEM_KINDS:
+        generate(SystemSpec(kind=kind, length=50, rng_seed=1, burn_in=10, signal=0.5))
+    s = TimeSeries("x", np.arange(20.0))
+    assert kept.pop() is False
+    detrend_linear(s)
+    deseasonalize(s, 4)
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\n3,4.5\n")
+    read_dataset_csv(path)
+    assert len(kept) == 4 * 3 + 2 * 2 + 2 + 2
+    assert all(kept)
 
 
 def test_validate_rejects_single_series():
