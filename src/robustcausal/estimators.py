@@ -123,10 +123,11 @@ def variable_bin_count(s: TimeSeries) -> int:
 class BinningSpec:
     """A shared bin count plus per-variable equally spaced edges.
 
-    ``edges[name]`` has ``bin_count + 1`` increasing entries spanning the
-    observed range of that variable. Values are assigned by half-open bins
-    with the rightmost edge inclusive, so every observed value lands in
-    exactly one of the ``bin_count`` bins.
+    ``edges[name]`` has ``bin_count + 1`` finite, nondecreasing entries
+    spanning the observed range of that variable, kept as the float array
+    that was checked. Values are assigned by half-open bins with the
+    rightmost edge inclusive, so every observed value lands in exactly one
+    of the ``bin_count`` bins.
     """
 
     bin_count: int
@@ -134,12 +135,17 @@ class BinningSpec:
 
     def __post_init__(self):
         _check_count("bin_count", self.bin_count, 2, below=DegenerateBins)
+        checked = {}
         for name, e in self.edges.items():
             e = np.asarray(e, dtype=float)
             if e.shape != (self.bin_count + 1,):
                 raise InvalidConfig(
                     f"edges for {name!r} must have {self.bin_count + 1} entries"
                 )
+            if not (np.isfinite(e).all() and (np.diff(e) >= 0).all()):
+                raise InvalidConfig(f"edges for {name!r} must be finite and nondecreasing")
+            checked[name] = e
+        object.__setattr__(self, "edges", checked)
 
     @classmethod
     def from_dataset(cls, d: Dataset, bin_count: int | None = None) -> "BinningSpec":
@@ -176,16 +182,15 @@ class BinningSpec:
         """Map values to bin indices in ``[0, bin_count)``.
 
         Bins are half-open on the right except the last, which includes its
-        right edge. Values outside the edge span are clipped into the
-        nearest end bin. Raises ``VariableMismatch`` for a series the spec
-        has no edges for.
+        right edge. Values outside the edge span fall into the nearest end
+        bin: a value's bin is the number of inner edges at or below it.
+        Raises ``VariableMismatch`` for a series the spec has no edges for.
         """
         try:
             e = self.edges[s.name]
         except KeyError:
             raise VariableMismatch(f"binning spec has no edges for series {s.name!r}") from None
-        idx = np.searchsorted(e, s.values, side="right") - 1
-        return np.clip(idx, 0, self.bin_count - 1)
+        return np.searchsorted(e[1:-1], s.values, side="right")
 
 
 # Cap on the surrogate-batch histogram cells held at once: 512 KB of int64

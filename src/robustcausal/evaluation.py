@@ -34,13 +34,14 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, replace
 
+from . import significance
 from ._critical import binomial_tail
 from .errors import InvalidConfig
 from .estimators import BinningSpec
 from .graph import LaggedCausalGraph, build_graph
-from .significance import SurrogateConfig, te_link_test
+from .significance import SurrogateConfig, _name_key
 from .synthetic import SystemSpec, generate
-from .timeseries import Dataset, _check_count, _derived_seed
+from .timeseries import Dataset, _check_count, _check_pair, _derived_seed
 
 __all__ = [
     "ensemble_error_binomial",
@@ -113,7 +114,9 @@ def monte_carlo_rates(
     included, runs at lag 1 (miss -> false negative) and lag 2 (fire ->
     false positive). X is i.i.d., so the lag-2 test is an exact null and
     ``fpr`` estimates the test's size, 1 - ``confidence``, at every length;
-    only ``fnr`` is expected to fall with more data. Trial RNG streams
+    only ``fnr`` is expected to fall with more data. Each trial digitizes X
+    and Y once for both lags and reads only the decisions, so no TE is
+    computed unless the TE stage is on. Trial RNG streams
     derive from (``surrogate.rng_seed``, length index, ratio index, trial),
     so single points are reproducible in isolation. Each grid point's
     ``SystemSpec`` is built, and so checked, before the first trial.
@@ -124,6 +127,7 @@ def monte_carlo_rates(
     n_trials = int(n_trials)  # plain rates: a numpy count makes numpy floats
     grid = {(li, ri): SystemSpec(kind=kind, length=length, rng_seed=0, signal=ratio, noise=1.0)
             for li, length in enumerate(lengths) for ri, ratio in enumerate(ratios)}
+    keys = _name_key("X"), _name_key("Y")
     points = []
     for (li, ri), system in grid.items():
         misses = false_alarms = 0
@@ -134,8 +138,15 @@ def monte_carlo_rates(
             spec = BinningSpec.from_dataset(d, bin_count=surrogate.bins)
             cfg = replace(surrogate, rng_seed=test_seed)
             x, y = d.get("X"), d.get("Y")
-            misses += not te_link_test(x, y, 1, spec, cfg).link
-            false_alarms += te_link_test(x, y, 2, spec, cfg).link
+            cx, cy = spec.digitize(x), spec.digitize(y)
+
+            def fires(lag: int) -> bool:
+                _check_pair(x, y, lag)
+                return significance._te_link_from_codes(
+                    cx, cy, lag, spec.bin_count, cfg, *keys).link
+
+            misses += not fires(1)
+            false_alarms += fires(2)
         points.append(ErrorRatePoint(data_length=int(system.length),
                                      m_over_eps=float(system.signal), fnr=misses / n_trials,
                                      fpr=false_alarms / n_trials, n_trials=n_trials))

@@ -18,7 +18,10 @@ significant, and by default the gate alone decides the link. An optional
 second surrogate t-test on the TE statistic can be switched on for a
 stricter decision. Both stages are one call of the estimator kernel
 ``estimators._cmi`` on the same shuffled sources: the gate is ``I(X_past;
-Y_now)``, the TE stage ``I(X_past; Y_now | Y_past)``.
+Y_now)``, the TE stage ``I(X_past; Y_now | Y_past)``. With the stage off,
+the decision needs no TE, so ``TeLinkResult.te`` is computed only when it
+is first read: a graph reads it for every candidate, the error-rate trials
+of ``evaluation.monte_carlo_rates`` never do.
 
 Early stopping
 --------------
@@ -53,7 +56,8 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, ClassVar, Iterable
 
 import numpy as np
@@ -135,14 +139,25 @@ class TeLinkResult:
     """Outcome of the gated transfer-entropy link test.
 
     ``te`` is the observed transfer entropy when the MI gate passes and 0.0
-    otherwise. ``te_test`` is None when the gate failed or the TE surrogate
-    stage is switched off.
+    otherwise. It is computed the first time it is read: from the code
+    arrays the test kept (``_te_from_codes``) when the TE surrogate stage is
+    off, else it is ``te_test.observed``. ``te_test`` is None when the gate
+    failed or the TE surrogate stage is switched off.
     """
 
     link: bool
-    te: float
     mi_test: SignificanceResult
     te_test: SignificanceResult | None
+    # (cx, cy, lag, m) of the test, read by ``te`` when the stage is off
+    _te_inputs: tuple[np.ndarray, np.ndarray, int, int] = field(repr=False, compare=False)
+
+    @cached_property
+    def te(self) -> float:
+        if self.te_test is not None:
+            return self.te_test.observed
+        if not self.mi_test.significant:
+            return 0.0
+        return _te_from_codes(*self._te_inputs)
 
 
 def _name_key(name: str) -> int:
@@ -285,7 +300,9 @@ def _te_link_from_codes(
     TE test. The chunks come from one stream in order, so the rows drawn
     are a prefix of the whole ensemble. They are drawn into this thread's
     scratch bank (``estimators._scratch_buffer``), which the next test on
-    the thread overwrites; no result refers to it.
+    the thread overwrites; no result refers to it. The result keeps ``cx``
+    and ``cy`` to compute its ``te`` on first read, so they are not written
+    to afterwards.
     """
     n = cfg.n_surrogates
     keep = cx.size - lag
@@ -303,12 +320,11 @@ def _te_link_from_codes(
 
     gate = _cmi(cx[:keep], None, cy[lag:], m)
     mi_res = _surrogate_test(*gate, draw(), n, cfg.confidence)
-    if not mi_res.significant:
-        return TeLinkResult(False, 0.0, mi_res, None)
-    if not cfg.te_surrogate_test:
-        return TeLinkResult(True, _te_from_codes(cx, cy, lag, m), mi_res, None)
+    inputs = (cx, cy, lag, m)
+    if not mi_res.significant or not cfg.te_surrogate_test:
+        return TeLinkResult(mi_res.significant, mi_res, None, inputs)
     te_res = _te_stage(cx, cy, lag, m, cfg.confidence, bank)
-    return TeLinkResult(te_res.significant, te_res.observed, mi_res, te_res)
+    return TeLinkResult(te_res.significant, mi_res, te_res, inputs)
 
 
 def te_link_test(
@@ -318,10 +334,10 @@ def te_link_test(
 
     Stage 1 tests the MI between the lag-aligned pair ``(x[t - lag], y[t])``;
     failing the gate yields ``(link=False, te=0.0)`` without computing TE.
-    When the gate passes, the TE is computed and the gate alone decides,
-    unless ``cfg.te_surrogate_test`` is on, in which case the same surrogate
-    procedure is applied to the TE itself and that test decides. Input
-    faults raise as ``timeseries._check_pair`` says.
+    When the gate passes, the gate alone decides and the TE is computed when
+    ``te`` is first read, unless ``cfg.te_surrogate_test`` is on, in which
+    case the same surrogate procedure is applied to the TE itself and that
+    test decides. Input faults raise as ``timeseries._check_pair`` says.
     """
     _check_pair(x, y, lag)
     return _te_link_from_codes(

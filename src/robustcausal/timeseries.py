@@ -105,10 +105,15 @@ class TimeSeries:
         object.__setattr__(self, "values", values)
 
     def __reduce__(self):  # a pickled series, as sent to a worker, is built again
-        return TimeSeries, (self.name, self.values)
+        return _unpickle_series, (self.name, self.values)
 
     def __len__(self) -> int:
         return self.values.size
+
+
+def _unpickle_series(name: str, values: np.ndarray) -> TimeSeries:
+    """Build a pickled series again around its unpickled array, uncopied."""
+    return TimeSeries(name, _read_only(values))
 
 
 @dataclass(frozen=True, eq=False)

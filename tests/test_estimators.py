@@ -139,6 +139,43 @@ def test_digitize_names_a_series_the_spec_has_no_edges_for():
             call()
 
 
+@pytest.mark.parametrize("edges", [[3.0, 2.0, 1.0, 0.0], [0.0, 2.0, 1.0, 3.0],
+                                   [0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 2.0, np.inf]])
+def test_binning_spec_rejects_edges_not_finite_and_nondecreasing(edges):
+    with pytest.raises(InvalidConfig, match="edges for 'X' must be finite and nondecreasing"):
+        BinningSpec(3, {"X": edges})
+
+
+def test_binning_spec_keeps_the_float_edges_it_checked():
+    spec = BinningSpec(3, {"X": [0, 1, 1, 3]})  # a repeated edge is an empty bin
+    assert isinstance(spec.edges["X"], np.ndarray) and spec.edges["X"].dtype == float
+    np.testing.assert_array_equal(spec.digitize(_series("X", [0.5, 1.0, 2.9, 3.0])), [0, 2, 2, 2])
+
+
+def _old_digitize(edges, values, m):
+    """The former formula: one bin per edge at or below the value, clipped."""
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, m - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 8),
+    edge_ints=st.lists(st.integers(-6, 6), min_size=9, max_size=9),
+    value_ints=st.lists(st.integers(-10, 10), min_size=1, max_size=40),
+    scale=st.sampled_from([0.25, 0.5, 1.0, 1.7]),
+)
+def test_digitize_matches_the_clipped_formula(m, edge_ints, value_ints, scale):
+    # small integer grids put values on edges, outside them (a window binned
+    # with its parent's edges) and between repeated edges
+    edges = np.sort(np.array(edge_ints[: m + 1], dtype=float)) * scale
+    values = np.array(value_ints, dtype=float) * scale / 2
+    spec = BinningSpec(m, {"v": edges})
+    got = spec.digitize(_series("v", values))
+    want = _old_digitize(edges, values, m)
+    assert got.dtype == want.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+
+
 def test_binning_spec_rejects_single_bin():
     d = Dataset((_series("a", [0.0, 1.0, 2.0]), _series("b", [5.0, 3.0, 4.0])))
     with pytest.raises(DegenerateBins):

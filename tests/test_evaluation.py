@@ -8,6 +8,7 @@ from scipy import special
 from robustcausal import significance
 from robustcausal._critical import binomial_tail
 from robustcausal.errors import InvalidConfig
+from robustcausal.estimators import BinningSpec
 from robustcausal.evaluation import (
     bin_sensitivity_scan,
     ensemble_error_binomial,
@@ -166,6 +167,27 @@ def test_forced_bins_reach_every_trial(monkeypatch):
     sur = SurrogateConfig(rng_seed=2, n_surrogates=10, bins=7)
     monte_carlo_rates("bivariate-linear", [60, 90], [0.5, 1.0], 3, sur)
     assert bin_counts == [7] * (2 * 2 * 3 * 2)  # lengths x ratios x trials x lags
+
+
+def test_trials_compute_no_te_and_digitize_each_series_once(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a trial computed a TE it never reads")
+
+    digitize = BinningSpec.digitize
+    digitized = []
+
+    def counted(self, s):
+        digitized.append(s.name)
+        return digitize(self, s)
+
+    monkeypatch.setattr(significance, "_te_from_codes", refused)
+    monkeypatch.setattr(BinningSpec, "digitize", counted)
+    for kind in ("bivariate-linear", "bivariate-nonlinear"):
+        digitized.clear()
+        curve = monte_carlo_rates(kind, [60, 300], [0.5, 3.0], 3,
+                                  SurrogateConfig(rng_seed=2, n_surrogates=20))
+        assert digitized == ["X", "Y"] * (2 * 2 * 3)
+        assert curve.point(300, 3.0).fnr == 0.0  # gates passed, and no TE was read
 
 
 def test_bin_sensitivity_scan_shape():

@@ -1,5 +1,6 @@
 import functools
 import math
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -96,7 +97,51 @@ def test_te_link_fires_on_lagged_copy():
     res = te_link_test(x, y, 2, spec, SurrogateConfig(rng_seed=7))
     assert res.link
     assert res.mi_test.significant
-    assert res.te == pytest.approx(transfer_entropy(x, y, 2, spec), rel=1e-12)
+    assert res.te == transfer_entropy(x, y, 2, spec)  # both _te_from_codes on the same codes
+
+
+def test_te_is_computed_on_first_read_as_the_eager_value(monkeypatch):
+    # gate failed: 0.0; stage off: _te_from_codes of the test's codes, run
+    # once, on the first read; stage on: the stage's observed value, which
+    # is that same number. Bit for bit on every branch.
+    te_from_codes = significance._te_from_codes
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return te_from_codes(*args)
+
+    monkeypatch.setattr(significance, "_te_from_codes", counted)
+    x, y = _coupled_pair(3, lag=2)
+    spec = BinningSpec.from_dataset(Dataset((x, y)))
+    eager = te_from_codes(spec.digitize(x), spec.digitize(y), 2, spec.bin_count)
+    assert eager > 0.0
+    res = te_link_test(x, y, 2, spec, SurrogateConfig(rng_seed=7))
+    assert res.link and res.te_test is None and calls == []
+    assert res.te == eager and res.te == eager
+    assert calls == [(2, spec.bin_count)]
+    strict = te_link_test(x, y, 2, spec, SurrogateConfig(rng_seed=7, te_surrogate_test=True))
+    assert strict.te_test is not None and strict.te == eager
+    for trial in range(30):
+        xi, yi = _independent_pair(2000 + trial, l=200)
+        spec_i = BinningSpec.from_dataset(Dataset((xi, yi)))
+        blocked = te_link_test(xi, yi, 1, spec_i, SurrogateConfig(rng_seed=trial))
+        if not blocked.mi_test.significant:
+            break
+    assert not blocked.mi_test.significant and blocked.te == 0.0
+    assert calls == [(2, spec.bin_count)]
+
+
+def test_te_link_result_pickles_before_and_after_te_is_read():
+    x, y = _coupled_pair(3, lag=2)
+    spec = BinningSpec.from_dataset(Dataset((x, y)))
+    for cfg in (SurrogateConfig(rng_seed=7), SurrogateConfig(rng_seed=7, te_surrogate_test=True)):
+        res = te_link_test(x, y, 2, spec, cfg)
+        unread = pickle.loads(pickle.dumps(res))
+        assert unread == res and "te" not in vars(unread)
+        assert _link_bits(unread) == _link_bits(res)
+        read = pickle.loads(pickle.dumps(res))
+        assert "te" in vars(read) and _link_bits(read) == _link_bits(res)
 
 
 def test_te_link_default_skips_te_stage():

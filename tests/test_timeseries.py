@@ -227,6 +227,28 @@ def test_producers_hand_their_fresh_arrays_to_the_series_uncopied(tmp_path, monk
     assert all(kept)
 
 
+def test_an_unpickled_series_keeps_the_unpickled_array(monkeypatch):
+    # a pool worker's series, and each series of its dataset, is built around
+    # the array pickle made, not a second copy of it (numpy may wrap it in a
+    # view to swap its unpickled '<f8' descriptor for the native float one)
+    kept = []
+    post_init = TimeSeries.__post_init__
+
+    def recorded(self):
+        handed = self.values
+        post_init(self)
+        kept.append(self.values is handed or self.values.base is handed)
+
+    d, _ = generate(SystemSpec(kind="A", length=30, rng_seed=2, burn_in=5))
+    monkeypatch.setattr(TimeSeries, "__post_init__", recorded)
+    back = pickle.loads(pickle.dumps(d))
+    s = pickle.loads(pickle.dumps(d.series[0]))
+    assert kept == [True] * (len(d.names) + 1)
+    for got, want in zip(back.series + (s,), d.series + (d.series[0],)):
+        assert got.name == want.name and not got.values.flags.writeable
+        np.testing.assert_array_equal(got.values, want.values)
+
+
 def test_validate_rejects_single_series():
     with pytest.raises(InvalidConfig):
         validate_dataset(Dataset((_series("a", [1, 2, 3]),)))
