@@ -1,26 +1,24 @@
-"""The t, F and binomial distributions: the one module that calls scipy.
+"""The t, F and binomial distributions, in pure Python.
 
 A link test decides by comparing its statistic with a critical value: the
-surrogate t-test with the Student-t quantile ``scipy.special.stdtrit``
-(``t_exceeds``), the Granger F-test with the point where the p-value
-``scipy.special.fdtrc`` (``f_p_value``) falls below alpha (``f_exceeds``).
-Importing ``scipy.special`` takes longer than the rest of the CLI's start-up
-and about 20 MB of memory, so the critical values are computed here, from a
-regularized incomplete beta function, and each is returned as a bracket
-``(lo, hi)``: the pure-Python value widened on either side by ``_BAND`` of
-its size (of 1 below 1), or by ``eps * df`` of it where that is wider: the
-continued fraction loses about ``eps * df / (k * F)`` relative.
+surrogate t-test with the Student-t quantile ``t_critical`` (``t_exceeds``),
+the Granger F-test with the F where its p-value ``f_p_value`` falls to
+alpha, ``f_critical`` (``f_exceeds``). Both come from one regularized
+incomplete beta function, and each critical value is cached per setting.
 
-``t_exceeds`` and ``f_exceeds`` keep scipy's decisions bit for bit: a
-statistic above ``hi`` passes, one at or below ``lo`` fails, and only one
-inside the band is decided by the scipy function itself, which is imported
-then and only then (``_special``). That holds while scipy's value lies in
-the band. The tests check it for the t quantile at confidence 1e-100 and
-0.01-0.999 over df 1-300, 499, 999, 4999, 100000, 1e8 and 1e9, and for the
-F value at k 1-8 and alpha 0.01-0.1 over df 5-1000, 1e8 and 1e9, and at
-alpha 1e-80, 1e-100 and 1e-150 over df 5-1000. Below a tail probability of
-``_ALPHA_MIN`` (1e-150) no bracket is built and scipy decides every
-statistic.
+The tests check the values against scipy's, within ``max(1e-12, 4 eps
+df)`` of their size (of 1 below 1): the t quantile at confidence 1e-100 and
+0.01-0.999 over df 1-300, 499, 999, 4999, 100000, 1e8 and 1e9; the F value
+at k 1-8 and alpha 0.01-0.1 over df 5-1000, 1e8 and 1e9, and at alpha
+1e-80, 1e-100 and 1e-150 over df 5-1000; the p-value over Granger tests of
+df 5-494, 0 and infinity included. The continued fraction loses about ``eps
+* df / (k * F)`` relative, which is where ``eps * df`` comes from.
+
+The search for a critical value settles down to a tail probability of
+``_ALPHA_MIN`` (1e-150); from 1e-152 down, at df = 1, the crossing lies
+beyond its reach. So a test's level (a ``SurrogateConfig.confidence``, a
+``GrangerConfig.alpha``) is refused when it lies closer than 1e-150 to 0
+or 1.
 
 ``binomial_tail`` is the binomial upper tail, the same incomplete beta; the
 tests check it against ``scipy.special.bdtrc`` for n 1-1100.
@@ -34,17 +32,14 @@ k F)``, and the t distribution's two-sided tail is that of F(1, df) at t².
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 
-# Least half-width of a bracket, relative to the value (absolute below 1).
-_BAND = 1e-9
-# Below this tail probability scipy's own stdtrit and fdtrc lose digits
-# (stdtrit at 1e-170 and df 3, fdtrc at 1e-300), so no bracket is built.
+# The least tail probability, and so the least level a test accepts, at
+# which the critical value search settles.
 _ALPHA_MIN = 1e-150
-# The search for a critical F stays within exp(+-_LOG_F_MAX), where every
-# crossing of a tail of at least _ALPHA_MIN lies (the highest, at k = df =
-# 1, is about exp(690)).
+# The search for a critical F stays within exp(+-_LOG_F_MAX), and a result
+# within 1 of either edge is refused; every crossing of a tail of at least
+# _ALPHA_MIN lies inside (the highest, at df = 1, is about exp(690.3)).
 _LOG_F_MAX = 700.0
 
 _TINY = 1e-300
@@ -113,14 +108,13 @@ def _f_sf(k: int, df: int, f: float) -> tuple[float, float]:
     return _betainc(df / 2.0, k / 2.0, x, y), _beta_front(df / 2.0, k / 2.0, x, y)
 
 
-def _f_isf(k: int, df: int, alpha: float) -> float:
-    """The F with ``_f_sf(k, df, F) == alpha``, by Newton's method on ``log
-    sf`` against ``log F``, kept inside a bracket by bisection; nan for an
-    alpha below ``_ALPHA_MIN`` or a search that does not settle. On ``log
-    sf`` a step keeps its reach however small alpha is: the tail falls as a
-    power of F."""
-    if alpha < _ALPHA_MIN:
-        return math.nan
+@lru_cache(maxsize=256)
+def f_critical(k: int, df: int, alpha: float) -> float:
+    """The F where the survival function of F(k, df) falls to ``alpha``,
+    by Newton's method on ``log sf`` against ``log F``, kept inside a
+    bracket by bisection. On ``log sf`` a step keeps its reach however small
+    alpha is: the tail falls as a power of F. A search that does not settle,
+    or settles at the edge of its reach, raises ``ArithmeticError``."""
     target = math.log(alpha)
     lo, hi = -_LOG_F_MAX, _LOG_F_MAX
     u = 0.0
@@ -137,68 +131,40 @@ def _f_isf(k: int, df: int, alpha: float) -> float:
         if not lo < new < hi:
             new = (lo + hi) / 2.0
         if abs(new - u) <= 1e-15 * max(1.0, abs(u)):
+            if abs(new) > _LOG_F_MAX - 1.0:  # at the edge: the crossing lies beyond it
+                break
             return math.exp(new)
         u = new
-    return math.nan
-
-
-def _bracket(value: float, df: int) -> tuple[float, float]:
-    """``value`` widened by ``_BAND``, or by ``eps * df`` where that is wider,
-    of its size (of 1 below 1); nan, a value not found, widens to the whole
-    line."""
-    if math.isnan(value):
-        return -math.inf, math.inf
-    width = max(_BAND, sys.float_info.epsilon * df) * max(abs(value), 1.0)
-    return value - width, value + width
-
-
-@lru_cache(maxsize=256)
-def f_bracket(k: int, df: int, alpha: float) -> tuple[float, float]:
-    """A bracket around the F where ``fdtrc(k, df, F) == alpha``."""
-    return _bracket(_f_isf(k, df, alpha), df)
+    raise ArithmeticError(f"critical F did not settle at k={k}, df={df}, alpha={alpha}")
 
 
 @lru_cache(maxsize=64)
-def t_bracket(confidence: float, df: int) -> tuple[float, float]:
-    """A bracket around the Student-t quantile ``stdtrit(df, confidence)``."""
+def t_critical(confidence: float, df: int) -> float:
+    """The Student-t quantile at ``confidence`` with ``df`` degrees of freedom."""
     if confidence == 0.5:
-        return _bracket(0.0, df)
+        return 0.0
     tail = min(confidence, 1.0 - confidence)
-    return _bracket(math.copysign(math.sqrt(_f_isf(1, df, 2.0 * tail)), confidence - 0.5), df)
-
-
-def _special():
-    """``scipy.special``, imported on the first call, not with the module."""
-    from scipy import special
-
-    return special
+    return math.copysign(math.sqrt(f_critical(1, df, 2.0 * tail)), confidence - 0.5)
 
 
 def t_exceeds(statistic: float, confidence: float, df: int) -> bool:
-    """``statistic > stdtrit(df, confidence)``: the bracket decides outside
-    itself, scipy inside."""
-    lo, hi = t_bracket(confidence, df)
-    if statistic > hi:
-        return True
-    if statistic <= lo:
-        return False
-    return statistic > float(_special().stdtrit(df, confidence))
+    """Whether ``statistic`` lies above the t quantile ``t_critical``."""
+    return statistic > t_critical(confidence, df)
 
 
 def f_p_value(k: int, df: int, f: float) -> float:
-    """The F-test's p-value ``fdtrc(k, df, f)``; 0 for an infinite ``f``."""
-    return float(_special().fdtrc(k, df, f)) if math.isfinite(f) else 0.0
+    """The F-test's p-value, the survival function of F(k, df) at ``f``: 1
+    at 0, 0 at infinity."""
+    if f <= 0.0:
+        return 1.0
+    if f == math.inf:
+        return 0.0
+    return _f_sf(k, df, f)[0]
 
 
 def f_exceeds(f: float, k: int, df: int, alpha: float) -> bool:
-    """``f_p_value(k, df, f) < alpha``: the bracket decides outside itself,
-    scipy inside."""
-    lo, hi = f_bracket(k, df, alpha)
-    if f > hi:
-        return True
-    if f <= lo:
-        return False
-    return f_p_value(k, df, f) < alpha
+    """``f_p_value(k, df, f) < alpha``: whether ``f`` lies above ``f_critical``."""
+    return f > f_critical(k, df, alpha)
 
 
 def binomial_tail(k: int, n: int, p: float) -> float:

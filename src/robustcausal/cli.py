@@ -282,7 +282,6 @@ def _write(path: Path, text: str) -> None:
 def _write_manifest(path: Path, command: str, config: dict, seed) -> None:
     import platform
     import numpy as np
-    import scipy
     manifest = {
         "command": command,
         "config": config,
@@ -290,7 +289,6 @@ def _write_manifest(path: Path, command: str, config: dict, seed) -> None:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "robustcausal": __version__,
         },
     }

@@ -12,8 +12,11 @@ The test statistic is
     F = ((RSS_reduced - RSS_full) / k) / (RSS_full / (N - params_full))
 
 with k restrictions, referred to the F(k, N - params_full) distribution.
-A link is a p-value below alpha, as ``_critical.f_exceeds`` decides it;
-``GrangerResult.p_value`` is ``_critical.f_p_value``.
+A link is an F above the critical value where the p-value falls to alpha,
+as ``_critical.f_exceeds`` decides it; ``GrangerResult.p_value`` is
+``_critical.f_p_value``. Both are computed in pure Python, and alpha is
+refused below ``_critical._ALPHA_MIN`` (1e-150), where the critical value
+search stops settling.
 
 One fit path: ``_stacked_fits`` fits every model by the normal equations,
 in stacks of designs of one shape; each batched call runs the same BLAS or
@@ -36,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._critical import f_exceeds, f_p_value
+from ._critical import _ALPHA_MIN, f_exceeds, f_p_value
 from .errors import SingularDesign, TooShort
 from .timeseries import Dataset, TimeSeries, _check_level, _check_pair
 
@@ -61,7 +64,7 @@ class GrangerConfig:
     lagwise: bool = True
 
     def __post_init__(self):
-        _check_level("alpha", self.alpha)
+        _check_level("alpha", self.alpha, floor=_ALPHA_MIN)
 
 
 @dataclass(frozen=True)

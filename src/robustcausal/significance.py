@@ -31,10 +31,10 @@ the test asks whether the full bank could still pass. Surrogate values are
 at least 0, and for a fixed sum of the rows not yet counted the t statistic
 is largest when they are all equal, so its largest reachable value has a
 closed form in the counted rows' mean and spread (``_t_ceiling``). Once
-that is below the lower end of the critical value's bracket, by a margin
-for rounding, the test stops and is not significant, as the full bank
-would be: every decision, and with it every written output, is that of the
-full-n test. No upper bound on the values is needed, and none is used: the
+that is below the critical value by more than the full bank's t could be
+rounded (``_T_MARGIN``), the test stops and is not significant, as the
+full bank would be: every decision, and with it every written output, is
+that of the full-n test. No upper bound on the values is needed, and none is used: the
 t-maximising completion always lies below the counted mean.
 ``SignificanceResult.rows`` says how many rows were counted; a stopped
 test describes them by its mean, spread and statistic. A gate that passes
@@ -62,7 +62,7 @@ from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from ._critical import t_bracket, t_exceeds
+from ._critical import _ALPHA_MIN, t_critical, t_exceeds
 from .estimators import BinningSpec, _cmi, _scratch_buffer, _te_from_codes
 from .timeseries import (TimeSeries, _check_count, _check_integer, _check_level, _check_pair,
                          _rng)
@@ -111,7 +111,7 @@ class SurrogateConfig:
     def __post_init__(self):
         _check_integer("rng_seed", self.rng_seed)
         _check_count("n_surrogates", self.n_surrogates, 2)
-        _check_level("confidence", self.confidence)
+        _check_level("confidence", self.confidence, floor=_ALPHA_MIN)
         if self.bins is not None:
             _check_count("bins", self.bins, 2)
 
@@ -227,10 +227,10 @@ def _surrogate_test(
 
     Surrogate values are at least 0. After each chunk but the last, the
     test stops, not significant, once ``_t_ceiling`` shows that no values
-    of the rows not yet counted can lift the full bank's t to the lower end
-    ``lo`` of the critical value's bracket, when ``lo`` is positive; ``lo``
-    is at most the critical value, so no test that could pass stops.
-    Otherwise it is ``_decide`` on all ``n`` values.
+    of the rows not yet counted can lift the full bank's t to within
+    ``_T_MARGIN`` of the critical value ``crit``, when ``crit`` is
+    positive, so no test that could pass stops. Otherwise it is
+    ``_decide`` on all ``n`` values.
 
     The bound is exact arithmetic on the counted values. The full bank's t
     in floats can exceed it only by its rounding, about ``eps * observed /
@@ -239,17 +239,17 @@ def _surrogate_test(
     s_k above ``_SPREAD_FLOOR * observed`` that stays below ``_T_MARGIN``
     for banks of up to 10**8 rows.
     """
-    lo = t_bracket(confidence, n - 1)[0]
+    crit = t_critical(confidence, n - 1)
     values = np.empty(n)
     k = 0
     for rows in chunks:
         count(rows, values[k : k + rows.shape[0]])
         k += rows.shape[0]
-        if k == n or lo <= 0.0:
+        if k == n or crit <= 0.0:
             continue
         mean, m2 = _moments(values[:k])
         s = math.sqrt(m2 / (k - 1))
-        if s > _SPREAD_FLOOR * observed and _t_ceiling(observed, mean, m2, k, n) < lo - _T_MARGIN:
+        if s > _SPREAD_FLOOR * observed and _t_ceiling(observed, mean, m2, k, n) < crit - _T_MARGIN:
             return SignificanceResult(observed, mean, s, (observed - mean) / s, False, k)
     return _decide(observed, values, confidence)
 

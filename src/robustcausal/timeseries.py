@@ -74,13 +74,15 @@ def _check_count(field: str, value, minimum: int, below: type = InvalidConfig) -
         raise below(f"{field} must be >= {minimum}, got {value}")
 
 
-def _check_level(field: str, value, closed: bool = False) -> None:
+def _check_level(field: str, value, closed: bool = False, floor: float = 0.0) -> None:
     """The package's one rule for a level setting: a real number (a numpy
-    one too, not a bool) in (0, 1), or in (0, 1] when ``closed``; else
-    ``InvalidConfig`` naming ``field``."""
+    one too, not a bool) in (0, 1), or in (0, 1] when ``closed``, and at
+    least ``floor`` from 0 and 1; else ``InvalidConfig`` naming ``field``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not (0.0 < value < 1.0 or closed and value == 1.0)):
         raise InvalidConfig(f"{field} must be in (0, {'1]' if closed else '1)'}, got {value!r}")
+    if min(value, 1.0 - value) < floor:
+        raise InvalidConfig(f"{field} must be at least {floor:g} from 0 and 1, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

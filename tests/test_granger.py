@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats
 
-from robustcausal import _critical, granger, graph
-from robustcausal._critical import f_bracket, f_exceeds
+from robustcausal import granger, graph
+from robustcausal._critical import f_critical, f_exceeds
 
 from robustcausal.errors import (
     InvalidConfig,
@@ -153,8 +153,10 @@ def test_result_reports_consistent_fields():
     assert res.link == (res.p_value < 0.05)
 
 
-def test_p_value_equals_scipy_stats_f_survival():
-    # F from ~0 (gain 0) to huge (gain 1) at residual df from 5 to 494
+def test_p_value_equals_scipy_stats_f_survival(critical_bound):
+    # F from ~0 (gain 0) to huge (gain 1) at residual df from 5 to 494,
+    # within the bound of scipy's p-value (1e-300 absolute, for p-values
+    # that reach the subnormal floats)
     for l in (12, 30, 100, 500):
         for gain in (0.0, 0.05, 0.2, 1.0):
             for seed, lag in enumerate((1, 2, 3)):
@@ -162,50 +164,63 @@ def test_p_value_equals_scipy_stats_f_survival():
                 for lagwise in (True, False):
                     res = granger_test(x, y, lag, GrangerConfig(lagwise=lagwise))
                     want = float(stats.f.sf(res.f_statistic, res.df_num, res.df_den))
-                    assert res.p_value == want, (l, gain, lag, lagwise)
+                    tolerance = critical_bound(want, res.df_den) * want + 1e-300
+                    assert abs(res.p_value - want) <= tolerance, (l, gain, lag, lagwise)
+    for f, want in ((0.0, 1.0), (np.inf, 0.0)):
+        res = GrangerResult(f, False, 1.0, 1.0, 2, 50)
+        assert res.p_value == want == stats.f.sf(f, 2, 50)
 
 
 _BRACKET_DFS = list(range(5, 60)) + list(range(60, 1001, 10))
 
 
-def test_f_bracket_holds_the_scipy_critical_value():
-    # fdtrc falls through alpha inside the bracket: above it every F is a
-    # link by scipy's p-value, at or below it none is
+def _holds(critical_bound, k, df, alpha):
+    """Whether ``fdtrc`` falls through alpha inside the pure critical F
+    widened by the bound on either side: above it every F is a link by
+    scipy's p-value, at or below it none is."""
+    crit = f_critical(k, df, alpha)
+    lo, hi = crit - critical_bound(crit, df), crit + critical_bound(crit, df)
+    return special.fdtrc(k, df, hi) < alpha <= special.fdtrc(k, df, lo)
+
+
+def test_f_bracket_holds_the_scipy_critical_value(critical_bound):
     for k in range(1, 9):
         for df in _BRACKET_DFS + [10**8, 10**9]:
             for alpha in (0.01, 0.025, 0.05, 0.075, 0.1):
-                lo, hi = f_bracket(k, df, alpha)
-                assert special.fdtrc(k, df, hi) < alpha <= special.fdtrc(k, df, lo), (k, df, alpha)
+                assert _holds(critical_bound, k, df, alpha), (k, df, alpha)
 
 
-def test_f_bracket_holds_the_scipy_critical_value_at_small_alpha():
-    # the tail falls as a power of F, so the search runs on log sf; below
-    # 1e-150 the bracket is the whole line and fdtrc decides every F
-    for alpha in (1e-80, 1e-100, 1e-150, 1e-300):
+def test_f_bracket_holds_the_scipy_critical_value_at_small_alpha(critical_bound):
+    # the tail falls as a power of F, so the search runs on log sf; it
+    # settles down to 1e-150, below which alpha is refused
+    for alpha in (1e-80, 1e-100, 1e-150):
         for k in range(1, 9):
             for df in _BRACKET_DFS:
-                lo, hi = f_bracket(k, df, alpha)
-                assert hi == np.inf or special.fdtrc(k, df, hi) < alpha, (k, df, alpha)
-                assert lo == -np.inf or alpha <= special.fdtrc(k, df, lo), (k, df, alpha)
-    assert f_bracket(1, 195, 1e-300) == (-np.inf, np.inf)
+                assert _holds(critical_bound, k, df, alpha), (k, df, alpha)
+            for df in range(1, 5):
+                assert np.isfinite(f_critical(k, df, alpha)), (k, df, alpha)
+    with pytest.raises(InvalidConfig, match="alpha must be at least 1e-150 from 0 and 1"):
+        GrangerConfig(alpha=1e-300)
     # an F the p-value rejects at 1e-100 (fdtrc is 1.3e-89 here)
     assert not f_exceeds(1351.0, 1, 195, 1e-100)
 
 
 @pytest.mark.parametrize("k, df, alpha", [(1, 195, 0.05), (4, 191, 0.05), (2, 994, 0.01),
                                           (8, 5, 0.1)])
-def test_f_at_the_scipy_critical_value_decides_as_scipy(monkeypatch, k, df, alpha):
-    crit = float(stats.f.isf(alpha, k, df))
-    lo, hi = f_bracket(k, df, alpha)
-    # the critical value and its neighbours lie inside the band, where the
-    # p-value decides
-    for f in (np.nextafter(crit, -np.inf), crit, np.nextafter(crit, np.inf)):
-        assert lo < f < hi
-        assert f_exceeds(float(f), k, df, alpha) == (special.fdtrc(k, df, f) < alpha)
-    # outside the band the bracket decides alone
-    monkeypatch.setattr(_critical, "_special", None)
-    assert f_exceeds(hi * (1 + 1e-12), k, df, alpha)
-    assert not f_exceeds(lo, k, df, alpha)
+def test_f_at_the_scipy_critical_value_decides_as_scipy(critical_bound, k, df, alpha):
+    crit = f_critical(k, df, alpha)
+    want = float(stats.f.isf(alpha, k, df))
+    bound = critical_bound(crit, df)
+    # scipy's critical value and its neighbours lie within the bound of the
+    # pure one, which alone decides them, and the decision flips exactly there
+    for f in (np.nextafter(want, -np.inf), want, np.nextafter(want, np.inf)):
+        assert abs(f - crit) <= bound
+        assert f_exceeds(float(f), k, df, alpha) == (f > crit)
+    assert not f_exceeds(crit, k, df, alpha) and f_exceeds(np.nextafter(crit, np.inf), k, df, alpha)
+    # beyond the bound the decision is scipy's p-value's
+    above, below = want + 2 * bound, want - 2 * bound
+    assert f_exceeds(above, k, df, alpha) and special.fdtrc(k, df, above) < alpha
+    assert not f_exceeds(below, k, df, alpha) and special.fdtrc(k, df, below) >= alpha
 
 
 @pytest.mark.parametrize("lagwise", [True, False], ids=["lagwise", "cumulative"])

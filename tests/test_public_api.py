@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import robustcausal
+from robustcausal.cli import main
 
 PUBLIC = {
     "__version__",
@@ -143,17 +144,13 @@ def _cli(*argv) -> str:
 
 
 _SYSTEM_B = ("--system", "B", "--length", "300", "--seed", "1")
-# scipy.special, with the array-API layer it pulls in, takes longer to
-# import than the rest of the CLI and about 20 MB, and no command needs it:
-# robustcausal._critical decides the link tests by pure-Python brackets
-# around their critical values, importing it only for a statistic within
-# 1e-9 of one, and computes the binomial tail in pure Python. scipy.stats
-# is never imported.
-NEVER = {"scipy.special", "scipy.stats"}
+# No command imports scipy, the tests' oracle: robustcausal._critical
+# computes the t, F and binomial distributions in pure Python.
+NEVER = {"scipy"}
 # A cold start (the package, the CLI, --help) loads no numpy: the parser's
 # choice words live in robustcausal._choices, and each command imports the
 # library when it runs.
-COLD = NEVER | {"numpy", "scipy", "concurrent.futures"}
+COLD = NEVER | {"numpy", "concurrent.futures"}
 # generate simulates and writes a CSV: none of the link-test stack.
 GENERATE = NEVER | {"concurrent.futures.process"} | {
     f"robustcausal.{m}"
@@ -192,3 +189,33 @@ def test_import_budget(tmp_path, statement, code, absent):
     print(f"loaded {sorted(loaded)}")
     assert exit_code == str(code)
     assert not loaded & absent, sorted(loaded & absent)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("generate", *_SYSTEM_B, "--out", "g"), id="generate"),
+    pytest.param(("analyze", *_SYSTEM_B, "--max-lag", "1", "--surrogates", "5",
+                  "--te-surrogate-test", "on", "--subsamples", "3", "--sub-length", "100",
+                  "--out", "te"), id="analyze-te-stage"),
+    pytest.param(("analyze", *_SYSTEM_B, "--max-lag", "2", "--method", "gc", "--out", "gc"),
+                 id="analyze-gc"),
+    pytest.param(("analyze", *_SYSTEM_B, "--max-lag", "2", "--method", "gc",
+                  "--gc-mode", "cumulative", "--out", "gc"), id="analyze-gc-cumulative"),
+    pytest.param(("evaluate", "--lengths", "60", "--ratios", "1.0", "--trials", "2",
+                  "--surrogates", "5", "--seed", "1", "--out", "ev"), id="evaluate"),
+    pytest.param(("sensitivity", *_SYSTEM_B, "--radius", "1", "--max-lag", "1",
+                  "--surrogates", "5", "--out", "sens"), id="sensitivity"),
+])
+def test_no_command_needs_scipy(tmp_path, monkeypatch, argv):
+    # A command run where scipy cannot be imported writes the same bytes, in
+    # every file, as the same command run here, where the tests import it.
+    plain, blocked = tmp_path / "plain", tmp_path / "blocked"
+    plain.mkdir()
+    blocked.mkdir()
+    monkeypatch.chdir(plain)
+    assert main(list(argv)) == 0
+    _fresh_python(blocked, f'import sys\nsys.modules["scipy"] = None\n{_cli(*argv)}\n'
+                           "assert code == 0, code")
+    written = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(blocked) for p in blocked.rglob("*") if p.is_file())
+    for path in written:
+        assert (plain / path).read_bytes() == (blocked / path).read_bytes(), path

@@ -3,11 +3,14 @@ and every seed a third.
 
 A count is an integer (a numpy one too, not a bool) at or above its
 minimum; a level is a real number in (0, 1), or in (0, 1] for a vote
-threshold; a seed is an integer of any value. A violation raises
+threshold, and a test's level (a confidence, an alpha) stays at least
+1e-150 from 0 and 1, where its critical value is computed; a seed is an
+integer of any value. A violation raises
 ``InvalidConfig`` naming the field, or the entry point's own type for a
 value below the minimum (``DegenerateBins`` for a bin count).
 """
 
+import math
 import re
 
 import numpy as np
@@ -131,6 +134,38 @@ def test_a_level_inside_its_interval_is_accepted(entry):
     else:
         with pytest.raises(InvalidConfig, match=f"{field} must be in "):
             call(1.0)
+
+
+# the levels of a link test, whose critical values are computed down to a
+# tail of 1e-150
+TEST_LEVELS = ["SurrogateConfig.confidence", "GrangerConfig.alpha"]
+
+
+@pytest.mark.parametrize("entry", TEST_LEVELS)
+def test_a_test_level_at_its_floor_is_accepted(entry):
+    _, _, call = LEVELS[entry]
+    call(1e-150)
+    call(math.nextafter(1.0, 0.0))  # the upper tail, 1.1e-16 from 1
+
+
+@pytest.mark.parametrize("entry", TEST_LEVELS)
+def test_a_test_level_below_its_floor_is_refused(entry):
+    field, _, call = LEVELS[entry]
+    for bad in (math.nextafter(1e-150, 0.0), 1e-200, 1e-300, 5e-324):
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"{field} must be at least 1e-150 from 0 and 1, got {bad!r}")):
+            call(bad)
+
+
+@pytest.mark.parametrize("flags", [["--confidence"], ["--method", "gc", "--gc-alpha"]],
+                         ids=["confidence", "gc-alpha"])
+def test_a_test_level_below_its_floor_is_a_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    argv = ["analyze", "--system", "B", "--length", "300", "--seed", "1", "--max-lag", "1",
+            *flags, repr(math.nextafter(1e-150, 0.0)), "--out", str(out)]
+    assert main(argv) == 2
+    assert "must be at least 1e-150 from 0 and 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_graph_refuses_a_lag_its_json_could_not_carry():

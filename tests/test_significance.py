@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats
 
-from robustcausal import _critical, estimators, significance
-from robustcausal._critical import t_bracket, t_exceeds
+from robustcausal import estimators, significance
+from robustcausal._critical import t_critical, t_exceeds
 from robustcausal.ensemble import EnsembleConfig, analyze_ensemble
 from robustcausal.errors import InvalidConfig, LagTooLarge, LengthMismatch
 from robustcausal.estimators import BinningSpec, _cmi, transfer_entropy
@@ -360,34 +360,41 @@ _CONFIDENCES = (1e-100, 0.01, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999)
 _DFS = list(range(1, 301)) + [499, 999, 4999, 100_000, 10**8, 10**9]
 
 
-def test_t_critical_equals_scipy_stats_quantile():
-    # the scipy.stats quantile itself fails and the next float up passes, so
-    # the value t_exceeds compares with is the quantile's, bit for bit
+def test_t_critical_equals_scipy_stats_quantile(critical_bound):
+    # the pure quantile lies within the bound of the scipy.stats one, and the
+    # decision flips exactly at it: the quantile itself fails, the next float
+    # up passes
     for confidence in _CONFIDENCES:
         for df in _DFS:
-            crit = float(stats.t.ppf(confidence, df))
+            crit = t_critical(confidence, df)
+            want = float(stats.t.ppf(confidence, df))
+            assert abs(crit - want) <= critical_bound(crit, df), (confidence, df)
             assert not t_exceeds(crit, confidence, df), (confidence, df)
-            assert t_exceeds(float(np.nextafter(crit, np.inf)), confidence, df), (confidence, df)
+            assert t_exceeds(math.nextafter(crit, math.inf), confidence, df), (confidence, df)
 
 
-def test_t_bracket_holds_the_scipy_quantile():
+def test_t_bracket_holds_the_scipy_quantile(critical_bound):
+    # the bracket is the pure quantile widened by the bound on either side
     for confidence in _CONFIDENCES:
         for df in _DFS:
-            lo, hi = t_bracket(confidence, df)
+            crit = t_critical(confidence, df)
+            lo, hi = crit - critical_bound(crit, df), crit + critical_bound(crit, df)
             assert lo < special.stdtrit(df, confidence) < hi, (confidence, df)
 
 
 @pytest.mark.parametrize("confidence, df", [(0.95, 99), (0.8, 29), (0.999, 4999), (0.5, 9)])
-def test_t_at_the_scipy_quantile_decides_as_scipy(monkeypatch, confidence, df):
-    crit = float(special.stdtrit(df, confidence))
-    lo, hi = t_bracket(confidence, df)
-    # the quantile and its neighbours lie inside the band, where scipy decides
-    for statistic in (np.nextafter(crit, -np.inf), crit, np.nextafter(crit, np.inf)):
-        assert lo < statistic < hi
-        assert t_exceeds(float(statistic), confidence, df) == (statistic > crit)
-    # outside the band the bracket decides alone
-    monkeypatch.setattr(_critical, "_special", None)
-    assert t_exceeds(hi + 1e-12, confidence, df) and not t_exceeds(lo, confidence, df)
+def test_t_at_the_scipy_quantile_decides_as_scipy(critical_bound, confidence, df):
+    crit = t_critical(confidence, df)
+    want = float(special.stdtrit(df, confidence))
+    bound = critical_bound(crit, df)
+    # scipy's quantile and its neighbours lie within the bound of the pure
+    # quantile, which alone decides them
+    for statistic in (math.nextafter(want, -math.inf), want, math.nextafter(want, math.inf)):
+        assert abs(statistic - crit) <= bound
+        assert t_exceeds(statistic, confidence, df) == (statistic > crit)
+    # beyond the bound the decision is scipy's
+    assert t_exceeds(want + 2 * bound, confidence, df)
+    assert not t_exceeds(want - 2 * bound, confidence, df)
 
 
 def _copy_values(rows, out):
