@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from ._choices import SUBSAMPLE_MODES, SYSTEM_KINDS
+from ._choices import SUBSAMPLE_MODES, SYSTEM_KINDS, SYSTEM_SETTINGS
 from .errors import InvalidConfig, LagTooLarge, RobustCausalError
 
 THREAD_ENV = "ROBUST_CAUSAL_THREADS"
@@ -57,6 +57,13 @@ def _int(raw) -> int:
     if isinstance(raw, (bool, float)):
         raise TypeError(f"expected an integer, got {raw!r}")
     return int(raw)
+
+
+def _float(raw) -> float:
+    """A number from a flag string or a JSON number; true is not 1.0."""
+    if isinstance(raw, bool):
+        raise TypeError(f"expected a number, got {raw!r}")
+    return float(raw)
 
 
 def _count(raw) -> int:
@@ -104,7 +111,7 @@ def _list(raw, item) -> list:
 def _ratios(raw) -> list:
     """Ratios as "a,b,c", a JSON list, or a range "lo..hi" (5 points) / "lo..hi:n"."""
     if not (isinstance(raw, str) and ".." in raw):
-        return _list(raw, float)
+        return _list(raw, _float)
     import numpy as np
     span, _, count = raw.partition(":")
     lo, hi = map(float, span.split(".."))
@@ -128,8 +135,8 @@ SETTINGS = {
                       "benchmark system to simulate (analyze, sensitivity: instead of --input)"),
     "length": Setting("--length", _int, 1000, "generated sample length"),
     "burn_in": Setting("--burn-in", _int, 100, "transient steps to drop"),
-    "signal": Setting("--m", float, None, "bivariate signal coefficient"),
-    "noise": Setting("--eps", float, 1.0, "bivariate noise coefficient"),
+    "signal": Setting("--m", _float, None, "bivariate signal coefficient"),
+    "noise": Setting("--eps", _float, 1.0, "bivariate noise coefficient"),
     "detrend": Setting("--detrend", _bool, False, "remove a linear trend per variable"),
     "deseasonalize_period": Setting("--deseasonalize", _int, None,
                                     "remove the mean cycle of this period per variable"),
@@ -137,10 +144,10 @@ SETTINGS = {
     "method": Setting("--method", _choice("te", "gc"), "te", "estimator"),
     "bins": Setting("--bins", _auto_or_int, "auto", "'auto' (Scott's rule) or a fixed bin count"),
     "n_surrogates": Setting("--surrogates", _int, 100, "surrogate realizations per test"),
-    "confidence": Setting("--confidence", float, 0.95, "surrogate test confidence"),
+    "confidence": Setting("--confidence", _float, 0.95, "surrogate test confidence"),
     "te_surrogate_test": Setting("--te-surrogate-test", _choice("on", "off"), "off",
                                  "surrogate-test the TE after the MI gate"),
-    "gc_alpha": Setting("--gc-alpha", float, 0.05, "Granger F-test level"),
+    "gc_alpha": Setting("--gc-alpha", _float, 0.05, "Granger F-test level"),
     "gc_lagwise": Setting("--gc-mode", _choice(lagwise=True, cumulative=False), "lagwise",
                           "test each lag alone or all lags up to it"),
     "n_subsamples": Setting("--subsamples", _int, None,
@@ -148,7 +155,7 @@ SETTINGS = {
     "subsample_length": Setting("--sub-length", _int, None, "window length for the ensemble check"),
     "mode": Setting("--mode", _choice(*SUBSAMPLE_MODES), "random-continuous",
                     "how windows are drawn"),
-    "threshold": Setting("--threshold", float, 0.9, "consistency vote fraction"),
+    "threshold": Setting("--threshold", _float, 0.9, "consistency vote fraction"),
     "reuse_parent_bins": Setting("--reuse-parent-bins", _bool, False,
                                  "reuse the full-sample discretization for every window"),
     "workers": Setting("--workers", _count, 1, f"parallel workers (capped by ${THREAD_ENV})"),
@@ -177,9 +184,11 @@ def _always(s: dict) -> bool:
 # parts in --help order; the settings outside them are seed, out, truth.
 SYSTEM_PARTS = (
     (("system", "length"), "--system", lambda s: s["system"] is not None),
-    (("burn_in",), "--system B or C", lambda s: s["system"] in ("B", "C")),
+    (("burn_in",), "--system " + " or ".join(
+        kind for kind, reads in SYSTEM_SETTINGS.items() if "burn_in" in reads),
+     lambda s: "burn_in" in SYSTEM_SETTINGS.get(s["system"], ())),
     (("signal", "noise"), "a bivariate --system",
-     lambda s: s["system"] in ("bivariate-linear", "bivariate-nonlinear")),
+     lambda s: "signal" in SYSTEM_SETTINGS.get(s["system"], ())),
 )
 SOURCE_PARTS = (
     (("input",), "--input", lambda s: s["input"] is not None),

@@ -35,6 +35,7 @@ import numbers
 from dataclasses import dataclass, replace
 
 from . import significance
+from ._choices import SYSTEM_KINDS, SYSTEM_SETTINGS
 from ._critical import binomial_tail
 from .errors import InvalidConfig
 from .estimators import BinningSpec
@@ -121,7 +122,7 @@ def monte_carlo_rates(
     so single points are reproducible in isolation. Each grid point's
     ``SystemSpec`` is built, and so checked, before the first trial.
     """
-    if kind not in ("bivariate-linear", "bivariate-nonlinear"):
+    if kind not in SYSTEM_KINDS or "signal" not in SYSTEM_SETTINGS[kind]:
         raise InvalidConfig(f"kind must be a bivariate system, got {kind!r}")
     _check_count("n_trials", n_trials, 1)
     n_trials = int(n_trials)  # plain rates: a numpy count makes numpy floats

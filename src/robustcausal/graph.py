@@ -21,7 +21,7 @@ from .errors import InvalidConfig, LagTooLarge, UnknownFormat, VariableMismatch
 from .estimators import BinningSpec
 from .granger import GrangerConfig, _candidate_fits, granger_test
 from .significance import SurrogateConfig, _name_key, _te_link_from_codes
-from .timeseries import Dataset, _check_count
+from .timeseries import Dataset, _check_count, _typed
 
 __all__ = [
     "CausalLink",
@@ -221,14 +221,6 @@ def export_graph(g: LaggedCausalGraph, fmt: str = "json") -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise UnknownFormat(f"unknown export format {fmt!r}")
-
-
-def _typed(obj: dict, key: str, kind: type | tuple[type, ...]):
-    """``obj[key]`` if it has the JSON type ``kind``; a boolean is not a number."""
-    value = obj[key]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise TypeError(f"{key!r} has the wrong JSON type: {value!r}")
-    return value
 
 
 def import_graph(text: str) -> LaggedCausalGraph:

@@ -85,6 +85,14 @@ def _check_level(field: str, value, closed: bool = False, floor: float = 0.0) ->
         raise InvalidConfig(f"{field} must be at least {floor:g} from 0 and 1, got {value!r}")
 
 
+def _typed(obj: dict, key: str, kind: type | tuple[type, ...]):
+    """``obj[key]`` if it has the JSON type ``kind``; a boolean is not a number."""
+    value = obj[key]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise TypeError(f"{key!r} has the wrong JSON type: {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A named, uniformly sampled sequence of finite float values, read-only:

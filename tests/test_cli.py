@@ -546,6 +546,28 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command, config,
     assert json.loads((out / "manifest.json").read_text())["config"]["length"] == 1000
 
 
+@pytest.mark.parametrize("command, config, named", [
+    ("analyze", {"threshold": True, "n_subsamples": 3, "subsample_length": 100},
+     "--threshold (config key threshold)"),
+    ("analyze", {"confidence": True}, "--confidence (config key confidence)"),
+    ("analyze", {"method": "gc", "gc_alpha": True}, "--gc-alpha (config key gc_alpha)"),
+    ("generate", {"system": "bivariate-linear", "signal": True}, "--m (config key signal)"),
+    ("generate", {"system": "bivariate-linear", "signal": 0.5, "noise": True},
+     "--eps (config key noise)"),
+    ("evaluate", {"ratios": [True, 0.5]}, "--ratios (config key ratios)"),
+], ids=["threshold", "confidence", "gc-alpha", "signal", "noise", "ratios"])
+def test_json_true_is_not_a_number(tmp_path, capsys, command, config, named):
+    # float(True) is 1.0; a number setting refuses a JSON boolean instead
+    out = tmp_path / "o"
+    base = {"analyze": {"system": "A", "length": 200, "max_lag": 2},
+            "generate": {"length": 100, "out": str(tmp_path / "o.csv")},
+            "evaluate": {"lengths": [60], "trials": 2, "n_surrogates": 10}}[command]
+    path = _write_config(tmp_path / "run.json", {"seed": 1, "out": str(out), **base, **config})
+    assert _run(command, "--config", path) == 2
+    assert f"{named}: expected a number, got True" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 @pytest.mark.parametrize("args", [
     ("generate", "--system", "B", "--length", "300", "--seed", "3"),
     ("analyze", "--system", "B", "--length", "400", "--max-lag", "2", "--surrogates", "20",
