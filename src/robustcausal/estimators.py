@@ -26,27 +26,42 @@ tau takes ``A = x[t - tau]``, ``B = y[t - tau]`` and ``C = y[t]``, so
 
 Surrogate batches
 -----------------
-``_cmi`` counts the observed joint once and returns a ``count`` function
-that evaluates the statistic with each shuffled source in place of A, as
-often as a caller asks for a further chunk of rows. ``count`` counts many
-rows in one offset ``bincount`` and takes their row entropies at once
-(``_entropy_bits_rows``). The flat index of that ``bincount`` is built in
-place in a scratch buffer, and the link test draws its shuffled rows into
-another (``_scratch_buffer``). Each thread owns its buffers
-(``threading.local``), so concurrent callers never share one. Each only
-grows, so a run of tests allocates it once, where a fresh array above
-glibc's default ``mmap`` threshold of 128 KiB (a 1000-point record's chunk
-of 30 rows is 240 KB) can cost a fresh mapping and its page faults every
-time. The index buffer grows up to ``_INDEX_BUFFER_CAP`` (2**20) elements,
-8 MB of ``intp`` per thread: a bank is counted in chunks of rows small
-enough for that cap and for ``_BATCH_CELL_BUDGET`` (2**16) histogram cells,
-512 KB of counts plus 512 KB of ``p * log2(p)`` terms, and only a single
-row longer than the cap makes the buffer larger. The bank buffer holds the
-largest bank drawn on its thread, ``n_surrogates`` times the record
-length. Chunking does not change any row's value. Each row's (A, B)
-marginal, its counts summed over C, is an ``einsum`` over the last axis of
-the integer counts; integer sums are exact, so it equals the ``sum`` over
-C element for element.
+The (B, C) side of a statistic does not depend on A, so it is computed
+once and shared (``_given``): the aligned codes, their flat index ``base``
+(C for the gate, ``B * m + C`` for the TE stage) and the entropies H(B)
+and H(B, C). A graph's record computes it once per (target, lag), and
+H(X_past) once per (source, lag), for all k(k-1)L candidate tests (see
+``significance._te_link_from_codes``). ``_cmi`` then counts only the
+observed joint and returns a ``count`` function that evaluates the
+statistic with each shuffled source in place of A, as often as a caller
+asks for a further chunk of rows.
+
+``count`` takes its rows in the form the link test draws them: row j holds
+the source codes times m plus ``m * m * j``. So the flat index of its
+``bincount``, ``a * m * nb + base + j * cells`` over
+``cells = m * nb * m`` cells (nb = 1 without a B, else m), is one add for
+the gate, ``rows + base``, and a multiply and an add for the stage,
+``rows * m + base``. A part of the rows that starts at row s adds
+``base - s * cells`` instead. One offset ``bincount`` counts many rows,
+and their row entropies are taken at once (``_entropy_bits_rows``). The
+index is built in place in a scratch buffer, the link test draws its
+shuffled rows into another, and it keeps a source's offset rows in a third
+(``_scratch_buffer``). Each thread owns its buffers (``threading.local``),
+so concurrent callers never share one. Each only grows, so a run of tests
+allocates it once, where a fresh array above glibc's default ``mmap``
+threshold of 128 KiB (a 1000-point record's chunk of 30 rows is 240 KB)
+can cost a fresh mapping and its page faults every time. The index buffer
+grows up to ``_INDEX_BUFFER_CAP`` (2**20) elements, 8 MB of ``intp`` per
+thread: a bank is counted in chunks of rows small enough for that cap and
+for ``_BATCH_CELL_BUDGET`` (2**16) histogram cells, 512 KB of counts plus
+512 KB of ``p * log2(p)`` terms, and only a single row longer than the cap
+makes the buffer larger. The bank buffer holds the largest bank drawn on
+its thread, ``n_surrogates`` times the record length, and the offset
+rows its largest chunk, 4n/10 of the n rows (312 KiB at 100 surrogates on
+a 1000-point record). Chunking does not change any row's value. Each row's
+(A, B) marginal, its counts summed over C, is an ``einsum`` over the last
+axis of the integer counts; integer sums are exact, so it equals the
+``sum`` over C element for element.
 
 All rows of a batch count the same aligned samples, so they share one
 total N. Each count n is looked up in ``_plogp_table(N)``, the terms
@@ -58,8 +73,10 @@ over the nonzero cells, not merely close to it.
 The observed value keeps the dot-product form (``_entropy_bits``). The two
 forms can differ in the last bit of the same histogram, so each keeps its
 own: merging them would change observed values and with them the graphs
-already written. ``H(B)`` and ``H(B, C)`` do not depend on A; the observed
-joint gives them to every row.
+already written. Every shared entropy is ``_entropy_bits`` of the same
+integer counts, in the same cell order, as the marginal of the observed
+joint, and every index counts the same cells, so sharing changes no value,
+observed or surrogate, in any bit.
 """
 
 from __future__ import annotations
@@ -210,7 +227,8 @@ def _scratch_buffer(name: str, size: int) -> np.ndarray:
     """The first ``size`` elements of this thread's grow-only ``intp``
     scratch buffer ``name``, the package's one kind of scratch memory:
     ``"index"`` holds a row bank's flat histogram index (``_cmi``),
-    ``"bank"`` the shuffled source codes of a link test (``significance``)."""
+    ``"bank"`` the shuffled source codes of a link test and ``"fill"`` the
+    unshuffled offset rows they are copied from (``significance``)."""
     buf = getattr(_scratch, name, None)
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype=np.intp)
@@ -253,41 +271,64 @@ def _entropy_bits_rows(rows: np.ndarray, total: int) -> np.ndarray:
     return -_plogp_table(total)[rows].sum(axis=1)
 
 
-def _cmi(
-    a: np.ndarray, b: np.ndarray | None, c: np.ndarray, m: int
-) -> tuple[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """``I(A; C | B)`` in bits of aligned code arrays, ``I(A; C)`` when ``b``
-    is None, clamped at 0, and ``count(rows, out)``, which writes to ``out``
-    and returns the statistic with each row of ``rows`` in place of ``a``,
-    clamped at 0 and counted in row chunks (see the module docstring)."""
+@dataclass(frozen=True, eq=False)
+class _Given:
+    """The side of ``I(A; C | B)`` that every A shares: the aligned code
+    arrays ``codes``, (C) or (B, C), their flat index ``base`` (C, or
+    ``B * m + C``), and the entropies ``h_b`` of B (0 without one) and
+    ``h_bc`` of (B, C)."""
+
+    codes: tuple[np.ndarray, ...]
+    base: np.ndarray
+    h_b: float
+    h_bc: float
+
+
+def _given(b: np.ndarray | None, c: np.ndarray, m: int) -> _Given:
+    """The shared side of aligned codes ``b`` (None for no B) and ``c``."""
     if b is None:
-        nb = 1
-        joint = _joint_counts([a, c], m).reshape(m, 1, m)
-        h_b = 0.0
-    else:
-        nb = m
-        joint = _joint_counts([a, b, c], m).reshape(m, m, m)
-        h_b = _entropy_bits(joint.sum(axis=(0, 2)))
-    h_bc = _entropy_bits(joint.sum(axis=0))
-    h_ab = _entropy_bits(joint.sum(axis=2))
-    observed = max(0.0, -h_b + h_ab + h_bc - _entropy_bits(joint))
+        return _Given((c,), c, 0.0, _entropy_bits(_joint_counts([c], m)))
+    h_b = _entropy_bits(_joint_counts([b], m))
+    return _Given((b, c), b * m + c, h_b, _entropy_bits(_joint_counts([b, c], m)))
+
+
+def _cmi(
+    a: np.ndarray, given: _Given, m: int, h_ab: float | None = None
+) -> tuple[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """``I(A; C | B)`` in bits of aligned code arrays, ``I(A; C)`` when
+    ``given`` has no B, clamped at 0, and ``count(rows, out)``, which writes
+    to ``out`` and returns the statistic with each row of ``rows`` in place
+    of ``a``, clamped at 0 and counted in row chunks. ``h_ab`` is H(A, B)
+    if the caller knows it, else the joint gives it. Each row of ``rows``
+    holds codes times m plus m * m times its index in ``rows``, the form the
+    link test's bank is drawn in (see the module docstring)."""
+    nb = m ** (len(given.codes) - 1)
     cells = m * nb * m
+    joint = _joint_counts([a, *given.codes], m)
+    if h_ab is None:
+        h_ab = _entropy_bits(joint.reshape(m * nb, m).sum(axis=1))
+    h_b, h_bc, base = given.h_b, given.h_bc, given.base
+    observed = max(0.0, -h_b + h_ab + h_bc - _entropy_bits(joint))
 
     def count(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        base = c if b is None else b * m + c
         n_rows, n = rows.shape
         chunk = max(1, min(n_rows, _BATCH_CELL_BUDGET // cells, _INDEX_BUFFER_CAP // n))
         for start in range(0, n_rows, chunk):
             part = rows[start : start + chunk]
             n_part = part.shape[0]
             flat = _scratch_buffer("index", n_part * n).reshape(n_part, n)
-            np.multiply(part, nb * m, out=flat)
-            flat += base
-            flat += (np.arange(n_part) * cells)[:, None]
+            # row j carries m * m * j, times nb j * cells: a part that starts
+            # at row ``start`` counts its rows from cell 0
+            shifted = base - start * cells if start else base
+            if nb == 1:
+                np.add(part, shifted, out=flat)
+            else:
+                np.multiply(part, nb, out=flat)
+                flat += shifted
             counts = np.bincount(flat.ravel(), minlength=n_part * cells).reshape(n_part, cells)
-            h_abc_s = _entropy_bits_rows(counts, c.size)
+            h_abc_s = _entropy_bits_rows(counts, base.size)
             ab_counts = np.einsum("ijk->ij", counts.reshape(n_part, m * nb, m))
-            h_ab_s = _entropy_bits_rows(ab_counts, c.size)
+            h_ab_s = _entropy_bits_rows(ab_counts, base.size)
             out[start : start + n_part] = -h_b + h_ab_s + h_bc - h_abc_s
         np.maximum(out, 0.0, out=out)
         return out
@@ -302,7 +343,7 @@ def _te_from_codes(cx: np.ndarray, cy: np.ndarray, lag: int, m: int) -> float:
     target present ``cy[lag :]``.
     """
     keep = cx.size - lag
-    return _cmi(cx[:keep], cy[:keep], cy[lag:], m)[0]
+    return _cmi(cx[:keep], _given(cy[:keep], cy[lag:], m), m)[0]
 
 
 def transfer_entropy(x: TimeSeries, y: TimeSeries, lag: int, spec: BinningSpec) -> float:

@@ -129,6 +129,7 @@ def monte_carlo_rates(
     grid = {(li, ri): SystemSpec(kind=kind, length=length, rng_seed=0, signal=ratio, noise=1.0)
             for li, length in enumerate(lengths) for ri, ratio in enumerate(ratios)}
     keys = _name_key("X"), _name_key("Y")
+    lags = (1, 2)
     points = []
     for (li, ri), system in grid.items():
         misses = false_alarms = 0
@@ -139,12 +140,14 @@ def monte_carlo_rates(
             spec = BinningSpec.from_dataset(d, bin_count=surrogate.bins)
             cfg = replace(surrogate, rng_seed=test_seed)
             x, y = d.get("X"), d.get("Y")
-            cx, cy = spec.digitize(x), spec.digitize(y)
+            for lag in lags:
+                _check_pair(x, y, lag)
+            m = spec.bin_count
+            source = significance._source(spec.digitize(x), m, lags)
+            target = significance._target(spec.digitize(y), m, lags)
 
             def fires(lag: int) -> bool:
-                _check_pair(x, y, lag)
-                return significance._te_link_from_codes(
-                    cx, cy, lag, spec.bin_count, cfg, *keys).link
+                return significance._te_link_from_codes(source, target, lag, m, cfg, *keys).link
 
             misses += not fires(1)
             false_alarms += fires(2)

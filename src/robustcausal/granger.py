@@ -136,13 +136,14 @@ def _candidate_fits(
     """``(rss_reduced, rss_full)`` of every candidate (source, target, lag)
     of ``d`` up to ``max_lag``, the models of each lag fitted as stacks."""
     values = np.stack([s.values for s in d.series])
-    pairs = list(permutations(range(len(d.names)), 2))
+    names = d.names
+    pairs = list(permutations(range(len(names)), 2))
     sources, targets = [s for s, _ in pairs], [t for _, t in pairs]
     fits = {}
     for lag in range(1, max_lag + 1):
         reduced, full = _stacked_fits(values, lag, lagwise, sources, targets)
         for s, t, rss_full in zip(sources, targets, full):
-            fits[d.names[s], d.names[t], lag] = reduced[t], rss_full
+            fits[names[s], names[t], lag] = reduced[t], rss_full
     return fits
 
 

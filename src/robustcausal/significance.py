@@ -55,6 +55,7 @@ order, so the rows a stopped test drew are a prefix of the full ensemble.
 from __future__ import annotations
 
 import math
+import threading
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,9 +64,10 @@ from typing import Callable, ClassVar, Iterable
 import numpy as np
 
 from ._critical import _ALPHA_MIN, t_critical, t_exceeds
-from .estimators import BinningSpec, _cmi, _scratch_buffer, _te_from_codes
+from .estimators import (BinningSpec, _cmi, _entropy_bits, _given, _Given, _joint_counts,
+                         _scratch_buffer, _te_from_codes)
 from .timeseries import (TimeSeries, _check_count, _check_integer, _check_level, _check_pair,
-                         _rng)
+                         _read_only, _rng)
 
 __all__ = [
     "SurrogateConfig",
@@ -73,6 +75,9 @@ __all__ = [
     "TeLinkResult",
     "te_link_test",
 ]
+
+# the rows ``_offset_rows`` keeps: (cx, step, rows) of this thread
+_fill_rows = threading.local()
 
 # A bank of n surrogate rows is counted in chunks that end after 3n//10 and
 # 6n//10 rows (those in 2..n-1), then n; after each chunk but the last the
@@ -254,57 +259,117 @@ def _surrogate_test(
     return _decide(observed, values, confidence)
 
 
+def _offset_rows(cx: np.ndarray, n_rows: int, step: int) -> np.ndarray:
+    """``cx`` plus ``j * step`` in each row j < n_rows, in this thread's
+    ``"fill"`` scratch buffer. The rows are kept for a read-only ``cx`` (a
+    source's ``fill``) and rebuilt only when another array, another step or
+    more rows are asked for, so the link tests of one source build them
+    once; their row count only grows."""
+    kept = getattr(_fill_rows, "kept", None)
+    if (kept is None or kept[0] is not cx or cx.flags.writeable or kept[1] != step
+            or kept[2].shape[0] < n_rows):
+        rows = n_rows if kept is None else max(n_rows, kept[2].shape[0])
+        offset = _scratch_buffer("fill", rows * cx.size).reshape(rows, cx.size)
+        np.add(cx, (np.arange(rows) * step)[:, None], out=offset)
+        kept = _fill_rows.kept = (cx, step, offset)
+    return kept[2][:n_rows]
+
+
 def _shuffled_source_rows(
-    cx: np.ndarray, n_rows: int, rng: np.random.Generator, *, out: np.ndarray | None = None
+    cx: np.ndarray,
+    n_rows: int,
+    rng: np.random.Generator,
+    *,
+    step: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """n_rows independent full-length permutations of the source codes,
-    written to ``out`` (n_rows x cx.size, C-contiguous) when it is given."""
+    row j plus ``j * step``, written to ``out`` (n_rows x cx.size,
+    C-contiguous) when it is given."""
     if out is None:
         out = np.empty((n_rows, cx.size), cx.dtype)
-    out[...] = cx
+    out[...] = _offset_rows(cx, n_rows, step)
     rng.permuted(out, axis=1, out=out)
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _Source:
+    """What a source's link tests on one record share: its codes, the
+    codes times m, which fill its shuffle banks, and ``h_past[lag]``, the
+    entropy of ``codes[: l - lag]``."""
+
+    codes: np.ndarray
+    fill: np.ndarray
+    h_past: dict[int, float]
+
+
+def _source(cx: np.ndarray, m: int, lags: Iterable[int]) -> _Source:
+    h_past = {lag: _entropy_bits(_joint_counts([cx[: cx.size - lag]], m)) for lag in lags}
+    return _Source(cx, _read_only(cx * m), h_past)
+
+
+@dataclass(frozen=True, eq=False)
+class _Target:
+    """What a target's link tests on one record share: its codes and, per
+    lag, the given side (``estimators._given``) of the MI gate, ``Y_now``,
+    and, on the first ``stage(lag)`` call, of the TE stage, ``(Y_past,
+    Y_now)``."""
+
+    codes: np.ndarray
+    m: int
+    gate: dict[int, _Given]
+    _stage: dict[int, _Given] = field(default_factory=dict, repr=False)
+
+    def stage(self, lag: int) -> _Given:
+        given = self._stage.get(lag)
+        if given is None:
+            cy = self.codes
+            given = self._stage[lag] = _given(cy[: cy.size - lag], cy[lag:], self.m)
+        return given
+
+
+def _target(cy: np.ndarray, m: int, lags: Iterable[int]) -> _Target:
+    return _Target(cy, m, {lag: _given(None, cy[lag:], m) for lag in lags})
+
+
 def _te_stage(
-    cx: np.ndarray,
-    cy: np.ndarray,
-    lag: int,
-    m: int,
-    confidence: float,
-    rows: list[np.ndarray],
+    a: np.ndarray, given: _Given, m: int, confidence: float, rows: list[np.ndarray]
 ) -> SignificanceResult:
-    """Surrogate test of the transfer entropy at ``lag``.
+    """Surrogate test of the transfer entropy from the aligned source past
+    ``a`` given the target's (Y_past, Y_now) side.
 
     ``rows`` holds the chunks of shuffled-source realizations the MI gate
     counted, sliced to the aligned window; a gate that passed counted all.
     """
-    keep = cx.size - lag
     n = sum(chunk.shape[0] for chunk in rows)
-    return _surrogate_test(*_cmi(cx[:keep], cy[:keep], cy[lag:], m), rows, n, confidence)
+    return _surrogate_test(*_cmi(a, given, m), rows, n, confidence)
 
 
 def _te_link_from_codes(
-    cx: np.ndarray,
-    cy: np.ndarray,
+    source: _Source,
+    target: _Target,
     lag: int,
     m: int,
     cfg: SurrogateConfig,
     key_x: int,
     key_y: int,
 ) -> TeLinkResult:
-    """Gated TE link decision on pre-digitized code arrays.
+    """Gated TE link decision on the record's pre-digitized source and
+    target (``_source``, ``_target``), built with ``m`` bins.
 
     One shuffle ensemble of the full source is drawn per (pair, lag), chunk
     by chunk as the MI gate asks for it, and shared by the MI gate and the
     TE test. The chunks come from one stream in order, so the rows drawn
     are a prefix of the whole ensemble. They are drawn into this thread's
     scratch bank (``estimators._scratch_buffer``), which the next test on
-    the thread overwrites; no result refers to it. The result keeps ``cx``
-    and ``cy`` to compute its ``te`` on first read, so they are not written
-    to afterwards.
+    the thread overwrites; no result refers to it. Each chunk holds the
+    source's ``fill`` plus m * m times the row's index in the chunk, the
+    form ``_cmi``'s ``count`` takes. The result keeps the codes to compute
+    its ``te`` on first read, so they are not written to afterwards.
     """
     n = cfg.n_surrogates
+    cx, cy = source.codes, target.codes
     keep = cx.size - lag
     rng = _rng(cfg.rng_seed, key_x, key_y, lag)
     rows = _scratch_buffer("bank", n * cx.size).reshape(n, cx.size)
@@ -314,16 +379,17 @@ def _te_link_from_codes(
         start = 0
         for stop in _checkpoints(n):
             out = rows[start:stop]
-            bank.append(_shuffled_source_rows(cx, stop - start, rng, out=out)[:, :keep])
+            shuffled = _shuffled_source_rows(source.fill, stop - start, rng, step=m * m, out=out)
+            bank.append(shuffled[:, :keep])
             yield bank[-1]
             start = stop
 
-    gate = _cmi(cx[:keep], None, cy[lag:], m)
+    gate = _cmi(cx[:keep], target.gate[lag], m, source.h_past[lag])
     mi_res = _surrogate_test(*gate, draw(), n, cfg.confidence)
     inputs = (cx, cy, lag, m)
     if not mi_res.significant or not cfg.te_surrogate_test:
         return TeLinkResult(mi_res.significant, mi_res, None, inputs)
-    te_res = _te_stage(cx, cy, lag, m, cfg.confidence, bank)
+    te_res = _te_stage(cx[:keep], target.stage(lag), m, cfg.confidence, bank)
     return TeLinkResult(te_res.significant, mi_res, te_res, inputs)
 
 
@@ -340,11 +406,12 @@ def te_link_test(
     test decides. Input faults raise as ``timeseries._check_pair`` says.
     """
     _check_pair(x, y, lag)
+    m = spec.bin_count
     return _te_link_from_codes(
-        spec.digitize(x),
-        spec.digitize(y),
+        _source(spec.digitize(x), m, (lag,)),
+        _target(spec.digitize(y), m, (lag,)),
         lag,
-        spec.bin_count,
+        m,
         cfg,
         _name_key(x.name),
         _name_key(y.name),

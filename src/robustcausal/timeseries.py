@@ -40,15 +40,22 @@ __all__ = [
 ]
 
 
+def _seed_words(parts: tuple[int, ...]) -> np.ndarray:
+    """The parts masked to 32 bits, as the ``uint32`` array ``SeedSequence``
+    takes without converting each one: the same entropy as the list of the
+    masked ints, so the same streams."""
+    return np.array([int(p) & 0xFFFFFFFF for p in parts], dtype=np.uint32)
+
+
 def _rng(*parts: int) -> np.random.Generator:
     """The package's one way to seed randomness: a generator keyed by a
     tuple of integer parts, each masked to 32 bits."""
-    return np.random.default_rng([int(p) & 0xFFFFFFFF for p in parts])
+    return np.random.default_rng(_seed_words(parts))
 
 
 def _derived_seed(*parts: int) -> int:
     """Scalar 32-bit seed derived from integer parts, each masked to 32 bits."""
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
+    ss = np.random.SeedSequence(_seed_words(parts))
     return int(ss.generate_state(1, np.uint32)[0])
 
 

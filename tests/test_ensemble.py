@@ -248,9 +248,9 @@ def test_analyze_ensemble_reuse_parent_bins_mode_runs(monkeypatch):
         derived.append(1)
         return derive(cls, *args, **kwargs)
 
-    def recorded(cx, cy, lag, n_bins, *args):
+    def recorded(source, target, lag, n_bins, *args):
         bin_counts.add(n_bins)
-        return link_test(cx, cy, lag, n_bins, *args)
+        return link_test(source, target, lag, n_bins, *args)
 
     monkeypatch.setattr(BinningSpec, "from_dataset", classmethod(counted))
     monkeypatch.setattr(graph, "_te_link_from_codes", recorded)

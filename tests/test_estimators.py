@@ -22,6 +22,7 @@ from robustcausal.estimators import (
     _cmi,
     _entropy_bits,
     _entropy_bits_rows,
+    _given,
     _joint_counts,
     scott_bin_width,
     transfer_entropy,
@@ -38,7 +39,14 @@ def _series(name, values):
 
 def _mi(x, y, spec):
     """I(X; Y) in bits by the kernel, with x in the A slot and y in C."""
-    return _cmi(spec.digitize(x), None, spec.digitize(y), spec.bin_count)[0]
+    m = spec.bin_count
+    return _cmi(spec.digitize(x), _given(None, spec.digitize(y), m), m)[0]
+
+
+def _bank_form(rows, m):
+    """Shuffled code rows in the form ``count`` takes, the one the link
+    test draws its bank in: codes times m plus m * m times the row index."""
+    return rows * m + (np.arange(rows.shape[0]) * (m * m))[:, None]
 
 
 def _symmetry_tolerance(m):
@@ -294,12 +302,16 @@ def test_cmi_is_bit_identical_to_the_stage_formulas(seed, l, m, n_rows, mix, con
     c = np.where(rng.random(l) < mix, a, rng.integers(0, m, l))
     b = np.roll(c, 1) if conditional else None
     rows = rng.permuted(np.tile(a, (n_rows, 1)), axis=1)
-    observed, count = _cmi(a, b, c, m)
-    surrogates = count(rows, np.empty(n_rows))
+    observed, count = _cmi(a, _given(b, c, m), m)
+    surrogates = count(_bank_form(rows, m), np.empty(n_rows))
     if conditional:
         want_observed, want_surrogates = _te_stage_oracle(a, b, c, m, rows)
     else:
         want_observed, want_surrogates = _mi_stage_oracle(a, c, m, rows)
+        # the link test hands the gate H(A), which the joint gives otherwise
+        h_a = _entropy_bits(_joint_counts([a], m))
+        handed = _cmi(a, _given(b, c, m), m, h_a)[0]
+        assert np.float64(handed).tobytes() == np.float64(want_observed).tobytes()
     assert np.float64(observed).tobytes() == np.float64(want_observed).tobytes()
     assert surrogates.tobytes() == want_surrogates.tobytes()
 
@@ -325,12 +337,15 @@ def test_row_bank_kernel_is_bit_identical_to_the_fresh_array_loop(
     a, b, c = x[:keep], (y[:keep] if conditional else None), y[lag:]
     # column slices of full-length shuffles, as the link test passes them;
     # the buffer's use grows, shrinks, then grows past its first size
-    bank = rng.permuted(np.tile(x, (2 * n_rows, 1)), axis=1)[:, :keep]
+    shuffles = rng.permuted(np.tile(x, (2 * n_rows, 1)), axis=1)
+    bank = shuffles[:, :keep]
     banks = [bank[:n_rows], bank[:1], bank]
+    drawn = _bank_form(shuffles, m)[:, :keep]
+    drawn_banks = [drawn[:n_rows], drawn[:1], drawn]
 
     def run():
-        count = _cmi(a, b, c, m)[1]
-        return [count(rows, np.empty(len(rows))) for rows in banks]
+        count = _cmi(a, _given(b, c, m), m)[1]
+        return [count(rows, np.empty(len(rows))) for rows in drawn_banks]
 
     # a cap this small splits banks into chunks of cap // keep rows, or of one
     with mock.patch.object(estimators, "_INDEX_BUFFER_CAP", cap):
@@ -355,13 +370,14 @@ def test_row_bank_kernel_allocates_less_than_one_index_array():
     keep = l - lag
     x = rng.integers(0, m, l)
     y = rng.integers(0, m, l)
-    rows = rng.permuted(np.tile(x, (100, 1)), axis=1)[:, :keep]
+    rows = _bank_form(rng.permuted(np.tile(x, (100, 1)), axis=1), m)[:, :keep]
     index_bytes = rows.size * np.dtype(np.intp).itemsize
     for b in (None, y[:keep]):
-        _cmi(x[:keep], b, y[lag:], m)[1](rows, np.empty(100))
+        given = _given(b, y[lag:], m)
+        _cmi(x[:keep], given, m)[1](rows, np.empty(100))
         tracemalloc.start()
         try:
-            _cmi(x[:keep], b, y[lag:], m)[1](rows, np.empty(100))
+            _cmi(x[:keep], given, m)[1](rows, np.empty(100))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,11 +395,12 @@ def test_te_stage_batch_memory_is_bounded(m):
     keep = l - lag
     x = rng.integers(0, m, l)
     y = rng.integers(0, m, l)
-    rows = rng.permuted(np.tile(x, (100, 1)), axis=1)[:, :keep]
-    _cmi(x[:keep], y[:keep], y[lag:], m)[1](rows, np.empty(100))
+    rows = _bank_form(rng.permuted(np.tile(x, (100, 1)), axis=1), m)[:, :keep]
+    given = _given(y[:keep], y[lag:], m)
+    _cmi(x[:keep], given, m)[1](rows, np.empty(100))
     tracemalloc.start()
     try:
-        _cmi(x[:keep], y[:keep], y[lag:], m)[1](rows, np.empty(100))
+        _cmi(x[:keep], given, m)[1](rows, np.empty(100))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -159,9 +159,9 @@ def test_forced_bins_reach_every_trial(monkeypatch):
     link_test = significance._te_link_from_codes
     bin_counts = []
 
-    def recorded(cx, cy, lag, n_bins, *args):
+    def recorded(source, target, lag, n_bins, *args):
         bin_counts.append(n_bins)
-        return link_test(cx, cy, lag, n_bins, *args)
+        return link_test(source, target, lag, n_bins, *args)
 
     monkeypatch.setattr(significance, "_te_link_from_codes", recorded)
     sur = SurrogateConfig(rng_seed=2, n_surrogates=10, bins=7)

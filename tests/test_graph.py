@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robustcausal import estimators, graph
 from robustcausal.errors import (
     InvalidConfig,
     LagTooLarge,
@@ -22,7 +24,7 @@ from robustcausal.graph import (
 )
 from robustcausal.ensemble import EnsembleConfig, analyze_ensemble
 from robustcausal.granger import GrangerConfig, GrangerResult
-from robustcausal.significance import SurrogateConfig
+from robustcausal.significance import SurrogateConfig, te_link_test
 from robustcausal.timeseries import Dataset, TimeSeries
 
 
@@ -255,3 +257,61 @@ def _row_by_key(d, test, max_lag):
     return {key: (bool(kept), statistic.tobytes())
             for key, kept, statistic in zip(candidate_keys(d.names, max_lag), decisions,
                                             statistics, strict=True)}
+
+
+def _chain_dataset(seed, k, l):
+    """``k`` variables, each driven by the one before it at lag 1."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.normal(size=l)]
+    for _ in range(k - 1):
+        driven = np.concatenate(([0.0], 0.9 * columns[-1][:-1]))
+        columns.append(driven + 0.3 * rng.normal(size=l))
+    return Dataset(tuple(_series(name, c) for name, c in zip("ABCD", columns)))
+
+
+def _result_bits(res):
+    """A link test's decision, TE bits, and each stage's floats and rows."""
+    tests = [res.mi_test] + ([res.te_test] if res.te_test is not None else [])
+    floats = [(t.observed, t.surrogate_mean, t.surrogate_std, t.statistic) for t in tests]
+    return (res.link, np.float64(res.te).tobytes(),
+            [(np.array(f).tobytes(), t.significant, t.rows) for f, t in zip(floats, tests)])
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    k=st.sampled_from([2, 4]),
+    stage=st.booleans(),
+    bins=st.sampled_from([None, 5, 19]),
+    budget=st.sampled_from([None, 250]),
+)
+def test_record_prologue_cells_equal_the_single_link_test(seed, k, stage, bins, budget):
+    # evaluate_candidates computes each record's shared link-test work once
+    # (scaled source codes, the gate's and the stage's given sides, the
+    # observed marginals); te_link_test builds them for one pair and lag.
+    # At m = 19 a stage row has 6,859 cells, so the stage counts each bank
+    # chunk of 12 or 16 rows in parts of 9; a budget of 250 cells splits
+    # the gate's chunks too.
+    d = _chain_dataset(seed, k, 160)
+    cfg = SurrogateConfig(rng_seed=seed, n_surrogates=40, te_surrogate_test=stage, bins=bins)
+    spec = BinningSpec.from_dataset(d, bin_count=bins)
+    recorded = []
+    link_test = graph._te_link_from_codes
+
+    def recording(*args):
+        recorded.append(link_test(*args))
+        return recorded[-1]
+
+    with mock.patch.object(graph, "_te_link_from_codes", recording), \
+            mock.patch.object(estimators, "_BATCH_CELL_BUDGET",
+                              budget or estimators._BATCH_CELL_BUDGET):
+        decisions, statistics = evaluate_candidates(d, cfg, 2)
+        keys = candidate_keys(d.names, 2)
+        singles = [te_link_test(d.get(s), d.get(t), lag, spec, cfg) for s, t, lag in keys]
+    assert len(recorded) == len(keys)
+    for i, (res, single) in enumerate(zip(recorded, singles)):
+        assert _result_bits(res) == _result_bits(single)
+        assert (decisions[i], statistics[i].tobytes()) == (
+            single.link, np.float64(single.te).tobytes())
+    # every record's driven lag-1 links pass the gate, so the stage runs
+    assert any(res.te_test is not None for res in singles) == stage

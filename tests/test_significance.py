@@ -13,7 +13,7 @@ from robustcausal import estimators, significance
 from robustcausal._critical import t_critical, t_exceeds
 from robustcausal.ensemble import EnsembleConfig, analyze_ensemble
 from robustcausal.errors import InvalidConfig, LagTooLarge, LengthMismatch
-from robustcausal.estimators import BinningSpec, _cmi, transfer_entropy
+from robustcausal.estimators import BinningSpec, _cmi, _given, transfer_entropy
 from robustcausal.evaluation import monte_carlo_rates
 from robustcausal.significance import (
     _SPREAD_FLOOR,
@@ -76,7 +76,8 @@ def test_mi_gate_detects_strong_dependence():
     assert res.significant
     assert res.statistic > 10.0
     # the gate's MI is that of the lag-aligned pair (x[t - 2], y[t])
-    aligned = _cmi(spec.digitize(x)[:-2], None, spec.digitize(y)[2:], spec.bin_count)[0]
+    m = spec.bin_count
+    aligned = _cmi(spec.digitize(x)[:-2], _given(None, spec.digitize(y)[2:], m), m)[0]
     assert res.observed == pytest.approx(aligned, rel=1e-12)
 
 

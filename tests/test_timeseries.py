@@ -23,6 +23,8 @@ from robustcausal.timeseries import (
     Dataset,
     PreprocessSpec,
     TimeSeries,
+    _derived_seed,
+    _rng,
     apply_preprocess,
     deseasonalize,
     detrend_linear,
@@ -393,3 +395,18 @@ def test_csv_reader_rejects_empty_body(tmp_path):
     path.write_text("a,b\n")
     with pytest.raises(CsvFormatError):
         read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("parts", [
+    (0,), (2**31,), (2**32 - 1,), (0, 0, 0), (-1,), (-(2**40), 5), (1, -2, 3, -4),
+    (np.int64(-7), np.uint32(2**32 - 1), np.int8(3)), (2**64,), (2**64 + 2**33 + 9, 2**70 - 1),
+], ids=repr)
+def test_seed_parts_give_the_streams_of_the_masked_list(parts):
+    # the parts reach SeedSequence as one uint32 array, which it takes as the
+    # same entropy words as the list of the masked ints
+    words = [int(p) & 0xFFFFFFFF for p in parts]
+    want = np.random.default_rng(words)
+    assert _rng(*parts).bit_generator.state == want.bit_generator.state
+    assert _rng(*parts).integers(0, 2**63, 8).tolist() == want.integers(0, 2**63, 8).tolist()
+    seed = np.random.SeedSequence(words).generate_state(1, np.uint32)[0]
+    assert _derived_seed(*parts) == int(seed)
