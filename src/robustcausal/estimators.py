@@ -29,10 +29,11 @@ Surrogate batches
 The (B, C) side of a statistic does not depend on A, so it is computed
 once and shared (``_given``): the aligned codes, their flat index ``base``
 (C for the gate, ``B * m + C`` for the TE stage) and the entropies H(B)
-and H(B, C). A graph's record computes it once per (target, lag), and
-H(X_past) once per (source, lag), for all k(k-1)L candidate tests (see
-``significance._te_link_from_codes``). ``_cmi`` then counts only the
-observed joint and returns a ``count`` function that evaluates the
+and H(B, C). The link tests on one record share it through
+``significance._record``, which builds it once per (target, lag), and
+H(X_past) once per (source, lag): for a graph's k(k-1)L candidate tests,
+for an error-rate trial's two lags and for one ``te_link_test``. ``_cmi``
+then counts only the observed joint and returns a ``count`` function that evaluates the
 statistic with each shuffled source in place of A, as often as a caller
 asks for a further chunk of rows.
 

@@ -34,13 +34,12 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, replace
 
-from . import significance
 from ._choices import SYSTEM_KINDS, SYSTEM_SETTINGS
 from ._critical import binomial_tail
 from .errors import InvalidConfig
 from .estimators import BinningSpec
 from .graph import LaggedCausalGraph, build_graph
-from .significance import SurrogateConfig, _name_key
+from .significance import SurrogateConfig, _record
 from .synthetic import SystemSpec, generate
 from .timeseries import Dataset, _check_count, _check_pair, _derived_seed
 
@@ -128,8 +127,6 @@ def monte_carlo_rates(
     n_trials = int(n_trials)  # plain rates: a numpy count makes numpy floats
     grid = {(li, ri): SystemSpec(kind=kind, length=length, rng_seed=0, signal=ratio, noise=1.0)
             for li, length in enumerate(lengths) for ri, ratio in enumerate(ratios)}
-    keys = _name_key("X"), _name_key("Y")
-    lags = (1, 2)
     points = []
     for (li, ri), system in grid.items():
         misses = false_alarms = 0
@@ -140,17 +137,11 @@ def monte_carlo_rates(
             spec = BinningSpec.from_dataset(d, bin_count=surrogate.bins)
             cfg = replace(surrogate, rng_seed=test_seed)
             x, y = d.get("X"), d.get("Y")
-            for lag in lags:
+            for lag in (1, 2):
                 _check_pair(x, y, lag)
-            m = spec.bin_count
-            source = significance._source(spec.digitize(x), m, lags)
-            target = significance._target(spec.digitize(y), m, lags)
-
-            def fires(lag: int) -> bool:
-                return significance._te_link_from_codes(source, target, lag, m, cfg, *keys).link
-
-            misses += not fires(1)
-            false_alarms += fires(2)
+            record = _record(spec, (x, y))
+            misses += not record.test(0, 1, 1, cfg).link
+            false_alarms += record.test(0, 1, 2, cfg).link
         points.append(ErrorRatePoint(data_length=int(system.length),
                                      m_over_eps=float(system.signal), fnr=misses / n_trials,
                                      fpr=false_alarms / n_trials, n_trials=n_trials))

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidConfig, LagTooLarge, UnknownFormat, VariableMismatch
 from .estimators import BinningSpec
 from .granger import GrangerConfig, _candidate_fits, granger_test
-from .significance import SurrogateConfig, _name_key, _source, _target, _te_link_from_codes
+from .significance import SurrogateConfig, _record
 from .timeseries import Dataset, _check_count, _typed
 
 __all__ = [
@@ -139,17 +139,11 @@ def evaluate_candidates(
     if isinstance(test, SurrogateConfig):
         if spec is None:
             spec = BinningSpec.from_dataset(d, bin_count=test.bins)
-        # the work a record's candidates share, done once (see ``_te_link_from_codes``)
-        m, lags = spec.bin_count, range(1, max_lag + 1)
-        codes = {s.name: spec.digitize(s) for s in d.series}
-        sources = {name: _source(c, m, lags) for name, c in codes.items()}
-        targets = {name: _target(c, m, lags) for name, c in codes.items()}
-        keys = {name: _name_key(name) for name in d.names}
+        record = _record(spec, d.series)
+        position = {name: i for i, name in enumerate(d.names)}
 
         def decide(src: str, tgt: str, lag: int) -> tuple[float, bool]:
-            res = _te_link_from_codes(
-                sources[src], targets[tgt], lag, m, test, keys[src], keys[tgt]
-            )
+            res = record.test(position[src], position[tgt], lag, test)
             return res.te, res.link
 
     elif isinstance(test, GrangerConfig):

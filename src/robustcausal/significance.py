@@ -23,6 +23,12 @@ the decision needs no TE, so ``TeLinkResult.te`` is computed only when it
 is first read: a graph reads it for every candidate, the error-rate trials
 of ``evaluation.monte_carlo_rates`` never do.
 
+Every link test runs on a record (``_record``): the series of a graph's
+sample or window, an error-rate trial's pair, or the pair of one
+``te_link_test``. The record builds on first use, and keeps for the tests
+that follow, what they share: each variable's codes and the source and
+target sides of the two stages.
+
 Early stopping
 --------------
 A bank of n shuffles is drawn and counted in chunks that end after 3n//10
@@ -59,7 +65,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -293,44 +299,52 @@ def _shuffled_source_rows(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _Source:
-    """What a source's link tests on one record share: its codes, the
-    codes times m, which fill its shuffle banks, and ``h_past[lag]``, the
-    entropy of ``codes[: l - lag]``."""
+class _Parts(dict):
+    """A dict that builds the value of a missing key as ``build(*key)``."""
 
-    codes: np.ndarray
-    fill: np.ndarray
-    h_past: dict[int, float]
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
 
-
-def _source(cx: np.ndarray, m: int, lags: Iterable[int]) -> _Source:
-    h_past = {lag: _entropy_bits(_joint_counts([cx[: cx.size - lag]], m)) for lag in lags}
-    return _Source(cx, _read_only(cx * m), h_past)
+    def __missing__(self, key):
+        value = self[key] = self.build(*key) if type(key) is tuple else self.build(key)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
-class _Target:
-    """What a target's link tests on one record share: its codes and, per
-    lag, the given side (``estimators._given``) of the MI gate, ``Y_now``,
-    and, on the first ``stage(lag)`` call, of the TE stage, ``(Y_past,
-    Y_now)``."""
+class _Record:
+    """What the TE link tests on one record share, each part built on first
+    use: per variable, by position, its ``codes`` and its name key
+    (``keys``); as a source, its ``fill``, the codes times m, which fills
+    its shuffle banks, and ``h_past[i, lag]``, the entropy of
+    ``codes[i][:-lag]``; as a target, per lag, the given side
+    (``estimators._given``) of the MI ``gate``, ``Y_now``, and of the TE
+    ``stage``, ``(Y_past, Y_now)``."""
 
-    codes: np.ndarray
     m: int
-    gate: dict[int, _Given]
-    _stage: dict[int, _Given] = field(default_factory=dict, repr=False)
+    codes: _Parts
+    keys: _Parts
+    fill: _Parts
+    h_past: _Parts
+    gate: _Parts
+    stage: _Parts
 
-    def stage(self, lag: int) -> _Given:
-        given = self._stage.get(lag)
-        if given is None:
-            cy = self.codes
-            given = self._stage[lag] = _given(cy[: cy.size - lag], cy[lag:], self.m)
-        return given
+    def test(self, i: int, j: int, lag: int, cfg: SurrogateConfig) -> TeLinkResult:
+        """The gated TE link test from variable ``i`` to variable ``j``."""
+        return _te_link_from_codes(self, i, j, lag, cfg)
 
 
-def _target(cy: np.ndarray, m: int, lags: Iterable[int]) -> _Target:
-    return _Target(cy, m, {lag: _given(None, cy[lag:], m) for lag in lags})
+def _record(spec: BinningSpec, series: Sequence[TimeSeries]) -> _Record:
+    m = spec.bin_count
+    codes = _Parts(lambda i: spec.digitize(series[i]))
+    return _Record(
+        m, codes,
+        keys=_Parts(lambda i: _name_key(series[i].name)),
+        fill=_Parts(lambda i: _read_only(codes[i] * m)),
+        h_past=_Parts(lambda i, lag: _entropy_bits(_joint_counts([codes[i][:-lag]], m))),
+        gate=_Parts(lambda j, lag: _given(None, codes[j][lag:], m)),
+        stage=_Parts(lambda j, lag: _given(codes[j][:-lag], codes[j][lag:], m)),
+    )
 
 
 def _te_stage(
@@ -347,16 +361,10 @@ def _te_stage(
 
 
 def _te_link_from_codes(
-    source: _Source,
-    target: _Target,
-    lag: int,
-    m: int,
-    cfg: SurrogateConfig,
-    key_x: int,
-    key_y: int,
+    record: _Record, i: int, j: int, lag: int, cfg: SurrogateConfig
 ) -> TeLinkResult:
-    """Gated TE link decision on the record's pre-digitized source and
-    target (``_source``, ``_target``), built with ``m`` bins.
+    """Gated TE link decision from the ``record``'s variable ``i`` to its
+    variable ``j``, on the codes and shared parts the record keeps.
 
     One shuffle ensemble of the full source is drawn per (pair, lag), chunk
     by chunk as the MI gate asks for it, and shared by the MI gate and the
@@ -368,10 +376,11 @@ def _te_link_from_codes(
     form ``_cmi``'s ``count`` takes. The result keeps the codes to compute
     its ``te`` on first read, so they are not written to afterwards.
     """
-    n = cfg.n_surrogates
-    cx, cy = source.codes, target.codes
+    n, m = cfg.n_surrogates, record.m
+    cx, cy = record.codes[i], record.codes[j]
     keep = cx.size - lag
-    rng = _rng(cfg.rng_seed, key_x, key_y, lag)
+    rng = _rng(cfg.rng_seed, record.keys[i], record.keys[j], lag)
+    fill = record.fill[i]
     rows = _scratch_buffer("bank", n * cx.size).reshape(n, cx.size)
     bank: list[np.ndarray] = []
 
@@ -379,17 +388,17 @@ def _te_link_from_codes(
         start = 0
         for stop in _checkpoints(n):
             out = rows[start:stop]
-            shuffled = _shuffled_source_rows(source.fill, stop - start, rng, step=m * m, out=out)
+            shuffled = _shuffled_source_rows(fill, stop - start, rng, step=m * m, out=out)
             bank.append(shuffled[:, :keep])
             yield bank[-1]
             start = stop
 
-    gate = _cmi(cx[:keep], target.gate[lag], m, source.h_past[lag])
+    gate = _cmi(cx[:keep], record.gate[j, lag], m, record.h_past[i, lag])
     mi_res = _surrogate_test(*gate, draw(), n, cfg.confidence)
     inputs = (cx, cy, lag, m)
     if not mi_res.significant or not cfg.te_surrogate_test:
         return TeLinkResult(mi_res.significant, mi_res, None, inputs)
-    te_res = _te_stage(cx[:keep], target.stage(lag), m, cfg.confidence, bank)
+    te_res = _te_stage(cx[:keep], record.stage[j, lag], m, cfg.confidence, bank)
     return TeLinkResult(te_res.significant, mi_res, te_res, inputs)
 
 
@@ -406,13 +415,4 @@ def te_link_test(
     test decides. Input faults raise as ``timeseries._check_pair`` says.
     """
     _check_pair(x, y, lag)
-    m = spec.bin_count
-    return _te_link_from_codes(
-        _source(spec.digitize(x), m, (lag,)),
-        _target(spec.digitize(y), m, (lag,)),
-        lag,
-        m,
-        cfg,
-        _name_key(x.name),
-        _name_key(y.name),
-    )
+    return _record(spec, (x, y)).test(0, 1, lag, cfg)

@@ -31,7 +31,7 @@ total lag of 4, which a pairwise detector may legitimately pick up.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -173,7 +173,8 @@ class SystemSpec:
     """What to simulate: ``length`` steps, of which the kinds that read
     ``burn_in`` (B and C, as ``_choices.SYSTEM_SETTINGS`` lists) drop the
     first ``burn_in``. ``signal`` and ``noise``, read by the bivariate
-    kinds, are m (required, finite) and eps (finite, > 0).
+    kinds, are m (required, finite) and eps (finite, > 0). A setting that
+    the kind does not read must keep its default.
     """
 
     kind: str
@@ -190,6 +191,11 @@ class SystemSpec:
         _check_integer("rng_seed", self.rng_seed)
         _check_count("burn_in", self.burn_in, 0)
         reads = SYSTEM_SETTINGS[self.kind]
+        for f in fields(self):
+            readers = [kind for kind, names in SYSTEM_SETTINGS.items() if f.name in names]
+            if readers and f.name not in reads and getattr(self, f.name) != f.default:
+                raise InvalidConfig(f"kind {self.kind!r} does not read {f.name}; "
+                                    f"only {' and '.join(readers)} do")
         if "burn_in" in reads and self.length <= self.burn_in:
             raise InvalidConfig(
                 f"length {self.length} must exceed burn_in {self.burn_in} for kind {self.kind!r}"

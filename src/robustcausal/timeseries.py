@@ -109,7 +109,11 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = self.values
+        # an unpickled float64 array has a descriptor that is not
+        # ``np.dtype(float)``, so ``asarray`` would wrap it in a view
+        if type(values) is not np.ndarray or values.dtype != np.float64:
+            values = np.asarray(values, dtype=float)
         if values.ndim != 1:
             raise InvalidConfig(f"series {self.name!r} must be 1-D, got shape {values.shape}")
         if values.size < 1:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustcausal import ensemble, graph
+from robustcausal import ensemble, significance
 from robustcausal.ensemble import (
     SUBSAMPLE_MODES,
     EnsembleConfig,
@@ -241,19 +241,19 @@ def test_analyze_ensemble_reuse_parent_bins_mode_runs(monkeypatch):
     d = _dataset(5, names=("A", "B"), l=300)
     sur = SurrogateConfig(rng_seed=11, n_surrogates=30, bins=5)
     derive = BinningSpec.from_dataset.__func__
-    link_test = graph._te_link_from_codes
+    link_test = significance._te_link_from_codes
     derived, bin_counts = [], set()
 
     def counted(cls, *args, **kwargs):
         derived.append(1)
         return derive(cls, *args, **kwargs)
 
-    def recorded(source, target, lag, n_bins, *args):
-        bin_counts.add(n_bins)
-        return link_test(source, target, lag, n_bins, *args)
+    def recorded(record, *args):
+        bin_counts.add(record.m)
+        return link_test(record, *args)
 
     monkeypatch.setattr(BinningSpec, "from_dataset", classmethod(counted))
-    monkeypatch.setattr(graph, "_te_link_from_codes", recorded)
+    monkeypatch.setattr(significance, "_te_link_from_codes", recorded)
     for reuse, derivations in ((True, 1), (False, 1 + 5)):
         cfg = EnsembleConfig(5, 90, rng_seed=2, reuse_parent_bins=reuse)
         derived.clear()

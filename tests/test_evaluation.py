@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from robustcausal import significance
@@ -16,8 +17,9 @@ from robustcausal.evaluation import (
     monte_carlo_rates,
 )
 from robustcausal.graph import CausalLink, LaggedCausalGraph
-from robustcausal.significance import SurrogateConfig
+from robustcausal.significance import SurrogateConfig, te_link_test
 from robustcausal.synthetic import SystemSpec, generate
+from robustcausal.timeseries import _derived_seed
 
 
 def _graph(links, variables=("X", "Y", "Z"), max_lag=4):
@@ -159,9 +161,9 @@ def test_forced_bins_reach_every_trial(monkeypatch):
     link_test = significance._te_link_from_codes
     bin_counts = []
 
-    def recorded(source, target, lag, n_bins, *args):
-        bin_counts.append(n_bins)
-        return link_test(source, target, lag, n_bins, *args)
+    def recorded(record, *args):
+        bin_counts.append(record.m)
+        return link_test(record, *args)
 
     monkeypatch.setattr(significance, "_te_link_from_codes", recorded)
     sur = SurrogateConfig(rng_seed=2, n_surrogates=10, bins=7)
@@ -188,6 +190,39 @@ def test_trials_compute_no_te_and_digitize_each_series_once(monkeypatch):
                                   SurrogateConfig(rng_seed=2, n_surrogates=20))
         assert digitized == ["X", "Y"] * (2 * 2 * 3)
         assert curve.point(300, 3.0).fnr == 0.0  # gates passed, and no TE was read
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["bivariate-linear", "bivariate-nonlinear"]),
+    lengths=st.lists(st.sampled_from([40, 70, 150]), min_size=1, max_size=2, unique=True),
+    ratios=st.lists(st.sampled_from([0.0, 0.3, 1.5]), min_size=1, max_size=2, unique=True),
+    stage=st.booleans(),
+    bins=st.sampled_from([None, 4, 9]),
+)
+def test_trials_equal_the_single_link_test(seed, kind, lengths, ratios, stage, bins):
+    # each trial's data and test seeds, derived again: its lag-1 miss and its
+    # lag-2 alarm are te_link_test's decisions from X to Y
+    sur = SurrogateConfig(rng_seed=seed, n_surrogates=20, te_surrogate_test=stage, bins=bins)
+    n_trials = 3
+    curve = monte_carlo_rates(kind, lengths, ratios, n_trials, sur)
+    grid = [(li, length, ri, ratio) for li, length in enumerate(lengths)
+            for ri, ratio in enumerate(ratios)]
+    assert len(curve.points) == len(grid)
+    for (li, length, ri, ratio), point in zip(grid, curve.points):
+        fired = {1: 0, 2: 0}
+        for trial in range(n_trials):
+            system = SystemSpec(kind=kind, length=length, signal=ratio,
+                                rng_seed=_derived_seed(seed, li, ri, trial, 0))
+            d, _ = generate(system)
+            spec = BinningSpec.from_dataset(d, bin_count=bins)
+            cfg = replace(sur, rng_seed=_derived_seed(seed, li, ri, trial, 1))
+            for lag in fired:
+                fired[lag] += te_link_test(d.get("X"), d.get("Y"), lag, spec, cfg).link
+        assert (point.data_length, point.m_over_eps) == (length, ratio)
+        assert point.fnr == (n_trials - fired[1]) / n_trials
+        assert point.fpr == fired[2] / n_trials
 
 
 def test_bin_sensitivity_scan_shape():

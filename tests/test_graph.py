@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustcausal import estimators, graph
+from robustcausal import estimators, significance
 from robustcausal.errors import (
     InvalidConfig,
     LagTooLarge,
@@ -286,9 +286,10 @@ def _result_bits(res):
     budget=st.sampled_from([None, 250]),
 )
 def test_record_prologue_cells_equal_the_single_link_test(seed, k, stage, bins, budget):
-    # evaluate_candidates computes each record's shared link-test work once
-    # (scaled source codes, the gate's and the stage's given sides, the
-    # observed marginals); te_link_test builds them for one pair and lag.
+    # evaluate_candidates builds one record of all variables and shares its
+    # parts (scaled source codes, the gate's and the stage's given sides,
+    # the observed marginals) across candidates; te_link_test builds a
+    # record of its one pair.
     # At m = 19 a stage row has 6,859 cells, so the stage counts each bank
     # chunk of 12 or 16 rows in parts of 9; a budget of 250 cells splits
     # the gate's chunks too.
@@ -296,16 +297,16 @@ def test_record_prologue_cells_equal_the_single_link_test(seed, k, stage, bins, 
     cfg = SurrogateConfig(rng_seed=seed, n_surrogates=40, te_surrogate_test=stage, bins=bins)
     spec = BinningSpec.from_dataset(d, bin_count=bins)
     recorded = []
-    link_test = graph._te_link_from_codes
+    link_test = significance._te_link_from_codes
 
     def recording(*args):
         recorded.append(link_test(*args))
         return recorded[-1]
 
-    with mock.patch.object(graph, "_te_link_from_codes", recording), \
-            mock.patch.object(estimators, "_BATCH_CELL_BUDGET",
-                              budget or estimators._BATCH_CELL_BUDGET):
-        decisions, statistics = evaluate_candidates(d, cfg, 2)
+    with mock.patch.object(estimators, "_BATCH_CELL_BUDGET",
+                           budget or estimators._BATCH_CELL_BUDGET):
+        with mock.patch.object(significance, "_te_link_from_codes", recording):
+            decisions, statistics = evaluate_candidates(d, cfg, 2)
         keys = candidate_keys(d.names, 2)
         singles = [te_link_test(d.get(s), d.get(t), lag, spec, cfg) for s, t, lag in keys]
     assert len(recorded) == len(keys)

@@ -303,7 +303,9 @@ def test_generate_deterministic():
 @pytest.mark.parametrize("kind", SYSTEM_KINDS)
 def test_every_settings_table_kind_generates(kind):
     assert SYSTEM_KINDS == tuple(SYSTEM_SETTINGS)
-    spec = SystemSpec(kind=kind, length=150, rng_seed=2, burn_in=50, signal=0.5, noise=2.0)
+    wanted = {"burn_in": 50, "signal": 0.5, "noise": 2.0}
+    spec = SystemSpec(kind=kind, length=150, rng_seed=2, **{
+        name: value for name, value in wanted.items() if name in SYSTEM_SETTINGS[kind]})
     d, truth = generate(spec)
     assert d.length == (100 if "burn_in" in SYSTEM_SETTINGS[kind] else 150)
     assert truth.link_keys() <= {(s, t, lag) for s in d.names for t in d.names
@@ -357,3 +359,20 @@ def test_spec_validation():
         SystemSpec(kind="bivariate-linear", length=100, rng_seed=0)
     with pytest.raises(InvalidConfig):
         SystemSpec(kind="bivariate-linear", length=100, rng_seed=0, signal=1.0, noise=0.0)
+
+
+_UNREAD = [(kind, name) for kind, reads in SYSTEM_SETTINGS.items()
+           for name in ("burn_in", "signal", "noise") if name not in reads]
+
+
+@pytest.mark.parametrize("kind, setting", _UNREAD)
+def test_a_kind_refuses_a_setting_it_does_not_read(kind, setting):
+    # generate would ignore it, as the CLI refuses it; its default still passes
+    needed = {"signal": 0.5} if "signal" in SYSTEM_SETTINGS[kind] else {}
+    default = SystemSpec.__dataclass_fields__[setting].default
+    SystemSpec(kind=kind, length=200, rng_seed=0, **needed, **{setting: default})
+    readers = " and ".join(k for k, reads in SYSTEM_SETTINGS.items() if setting in reads)
+    expected = f"kind {kind!r} does not read {setting}; only {readers} do"
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(expected)}$"):
+        SystemSpec(kind=kind, length=200, rng_seed=0, **needed,
+                   **{setting: {"burn_in": 7, "signal": 0.3, "noise": 5.0}[setting]})

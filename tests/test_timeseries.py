@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from robustcausal._choices import SYSTEM_SETTINGS
 from robustcausal.errors import (
     CsvFormatError,
     DuplicateName,
@@ -25,6 +26,7 @@ from robustcausal.timeseries import (
     TimeSeries,
     _derived_seed,
     _rng,
+    _unpickle_series,
     apply_preprocess,
     deseasonalize,
     detrend_linear,
@@ -217,7 +219,9 @@ def test_producers_hand_their_fresh_arrays_to_the_series_uncopied(tmp_path, monk
 
     monkeypatch.setattr(TimeSeries, "__post_init__", recorded)
     for kind in SYSTEM_KINDS:
-        generate(SystemSpec(kind=kind, length=50, rng_seed=1, burn_in=10, signal=0.5))
+        wanted = {"burn_in": 10, "signal": 0.5}
+        generate(SystemSpec(kind=kind, length=50, rng_seed=1, **{
+            name: value for name, value in wanted.items() if name in SYSTEM_SETTINGS[kind]}))
     s = TimeSeries("x", np.arange(20.0))
     assert kept.pop() is False
     detrend_linear(s)
@@ -231,17 +235,16 @@ def test_producers_hand_their_fresh_arrays_to_the_series_uncopied(tmp_path, monk
 
 def test_an_unpickled_series_keeps_the_unpickled_array(monkeypatch):
     # a pool worker's series, and each series of its dataset, is built around
-    # the array pickle made, not a second copy of it (numpy may wrap it in a
-    # view to swap its unpickled '<f8' descriptor for the native float one)
+    # the very array pickle made, not a copy or a view of it
     kept = []
     post_init = TimeSeries.__post_init__
 
     def recorded(self):
         handed = self.values
         post_init(self)
-        kept.append(self.values is handed or self.values.base is handed)
+        kept.append(self.values is handed)
 
-    d, _ = generate(SystemSpec(kind="A", length=30, rng_seed=2, burn_in=5))
+    d, _ = generate(SystemSpec(kind="A", length=30, rng_seed=2))
     monkeypatch.setattr(TimeSeries, "__post_init__", recorded)
     back = pickle.loads(pickle.dumps(d))
     s = pickle.loads(pickle.dumps(d.series[0]))
@@ -249,6 +252,16 @@ def test_an_unpickled_series_keeps_the_unpickled_array(monkeypatch):
     for got, want in zip(back.series + (s,), d.series + (d.series[0],)):
         assert got.name == want.name and not got.values.flags.writeable
         np.testing.assert_array_equal(got.values, want.values)
+
+
+def test_an_unpickled_float_array_is_kept_as_it_is():
+    # its '<f8' descriptor is not np.dtype(float), so asarray(a, float) is a view
+    a = pickle.loads(pickle.dumps(np.arange(5.0)))
+    assert _unpickle_series("x", a).values is a
+    big = np.arange(5.0).astype(">f8")
+    s = TimeSeries("x", big)
+    assert s.values.dtype == np.float64 and s.values.dtype.isnative
+    np.testing.assert_array_equal(s.values, big)
 
 
 def test_validate_rejects_single_series():
